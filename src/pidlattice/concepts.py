@@ -40,8 +40,7 @@ from .lattices import (
     build_lattice,
     downward_closure,
     enumerate_antichains,
-    in_access_domain,
-    in_blockage_domain,
+    lattice_index,
     maximal_non_supersets,
     minimal_non_subsets,
     parse_antichain_label,
@@ -208,37 +207,55 @@ def selection_mask(concept: BaseConcept, alpha: Antichain, tables: np.ndarray) -
     raise DomainError(f"unknown concept {concept!r}")
 
 
-@functools.lru_cache(maxsize=None)
-def domain_for_concept(concept: BaseConcept, n: int) -> tuple[Antichain, ...]:
-    """The antichains on which the concept's measure is defined, in canonical order.
+_ACCESS_DOMAIN = {
+    BaseConcept.REDUNDANCY,
+    BaseConcept.UNION,
+    BaseConcept.RESTRICTED,
+    BaseConcept.UNIQUE,
+}
+_BLOCKAGE_DOMAIN = {
+    BaseConcept.WEAK_SYNERGY,
+    BaseConcept.VULNERABLE,
+    BaseConcept.REDUNDANCY_PARTNER,
+    BaseConcept.UNIQUE_PARTNER,
+}
+
+
+def domain_positions(concept: BaseConcept, n: int) -> np.ndarray:
+    """Ascending positions in :func:`enumerate_antichains` of the concept's domain.
 
     The two plain domains exclude one degenerate antichain each; the
     union-partner and vulnerable-partner domains are the images of those
     under the partner mappings (they contain the empty antichain).
     """
-    everything = enumerate_antichains(n)
-    if concept in (
-        BaseConcept.REDUNDANCY,
-        BaseConcept.UNION,
-        BaseConcept.RESTRICTED,
-        BaseConcept.UNIQUE,
-    ):
-        return tuple(a for a in everything if in_access_domain(a))
-    if concept in (
-        BaseConcept.WEAK_SYNERGY,
-        BaseConcept.VULNERABLE,
-        BaseConcept.REDUNDANCY_PARTNER,
-        BaseConcept.UNIQUE_PARTNER,
-    ):
-        return tuple(a for a in everything if in_blockage_domain(a))
-    position = {a: i for i, a in enumerate(everything)}
+    index = lattice_index(n)
+    access = index.access_antichain
+    blockage = np.flatnonzero(index.blockage_atom >= 0)
+    if concept in _ACCESS_DOMAIN:
+        return access
+    if concept in _BLOCKAGE_DOMAIN:
+        return blockage
     if concept is BaseConcept.UNION_PARTNER:
-        image = {minimal_non_subsets(a) for a in everything if in_access_domain(a)}
-    elif concept is BaseConcept.VULNERABLE_PARTNER:
-        image = {maximal_non_supersets(a) for a in everything if in_blockage_domain(a)}
-    else:
-        raise DomainError(f"unknown concept {concept!r}")
-    return tuple(sorted(image, key=position.__getitem__))
+        return np.sort(index.partner[minimal_non_subsets][access])
+    if concept is BaseConcept.VULNERABLE_PARTNER:
+        return np.sort(index.partner[maximal_non_supersets][blockage])
+    raise DomainError(f"unknown concept {concept!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def domain_for_concept(concept: BaseConcept, n: int) -> tuple[Antichain, ...]:
+    """The antichains on which the concept's measure is defined, in canonical order.
+
+    See :func:`domain_positions` for which antichains these are.
+    """
+    antichains = enumerate_antichains(n)
+    return tuple(antichains[i] for i in domain_positions(concept, n).tolist())
+
+
+def values_on_domain(concept: BaseConcept, n: int, by_position: np.ndarray) -> dict[Antichain, float]:
+    """Pick the concept's domain out of values indexed by antichain position."""
+    picked = by_position[domain_positions(concept, n)].tolist()
+    return dict(zip(domain_for_concept(concept, n), picked))
 
 
 # Node set is the concept's domain; order kind and direction follow how the
@@ -323,7 +340,9 @@ def summate(
 
 REFERENCE_MEASURE_NAME = "reference (min-MI family)"
 
-_PARTNER_TO_BASE = {
+# The partner relation: each partner concept's value at alpha is its base
+# concept's value at mapper(alpha).
+PARTNER_TO_BASE = {
     BaseConcept.RESTRICTED: (BaseConcept.WEAK_SYNERGY, maximal_non_supersets),
     BaseConcept.REDUNDANCY_PARTNER: (BaseConcept.REDUNDANCY, minimal_non_subsets),
     BaseConcept.UNION_PARTNER: (BaseConcept.UNION, maximal_non_supersets),
@@ -343,28 +362,25 @@ def reference_measure(dist: JointDistribution, concept: BaseConcept) -> "Measure
             "decomposition; use decompose() for unique concepts"
         )
     n = dist.n
-    total = mutual_information(dist, source_mask(n))
-
-    def base_value(base: BaseConcept, alpha: Antichain) -> float:
-        infos = [mutual_information(dist, a) for a in alpha.masks]
-        if base is BaseConcept.REDUNDANCY:
-            return min(infos)
-        if base is BaseConcept.UNION:
-            return max(infos)
-        if base is BaseConcept.WEAK_SYNERGY:
-            return total - max(infos) if infos else total
-        if base is BaseConcept.VULNERABLE:
-            return total - min(infos)
-        raise DomainError(f"no reference rule for {base!r}")
-
-    values = {}
-    for alpha in domain_for_concept(concept, n):
-        if concept in _PARTNER_TO_BASE:
-            base, mapper = _PARTNER_TO_BASE[concept]
-            values[alpha] = base_value(base, mapper(alpha))
-        else:
-            values[alpha] = base_value(concept, alpha)
-    return MeasureAssignment(concept, n, values)
+    index = lattice_index(n)
+    infos = np.array([mutual_information(dist, bits) for bits in range(1 << n)])
+    total = infos[-1]
+    # Member rows are padded with slot 1 << n, which holds the identity of
+    # min or max.  The empty antichain, outside every base domain, reads it.
+    smallest = np.append(infos, np.inf)[index.members].min(axis=1)
+    largest = np.append(infos, -np.inf)[index.members].max(axis=1)
+    base_values = {
+        BaseConcept.REDUNDANCY: smallest,
+        BaseConcept.UNION: largest,
+        BaseConcept.WEAK_SYNERGY: total - largest,
+        BaseConcept.VULNERABLE: total - smallest,
+    }
+    if concept in PARTNER_TO_BASE:
+        base, mapper = PARTNER_TO_BASE[concept]
+        values = base_values[base][index.partner[mapper]]
+    else:
+        values = base_values[concept]
+    return MeasureAssignment(concept, n, values_on_domain(concept, n, values))
 
 
 @dataclass(frozen=True)
@@ -377,24 +393,24 @@ class MeasureAssignment:
 
     def __post_init__(self):
         domain = domain_for_concept(self.concept, self.n)
-        missing = [a.label() for a in domain if a not in self.values]
-        if missing:
+        values = self.values
+        try:
+            ordered = {a: values[a] for a in domain}
+        except KeyError:
+            missing = [a.label() for a in domain if a not in values]
             raise CompletenessError(
                 f"{self.concept.tag} values missing for: {', '.join(missing[:5])}"
                 + (" ..." if len(missing) > 5 else "")
-            )
-        domain_set = set(domain)
-        extra = [a.label() for a in self.values if a not in domain_set]
-        if extra:
+            ) from None
+        if len(values) != len(ordered):
+            extra = [a.label() for a in values if a not in ordered]
             raise CompletenessError(
                 f"{self.concept.tag} values outside the domain: {', '.join(extra[:5])}"
             )
-        ordered = {}
-        for a in domain:
-            v = float(self.values[a])
+        for a, v in ordered.items():
+            v = ordered[a] = float(v)
             if not math.isfinite(v):
                 raise ValidationError(f"non-finite value at {a.label()!r}")
-            ordered[a] = v
         object.__setattr__(self, "values", ordered)
 
     def __getitem__(self, alpha: Antichain) -> float:

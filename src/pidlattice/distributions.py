@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -59,10 +60,13 @@ class JointDistribution:
             if len(state) != n + 1:
                 raise ValidationError(f"outcome {state!r} has wrong arity")
             for sym, size in zip(state, sizes):
-                if not isinstance(sym, int) or not 0 <= sym < size:
+                # exact type test: rejects bool, and costs no more than isinstance
+                if type(sym) is not int or not 0 <= sym < size:
                     raise ValidationError(f"symbol {sym!r} out of range in outcome {state!r}")
-            if p < 0:
-                raise ValidationError(f"negative mass {p!r} at outcome {state!r}")
+            if type(p) is not float and (isinstance(p, bool) or not isinstance(p, numbers.Real)):
+                raise ValidationError(f"mass {p!r} at outcome {state!r} is not a number")
+            if not p >= 0:  # also refuses NaN, which every comparison fails
+                raise ValidationError(f"negative or NaN mass {p!r} at outcome {state!r}")
             total += p
             if p > MASS_EPS:
                 cleaned[tuple(state)] = float(p)

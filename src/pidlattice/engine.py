@@ -1,12 +1,16 @@
 """Decomposition engine: turn measure values into information atoms.
 
-Redundancy values are cumulative sums of atoms downward in the redundancy
-order and weak-synergy values cumulative sums upward in the synergy order;
-both invert by recursive descent.  Union and vulnerable information are
+All work runs on the per-n :class:`~pidlattice.lattices.LatticeIndex`.
+A redundancy value is the sum of the atoms whose truth tables contain its
+distribution's table, a weak-synergy value the sum of those whose tables
+lie inside it: the two zeta sums over the lattice of parthood
+distributions, each computed and inverted by single-collection steps
+along the lattice's covers.  Union and vulnerable information are
 complements of those two against the total information, and each partner
-concept reads its base concept's value at the partner-mapped antichain, so
-every concept funnels into one of the two inversions (or, for unique
-information, directly into single atoms).
+concept reads its base concept's value through a partner permutation of
+the antichains.  So every concept funnels into one of the two inversions
+(or, for unique information, directly into single atoms), and every
+measure table comes out of the two forward sums.
 
 Externally supplied measures are screened first: the single-collection
 boundary identities (self-redundancy and friends) must hold to 1e-7 or the
@@ -21,19 +25,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .concepts import (
+    PARTNER_TO_BASE,
     REFERENCE_MEASURE_NAME,
     BaseConcept,
     MeasureAssignment,
     domain_for_concept,
+    domain_positions,
     load_measure,
     reference_measure,
-    selection_mask,
     summate,
+    values_on_domain,
 )
 from .distributions import JointDistribution, mi_table
 from .errors import (
@@ -44,20 +50,17 @@ from .errors import (
     ValidationError,
 )
 from .lattices import (
+    MAX_SOURCES,
     Antichain,
+    LatticeIndex,
     ParthoodDistribution,
-    _invert_cumulative,
     collection_label,
     downward_closure,
     enumerate_parthood_distributions,
-    maximal_non_supersets,
-    minimal_non_subsets,
+    lattice_index,
     parse_antichain_label,
     parse_collection_label,
     parthood_from_antichain,
-    parthood_from_synergy_antichain,
-    source_mask,
-    antichain_from_parthood,
     synergy_antichain_from_parthood,
 )
 
@@ -148,52 +151,31 @@ def verify_consistency(result: PidResult, dist: JointDistribution | None = None)
     )
 
 
-def _check_completeness(concept: BaseConcept, n: int, values: Mapping[Antichain, float]) -> None:
-    domain = domain_for_concept(concept, n)
-    missing = [a.label() for a in domain if a not in values]
-    if missing:
-        raise CompletenessError(
-            f"{concept.tag} values missing for: {', '.join(missing[:5])}"
-            + (" ..." if len(missing) > 5 else "")
-        )
-    domain_set = set(domain)
-    extra = [a.label() for a in values if a not in domain_set]
-    if extra:
-        raise CompletenessError(
-            f"{concept.tag} values outside the domain: {', '.join(extra[:5])}"
-        )
-
-
 def _preflight_boundary(
-    concept: BaseConcept, n: int, values: Mapping[Antichain, float], mi: Mapping[int, float]
+    concept: BaseConcept, index: LatticeIndex, values: np.ndarray, infos: np.ndarray
 ) -> None:
-    """Refuse to invert when a single-collection identity is violated."""
-    total = mi[source_mask(n)]
-    checks: list[tuple[Antichain, float, str]] = []
-    for alpha in domain_for_concept(concept, n):
-        if len(alpha.collections) != 1:
-            continue
-        a = alpha.collections[0].bits
-        if concept in (BaseConcept.REDUNDANCY, BaseConcept.UNION):
-            checks.append((alpha, mi[a], f"self-{concept.tag} identity"))
-        elif concept in (BaseConcept.WEAK_SYNERGY, BaseConcept.VULNERABLE):
-            checks.append((alpha, total - mi[a], f"self-{concept.tag} identity"))
-    for alpha, want, name in checks:
-        got = float(values[alpha])
-        if abs(got - want) > PREFLIGHT_TOL:
-            raise MeasureInconsistencyError(
-                f"{name} violated at {alpha.label()}: value {got!r} vs expected {want!r} "
-                f"(tolerance {PREFLIGHT_TOL})"
-            )
+    """Refuse to invert when a single-collection identity is violated.
 
-
-_SOLVE_REMAP: dict[BaseConcept, tuple[BaseConcept, Callable[[Antichain], Antichain]]] = {
-    # base_value(alpha) = supplied_value(mapper(alpha)) over the base domain
-    BaseConcept.RESTRICTED: (BaseConcept.WEAK_SYNERGY, minimal_non_subsets),
-    BaseConcept.REDUNDANCY_PARTNER: (BaseConcept.REDUNDANCY, maximal_non_supersets),
-    BaseConcept.UNION_PARTNER: (BaseConcept.UNION, minimal_non_subsets),
-    BaseConcept.VULNERABLE_PARTNER: (BaseConcept.VULNERABLE, maximal_non_supersets),
-}
+    ``values`` holds the concept's value at every antichain position and
+    ``infos`` the mutual information of every collection.
+    """
+    if concept in (BaseConcept.REDUNDANCY, BaseConcept.UNION):
+        want = infos
+    elif concept in (BaseConcept.WEAK_SYNERGY, BaseConcept.VULNERABLE):
+        want = infos[-1] - infos
+    else:
+        return
+    domain = domain_positions(concept, index.n)
+    singles = domain[(index.members[domain] != 1 << index.n).sum(axis=1) == 1]
+    got, expected = values[singles], want[index.members[singles, 0]]
+    bad = np.flatnonzero(np.abs(got - expected) > PREFLIGHT_TOL)
+    if bad.size:
+        k = bad[0]
+        raise MeasureInconsistencyError(
+            f"self-{concept.tag} identity violated at {index.labels[singles[k]]}: "
+            f"value {float(got[k])!r} vs expected {float(expected[k])!r} "
+            f"(tolerance {PREFLIGHT_TOL})"
+        )
 
 
 def solve_concept(
@@ -208,59 +190,40 @@ def solve_concept(
     only the total enters the union/vulnerable complements, the rest feeds
     the preflight identities.
     """
-    _check_completeness(concept, n, values)
-    total = mi[source_mask(n)]
+    assignment = MeasureAssignment(concept, n, values)
+    index = lattice_index(n)
+    infos = np.array([mi[bits] for bits in range(1 << n)], dtype=np.float64)
+    positions = domain_positions(concept, n)
+    if concept in PARTNER_TO_BASE:
+        concept, mapper = PARTNER_TO_BASE[concept]
+        positions = index.partner[mapper][positions]
+    # Positions outside the domain hold 0.  So the complements below give
+    # the total at the one antichain the target domain adds: {} when union
+    # becomes weak synergy, the full collection when vulnerable becomes
+    # redundancy.
+    at = np.zeros(len(index.antichains))
+    at[positions] = list(assignment.values.values())
 
-    if concept in _SOLVE_REMAP:
-        base, mapper = _SOLVE_REMAP[concept]
-        values = {alpha: values[mapper(alpha)] for alpha in domain_for_concept(base, n)}
-        concept = base
-
-    _preflight_boundary(concept, n, values, mi)
+    _preflight_boundary(concept, index, at, infos)
 
     if concept is BaseConcept.UNION:
-        ws = {}
-        for alpha in domain_for_concept(BaseConcept.WEAK_SYNERGY, n):
-            if alpha.is_empty_collection_chain:
-                ws[alpha] = total
-            else:
-                ws[alpha] = total - values[alpha]
-        values, concept = ws, BaseConcept.WEAK_SYNERGY
+        at, concept = infos[-1] - at, BaseConcept.WEAK_SYNERGY
     elif concept is BaseConcept.VULNERABLE:
-        red = {}
-        for alpha in domain_for_concept(BaseConcept.REDUNDANCY, n):
-            if alpha.is_full_collection_chain:
-                red[alpha] = total
-            else:
-                red[alpha] = total - values[alpha]
-        values, concept = red, BaseConcept.REDUNDANCY
+        at, concept = infos[-1] - at, BaseConcept.REDUNDANCY
 
     if concept is BaseConcept.UNIQUE:
-        return {
-            parthood_from_antichain(alpha): float(values[alpha])
-            for alpha in domain_for_concept(concept, n)
-        }
-    if concept is BaseConcept.UNIQUE_PARTNER:
-        return {
-            parthood_from_synergy_antichain(alpha): float(values[alpha])
-            for alpha in domain_for_concept(concept, n)
-        }
-
-    if concept is BaseConcept.REDUNDANCY:
-        domain = domain_for_concept(concept, n)
-        keys = [parthood_from_antichain(alpha) for alpha in domain]
-        supersets = True  # value at alpha sums atoms at or below in the redundancy order
+        atoms = at[index.access_antichain]
+    elif concept is BaseConcept.UNIQUE_PARTNER:
+        atoms = at[index.blockage_antichain]
+    elif concept is BaseConcept.REDUNDANCY:
+        # value at alpha sums atoms at or below in the redundancy order
+        atoms = index.invert_superset_sums(at[index.access_antichain])
     elif concept is BaseConcept.WEAK_SYNERGY:
-        domain = domain_for_concept(concept, n)
-        keys = [parthood_from_synergy_antichain(alpha) for alpha in domain]
-        supersets = False  # value at alpha sums atoms at or above in the synergy order
+        # value at alpha sums atoms at or above in the synergy order
+        atoms = index.invert_subset_sums(at[index.blockage_antichain])
     else:
         raise DomainError(f"unknown concept {concept!r}")
-
-    tables = [f.table for f in keys]
-    vals = [float(values[alpha]) for alpha in domain]
-    pi = _invert_cumulative(tables, vals, supersets)
-    return {f: pi[i] for i, f in enumerate(keys)}
+    return dict(zip(enumerate_parthood_distributions(n), atoms.tolist()))
 
 
 def decompose(
@@ -305,24 +268,62 @@ def decompose(
     return PidResult.build(dist.n, atoms, meta, mi)
 
 
+def _atom_vector(index: LatticeIndex, atoms: Mapping[ParthoodDistribution, float]) -> np.ndarray:
+    """Atom values in the index's atom order; atoms absent from the mapping count as 0."""
+    tables = np.fromiter((f.table for f in atoms), dtype=np.uint64, count=len(atoms))
+    out = np.zeros(len(index.atom_tables))
+    out[index.atom_positions(tables)] = np.fromiter(
+        (float(v) for v in atoms.values()), dtype=np.float64, count=len(atoms)
+    )
+    return out
+
+
+def _forward_tables(index: LatticeIndex, atoms: np.ndarray) -> dict[BaseConcept, np.ndarray]:
+    """Every concept's value at every antichain position of its domain.
+
+    Redundancy and weak synergy are the two zeta sums of the atoms; union
+    and vulnerable information are their complements against the total;
+    partner concepts read their base concept through the partner
+    permutation.  Positions outside a concept's domain hold meaningless
+    values.
+    """
+    size = len(index.antichains)
+    total = atoms.sum()
+    red, ws = np.zeros(size), np.zeros(size)
+    red[index.access_antichain] = index.superset_sums(atoms)
+    ws[index.blockage_antichain] = index.subset_sums(atoms)
+    unique, unique_partner = np.zeros(size), np.zeros(size)
+    unique[index.access_antichain] = atoms
+    unique_partner[index.blockage_antichain] = atoms
+    tables = {
+        BaseConcept.REDUNDANCY: red,
+        BaseConcept.WEAK_SYNERGY: ws,
+        BaseConcept.UNION: total - ws,
+        BaseConcept.VULNERABLE: total - red,
+        BaseConcept.UNIQUE: unique,
+        BaseConcept.UNIQUE_PARTNER: unique_partner,
+    }
+    for concept, (base, mapper) in PARTNER_TO_BASE.items():
+        tables[concept] = tables[base][index.partner[mapper]]
+    return tables
+
+
 def measure_table_from_atoms(
     concept: BaseConcept, n: int, atoms: Mapping[ParthoodDistribution, float]
 ) -> MeasureAssignment:
     """Evaluate a concept over its whole domain from an atom vector."""
-    tables = np.array([f.table for f in atoms], dtype=np.uint64)
-    values = np.array([float(v) for v in atoms.values()], dtype=np.float64)
-    out = {}
-    for alpha in domain_for_concept(concept, n):
-        out[alpha] = float(values[selection_mask(concept, alpha, tables)].sum())
-    return MeasureAssignment(concept, n, out)
+    index = lattice_index(n)
+    values = _forward_tables(index, _atom_vector(index, atoms))[concept]
+    return MeasureAssignment(concept, n, values_on_domain(concept, n, values))
 
 
 def derived_measure_table(result: PidResult) -> dict[tuple[BaseConcept, Antichain], float]:
     """All ten concepts evaluated over their domains from the result's atoms."""
+    index = lattice_index(result.n)
+    tables = _forward_tables(index, _atom_vector(index, result.atoms))
     out = {}
     for concept in BaseConcept:
-        table = measure_table_from_atoms(concept, result.n, result.atoms)
-        for alpha, v in table.values.items():
+        for alpha, v in values_on_domain(concept, result.n, tables[concept]).items():
             out[(concept, alpha)] = v
     return out
 
@@ -466,16 +467,18 @@ def export_result(result: PidResult) -> dict:
         collection_label(bits): result.mi[bits]
         for bits in sorted(result.mi, key=lambda b: (b.bit_count(), b))
     }
-    rows = []
-    for f, v in result.atoms.items():
-        rows.append(
-            {
-                "alpha": antichain_from_parthood(f).label(),
-                "alpha_tilde": synergy_antichain_from_parthood(f).label(),
-                "value": v,
-            }
-        )
-    rows.sort(key=lambda r: r["alpha"])
+    index = lattice_index(result.n)
+    tables = np.fromiter((f.table for f in result.atoms), dtype=np.uint64, count=len(result.atoms))
+    positions = index.atom_positions(tables)
+    order = np.argsort(index.export_rank[positions]).tolist()
+    values = list(result.atoms.values())
+    labels = index.labels
+    access = index.access_antichain[positions].tolist()
+    blockage = index.blockage_antichain[positions].tolist()
+    rows = [
+        {"alpha": labels[access[k]], "alpha_tilde": labels[blockage[k]], "value": values[k]}
+        for k in order
+    ]
     return {
         "n": result.n,
         "concept": result.meta.concept,
@@ -498,19 +501,29 @@ def load_result(path) -> PidResult:
         doc = json.loads(open(path, "r", encoding="utf-8").read())
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON in result file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("result file must be a JSON object")
     for key in ("n", "concept", "measure", "distribution_digest", "mi", "atoms"):
         if key not in doc:
             raise ParseError(f"result file missing field {key!r}")
     n = doc["n"]
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise ParseError("field 'n' must be an int")
+    if not 1 <= n <= MAX_SOURCES:
+        raise ParseError(f"field 'n' must lie in 1..{MAX_SOURCES}, got {n}")
+    if not isinstance(doc["mi"], dict):
+        raise ParseError("field 'mi' must be an object of collection labels to numbers")
+    if not isinstance(doc["atoms"], list):
+        raise ParseError("field 'atoms' must be a list of atom rows")
     mi = {}
     for label, v in doc["mi"].items():
-        mi[parse_collection_label(label, n)] = float(v)
+        mi[parse_collection_label(label, n)] = _number(v, f"MI at {label!r}")
     if set(mi) != set(range(1 << n)):
         raise ParseError("result file's MI table does not cover all collections")
     atoms = {}
     for row in doc["atoms"]:
+        if not isinstance(row, dict) or not isinstance(row.get("alpha"), str) or "value" not in row:
+            raise ParseError(f"atom row {row!r} must be an object with an 'alpha' label and a 'value'")
         alpha = parse_antichain_label(row["alpha"], n)
         f = parthood_from_antichain(alpha)
         expect_tilde = synergy_antichain_from_parthood(f).label()
@@ -521,7 +534,7 @@ def load_result(path) -> PidResult:
             )
         if f in atoms:
             raise ParseError(f"duplicate atom {row['alpha']!r}")
-        atoms[f] = float(row["value"])
+        atoms[f] = _number(row["value"], f"value of atom {row['alpha']!r}")
     meta = PidMeta(
         concept=doc["concept"], measure=doc["measure"], digest=doc["distribution_digest"]
     )
@@ -529,3 +542,9 @@ def load_result(path) -> PidResult:
     if len(ordered) != len(enumerate_parthood_distributions(n)):
         raise ParseError("result file does not cover all atoms")
     return PidResult(n=n, atoms=ordered, meta=meta, mi=mi)
+
+
+def _number(v, what: str) -> float:
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ParseError(f"{what} is not a number: {v!r}")
+    return float(v)

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -153,6 +154,12 @@ class Antichain:
                     raise ValidationError(
                         f"collections {collection_label(a)} and {collection_label(b)} are comparable"
                     )
+        # Antichains key every measure table; hashing the nested tuple on
+        # each lookup would dominate a table's validation.
+        object.__setattr__(self, "_hash", hash((self.n, self.collections)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, n: int, masks: Iterable[int | SourceSet]) -> "Antichain":
@@ -432,15 +439,166 @@ def enumerate_antichains(n: int) -> tuple[Antichain, ...]:
     return tuple(found)
 
 
+@dataclass(frozen=True, eq=False)
+class LatticeIndex:
+    """The antichains over n sources compiled into integer arrays.
+
+    Antichain i is ``enumerate_antichains(n)[i]``, labeled ``labels[i]``,
+    with upward and downward closures ``up[i]`` and ``down[i]`` (uint64
+    truth tables) and its collection masks in row ``members[i]``, padded
+    with ``1 << n``.  ``partner[minimal_non_subsets]`` and
+    ``partner[maximal_non_supersets]`` are those two maps as permutations of
+    the antichain positions.
+
+    Atom j is ``enumerate_parthood_distributions(n)[j]``, with truth table
+    ``atom_tables[j]``.  It is labeled by antichain ``access_antichain[j]``
+    through its minimal 1-collections and by ``blockage_antichain[j]``
+    through its maximal 0-collections.  ``access_atom`` and ``blockage_atom``
+    send an antichain back to the atom it labels, or to -1 outside that
+    domain.  ``export_rank[j]`` is the place of atom j when atoms are sorted
+    by their access label.
+
+    The atom tables are the up-sets of the Boolean lattice of collections,
+    less the empty up-set and the full one, so under inclusion they form a
+    distributive lattice whose covers add a single collection.  ``steps``
+    lists those covers as ``(dst, src)`` arrays of atom indices, one pair of
+    arrays per collection s in increasing cardinality: ``atom_tables[src]``
+    is ``atom_tables[dst]`` plus collection s.  Running the steps in that
+    order sums over supersets, in reverse order over subsets, and undoing
+    them in the opposite order inverts either sum (Björklund et al.,
+    "Fast zeta transforms for lattices with few irreducibles", SODA 2012).
+    """
+
+    n: int
+    antichains: tuple[Antichain, ...]
+    labels: tuple[str, ...]
+    up: np.ndarray
+    down: np.ndarray
+    members: np.ndarray
+    partner: Mapping[Callable[[Antichain], Antichain], np.ndarray]
+    access_atom: np.ndarray
+    blockage_atom: np.ndarray
+    atom_tables: np.ndarray
+    access_antichain: np.ndarray
+    blockage_antichain: np.ndarray
+    export_rank: np.ndarray
+    steps: tuple[tuple[np.ndarray, np.ndarray], ...]
+    _table_order: np.ndarray
+
+    def atom_positions(self, tables: np.ndarray) -> np.ndarray:
+        """Atom index of each packed truth table; DomainError for a non-atom."""
+        sorted_tables = self.atom_tables[self._table_order]
+        at = np.minimum(np.searchsorted(sorted_tables, tables), len(sorted_tables) - 1)
+        pos = self._table_order[at]
+        if np.any(self.atom_tables[pos] != tables):
+            raise DomainError(f"truth table is not a parthood distribution over {self.n} sources")
+        return pos
+
+    def superset_sums(self, atoms: np.ndarray) -> np.ndarray:
+        """Value at atom j: the sum of atoms whose tables contain atom j's table."""
+        out = np.array(atoms, dtype=np.float64)
+        for dst, src in self.steps:
+            out[dst] += out[src]
+        return out
+
+    def subset_sums(self, atoms: np.ndarray) -> np.ndarray:
+        """Value at atom j: the sum of atoms whose tables lie inside atom j's table."""
+        out = np.array(atoms, dtype=np.float64)
+        for dst, src in reversed(self.steps):
+            out[src] += out[dst]
+        return out
+
+    def invert_superset_sums(self, sums: np.ndarray) -> np.ndarray:
+        """Atoms whose :meth:`superset_sums` are ``sums``."""
+        out = np.array(sums, dtype=np.float64)
+        for dst, src in reversed(self.steps):
+            out[dst] -= out[src]
+        return out
+
+    def invert_subset_sums(self, sums: np.ndarray) -> np.ndarray:
+        """Atoms whose :meth:`subset_sums` are ``sums``."""
+        out = np.array(sums, dtype=np.float64)
+        for dst, src in self.steps:
+            out[src] -= out[dst]
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_index(n: int) -> LatticeIndex:
+    """The per-n :class:`LatticeIndex`, built once from :func:`enumerate_antichains`."""
+    antichains = enumerate_antichains(n)
+    full = np.uint64(table_mask(n))
+    pad = 1 << n
+    width = max(len(a.collections) for a in antichains)
+    members = np.full((len(antichains), width), pad, dtype=np.int8)
+    for i, alpha in enumerate(antichains):
+        members[i, : len(alpha.collections)] = alpha.masks
+    # closures of single collections; the padding slot contributes nothing
+    up_of = np.array([upward_closure(n, (s,)) for s in range(pad)] + [0], dtype=np.uint64)
+    down_of = np.array([downward_closure(n, (s,)) for s in range(pad)] + [0], dtype=np.uint64)
+    up = np.bitwise_or.reduce(up_of[members], axis=1)
+    down = np.bitwise_or.reduce(down_of[members], axis=1)
+
+    # Up-sets and down-sets each label the antichains one to one, so a
+    # partner map is a lookup of the complementary closure.
+    by_up, by_down = np.argsort(up), np.argsort(down)
+    partner = {
+        minimal_non_subsets: by_up[np.searchsorted(up[by_up], full ^ down)],
+        maximal_non_supersets: by_down[np.searchsorted(down[by_down], full ^ up)],
+    }
+    access_antichain = np.flatnonzero((up != 0) & (up != full))
+    access_atom = np.full(len(antichains), -1)
+    access_atom[access_antichain] = np.arange(len(access_antichain))
+    atom_tables = up[access_antichain]
+    table_order = np.argsort(atom_tables)
+    sorted_tables = atom_tables[table_order]
+
+    steps = []
+    for s in sorted(range(pad), key=lambda s: (s.bit_count(), s)):
+        bit = np.uint64(1 << s)
+        lacking = np.flatnonzero((atom_tables & bit) == 0)
+        grown = atom_tables[lacking] | bit
+        at = np.minimum(np.searchsorted(sorted_tables, grown), len(sorted_tables) - 1)
+        hit = sorted_tables[at] == grown
+        if hit.any():
+            # int32 halves the largest array of the index (35,510 pairs at n = 5)
+            steps.append((lacking[hit].astype(np.int32), table_order[at[hit]].astype(np.int32)))
+
+    labels = tuple(a.label() for a in antichains)
+    export_rank = np.empty(len(access_antichain), dtype=np.intp)
+    export_rank[sorted(range(len(access_antichain)), key=lambda j: labels[access_antichain[j]])] = (
+        np.arange(len(access_antichain))
+    )
+    index = LatticeIndex(
+        n=n,
+        antichains=antichains,
+        labels=labels,
+        up=up,
+        down=down,
+        members=members,
+        partner=MappingProxyType(partner),
+        access_atom=access_atom,
+        blockage_atom=access_atom[partner[minimal_non_subsets]],
+        atom_tables=atom_tables,
+        access_antichain=access_antichain,
+        blockage_antichain=partner[maximal_non_supersets][access_antichain],
+        export_rank=export_rank,
+        steps=tuple(steps),
+        _table_order=table_order,
+    )
+    # Every caller shares the cached index, so none may write to it.
+    shared = [*vars(index).values(), *partner.values(), *(a for pair in steps for a in pair)]
+    for array in shared:
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return index
+
+
 @functools.lru_cache(maxsize=None)
 def enumerate_parthood_distributions(n: int) -> tuple[ParthoodDistribution, ...]:
     """All parthood distributions over n sources (Dedekind number minus two)."""
     check_source_count(n)
-    return tuple(
-        parthood_from_antichain(alpha)
-        for alpha in enumerate_antichains(n)
-        if in_access_domain(alpha)
-    )
+    return tuple(ParthoodDistribution(n, int(t)) for t in lattice_index(n).atom_tables)
 
 
 def redundancy_table(alpha: Antichain) -> int:
@@ -508,22 +666,6 @@ def _invert_cumulative(tables: Sequence[int], values: Sequence[float], supersets
     out = [0.0] * len(tables)
     for rank, i in enumerate(order):
         out[i] = float(pi[rank])
-    return out
-
-
-def _cumulate(tables: Sequence[int], atoms: Sequence[float], supersets: bool) -> list[float]:
-    """Forward sums: V(x) over tables y with y ⊇ x (or y ⊆ x)."""
-    width = max((t.bit_length() for t in tables), default=1)
-    full = (1 << width) - 1
-    arr = np.array(tables, dtype=np.uint64)
-    at = np.array(atoms, dtype=np.float64)
-    out = []
-    for t in tables:
-        if supersets:
-            inside = (np.uint64(t) & (arr ^ np.uint64(full))) == 0
-        else:
-            inside = (arr & np.uint64(full & ~t)) == 0
-        out.append(float(at[inside].sum()))
     return out
 
 

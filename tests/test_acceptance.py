@@ -40,7 +40,7 @@ from pidlattice import (
     verify_consistency,
 )
 from pidlattice.cli import main as cli_main
-from pidlattice.lattices import source_mask
+from pidlattice.lattices import lattice_index, source_mask
 from pidlattice.oracle import brute_monotone_tables, oracle_selector
 
 INVERTIBLE = [
@@ -54,7 +54,10 @@ def announce(num, text):
 
 
 def clear_enumeration_caches():
+    """Empty every per-n cache, so a timed criterion runs the cold path."""
+    domain_for_concept.cache_clear()
     enumerate_parthood_distributions.cache_clear()
+    lattice_index.cache_clear()
     enumerate_antichains.cache_clear()
 
 

@@ -179,3 +179,45 @@ def test_check_skips_inclusion_exclusion_above_n3(tmp_path, capsys):
     assert main(["check", "--input", str(result_path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["inclusion_exclusion"] == {"skipped": "n=4 > 3"}
+
+
+@pytest.mark.parametrize(
+    "mass,state",
+    [("NaN", [0, 0, 0]), ('"0.5"', [0, 0, 0]), ("true", [0, 0, 0]), ("0.5", ["true", 0, 0])],
+    ids=["nan-mass", "string-mass", "bool-mass", "bool-symbol"],
+)
+def test_decompose_rejects_non_numbers_exit_1(tmp_path, capsys, mass, state):
+    first = "[" + ", ".join(str(x) for x in state) + "]"
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"n_sources": 2, "source_alphabets": [2, 2], "target_alphabet": 2, "pmf": ['
+        f'{{"state": {first}, "p": {mass}}}, {{"state": [1, 1, 1], "p": 0.5}}]}}'
+    )
+    assert main(["decompose", "--input", str(path), "--concept", "redundancy"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_decompose_rejects_nan_tsv_mass_exit_1(tmp_path, capsys):
+    path = tmp_path / "bad.tsv"
+    path.write_text("s1\tt\tp\n0\t0\tnan\n1\t1\t0.3\n")
+    assert main(["decompose", "--input", str(path), "--format", "tsv", "--concept", "union"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc["atoms"][0].pop("value"),
+        lambda doc: doc.update(atoms=[1, 2]),
+    ],
+    ids=["row-without-value", "non-object-rows"],
+)
+def test_check_rejects_malformed_result_exit_1(tmp_path, capsys, mutate):
+    result_path = tmp_path / "result.json"
+    main(["decompose", "--input", XOR_JSON, "--concept", "redundancy", "--out", str(result_path)])
+    doc = json.loads(result_path.read_text())
+    mutate(doc)
+    result_path.write_text(json.dumps(doc))
+    assert main(["check", "--input", str(result_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -106,6 +106,29 @@ def test_distribution_validation():
         JointDistribution((4096, 4096), 2, {(0, 0, 0): 1.0})  # cell cap
 
 
+@pytest.mark.parametrize(
+    "pmf",
+    [
+        {(0, 0, 0): math.nan, (0, 1, 1): 0.3},
+        {(0, 0, 0): "0.5", (0, 1, 1): 0.5},
+        {(0, 0, 0): None, (0, 1, 1): 1.0},
+        {(0, 0, 0): True, (0, 1, 1): 0.0},
+        {(True, 0, 0): 0.5, (0, 1, 1): 0.5},
+    ],
+    ids=["nan-mass", "string-mass", "none-mass", "bool-mass", "bool-symbol"],
+)
+def test_distribution_rejects_non_numbers(pmf):
+    with pytest.raises(ValidationError):
+        JointDistribution((2, 2), 2, pmf)
+
+
+def test_distribution_accepts_numeric_masses():
+    import numpy as np
+
+    dist = JointDistribution((2, 2), 2, {(0, 0, 0): 1, (1, 1, 1): np.float32(0.0)})
+    assert dist.pmf == {(0, 0, 0): 1.0}
+
+
 def test_negligible_masses_are_dropped():
     dist = JointDistribution((2, 2), 2, {(0, 0, 0): 1.0, (1, 1, 1): 1e-17})
     assert (1, 1, 1) not in dist.pmf

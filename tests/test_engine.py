@@ -506,6 +506,25 @@ def test_load_result_rejects(tmp_path, xor_dist):
     with pytest.raises(ParseError, match="does not cover all atoms"):
         load_result(path)
 
+    for bad in (
+        lambda doc: doc.update(atoms=[1, 2]),
+        lambda doc: doc.update(atoms="rows"),
+        lambda doc: doc.update(mi=[0.0, 0.0, 0.0, 1.0]),
+        lambda doc: doc["atoms"][0].pop("value"),
+        lambda doc: doc["atoms"][0].pop("alpha"),
+        lambda doc: doc["atoms"][0].update(value="1.0"),
+        lambda doc: doc["atoms"][0].update(alpha=3),
+        lambda doc: doc["mi"].update({"{1}": None}),
+        lambda doc: doc.update(n=99),
+    ):
+        rewrite(bad)
+        with pytest.raises(ParseError):
+            load_result(path)
+
+    path.write_text("[]")
+    with pytest.raises(ParseError):
+        load_result(path)
+
 
 def test_loaded_corruption_is_detectable(tmp_path, xor_dist):
     # load_result trusts the file; verify_consistency is the gate
