@@ -38,7 +38,6 @@ from .lattices import (
     ParthoodDistribution,
     SourceSet,
     build_lattice,
-    downward_closure,
     enumerate_antichains,
     lattice_index,
     maximal_non_supersets,
@@ -46,7 +45,6 @@ from .lattices import (
     parse_antichain_label,
     source_mask,
     table_mask,
-    upward_closure,
 )
 
 
@@ -164,7 +162,7 @@ def atom_selector(concept: BaseConcept, alpha: Antichain) -> Callable[[ParthoodD
     concept.  Unique information is the conjunction of the redundancy and
     restricted-information conditions and picks exactly one atom.
     """
-    if alpha not in set(domain_for_concept(concept, alpha.n)):
+    if alpha not in domain_members(concept, alpha.n):
         raise DomainError(f"antichain {alpha.label()!r} outside the {concept.tag} domain")
     if concept is BaseConcept.UNIQUE:
         first = grid_condition("sufficient-superset-inclusion", alpha)
@@ -179,10 +177,11 @@ def atom_selector(concept: BaseConcept, alpha: Antichain) -> Callable[[ParthoodD
 
 def selection_mask(concept: BaseConcept, alpha: Antichain, tables: np.ndarray) -> np.ndarray:
     """Vectorized equivalent of :func:`atom_selector` over packed truth tables."""
-    n = alpha.n
-    full = table_mask(n)
-    up = upward_closure(n, alpha.masks)
-    down = downward_closure(n, alpha.masks)
+    index = lattice_index(alpha.n)
+    at = index.position[alpha]
+    full = table_mask(alpha.n)
+    up = int(index.up[at])
+    down = int(index.down[at])
     t = tables.astype(np.uint64, copy=False)
     if concept is BaseConcept.REDUNDANCY:
         return (np.uint64(up) & ~t) == 0
@@ -250,6 +249,12 @@ def domain_for_concept(concept: BaseConcept, n: int) -> tuple[Antichain, ...]:
     """
     antichains = enumerate_antichains(n)
     return tuple(antichains[i] for i in domain_positions(concept, n).tolist())
+
+
+@functools.lru_cache(maxsize=None)
+def domain_members(concept: BaseConcept, n: int) -> frozenset[Antichain]:
+    """The concept's domain as a set, for membership tests."""
+    return frozenset(domain_for_concept(concept, n))
 
 
 def values_on_domain(concept: BaseConcept, n: int, by_position: np.ndarray) -> dict[Antichain, float]:
@@ -330,7 +335,7 @@ def summate(
     alpha = canonicalize_collections(concept, collections, n)
     if alpha.n != n:
         raise DomainError("antichain and atoms disagree on source count")
-    if alpha not in set(domain_for_concept(concept, n)):
+    if alpha not in domain_members(concept, n):
         raise DomainError(f"antichain {alpha.label()!r} outside the {concept.tag} domain")
     tables = np.array([f.table for f in mapping], dtype=np.uint64)
     values = np.array([float(v) for v in mapping.values()], dtype=np.float64)

@@ -1,9 +1,14 @@
 """Discrete joint distributions of several sources and one target.
 
-Outcomes are tuples of 0-based symbols (s1, ..., sn, t).  Entropies and
-mutual informations are computed in bits directly from marginal tables;
-probability masses below 1e-15 are treated as exact zeros so that noisy
-inputs cannot contribute 0*log(0) artifacts.
+Outcomes are tuples of 0-based symbols (s1, ..., sn, t).  ``pmf`` is
+the public, validated view: a dict from outcome to mass.  Entropies and
+mutual informations, in bits, come from two arrays over the support built
+on the first request: each outcome's row-major cell index (int64) and its
+mass (float64).  Marginals are formed by sorting and grouping those
+arrays, so memory grows with the number of outcomes, not with the number
+of cells in the outcome table (up to ``MAX_CELLS``).  Probability masses
+at or below 1e-15 are treated as exact zeros so that noisy inputs cannot
+contribute 0*log(0) artifacts.
 
 File formats
 ------------
@@ -17,11 +22,13 @@ per outcome; alphabet sizes are inferred as (max symbol + 1).
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -41,8 +48,6 @@ class JointDistribution:
     source_alphabets: tuple[int, ...]
     target_alphabet: int
     pmf: Mapping[tuple[int, ...], float]
-    _entropy_cache: dict = field(default_factory=dict, repr=False)
-    _mi_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         n = len(self.source_alphabets)
@@ -87,25 +92,75 @@ class JointDistribution:
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def _entropy(self, bits: int, with_target: bool) -> float:
-        """Entropy of the marginal over the masked sources (plus target if asked)."""
-        key = (bits, with_target)
-        cached = self._entropy_cache.get(key)
-        if cached is not None:
-            return cached
-        idx = [i for i in range(self.n) if (bits >> i) & 1]
-        marginal: dict[tuple, float] = {}
-        for state, p in self.pmf.items():
-            proj = tuple(state[i] for i in idx)
-            if with_target:
-                proj += (state[-1],)
-            marginal[proj] = marginal.get(proj, 0.0) + p
-        h = 0.0
-        for p in marginal.values():
-            if p > MASS_EPS:
-                h -= p * math.log2(p)
-        self._entropy_cache[key] = h
-        return h
+    def _coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each outcome's row-major cell index (int64) and mass (float64), by index.
+
+        Sorted by index, so that no entropy depends on insertion order.
+        """
+        sizes = (*self.source_alphabets, self.target_alphabet)
+        count = len(self.pmf)
+        states = np.fromiter(
+            itertools.chain.from_iterable(self.pmf), dtype=np.int64, count=count * len(sizes)
+        ).reshape(count, len(sizes))
+        flat = states @ np.array(_strides(sizes), dtype=np.int64)
+        masses = np.fromiter(self.pmf.values(), dtype=np.float64, count=count)
+        order = np.argsort(flat, kind="stable")
+        return flat[order], masses[order]
+
+    @functools.cached_property
+    def _entropies(self) -> dict[tuple[int, bool], float]:
+        """Entropy of every marginal, keyed by (source bits, with target).
+
+        Built on the first request, after a loader's parsed document is gone,
+        from the :meth:`_coordinates` arrays.  A marginal over some sources
+        and the target is held the same way: its cells' row-major indices in
+        the full table, with the digits of the summed-out sources set to 0,
+        and their masses.  Each marginal sums one source out of a parent; a
+        depth-first walk reaches each of them once and holds only the arrays
+        of the marginals on its path, so memory grows with the support,
+        never with the cell count.  Dropping the target's digit, the last
+        one, gives the marginal over the sources alone.
+        """
+        sizes = (*self.source_alphabets, self.target_alphabet)
+        strides = _strides(sizes)
+        entropies = {}
+        # Each entry: a marginal's source bits, the source it sums out of its
+        # parent (n for the full table, which has none) and the parent's arrays.
+        # Only sources below that one are summed out next, so every marginal
+        # has a single parent on the walk.
+        pending = [(source_mask(self.n), self.n, *self._coordinates())]
+        while pending:
+            bits, dropped, cells, probs = pending.pop()
+            if dropped < self.n:
+                digit = (cells // strides[dropped]) % sizes[dropped]
+                cells, probs = _group_sums(cells - digit * strides[dropped], probs)
+            entropies[(bits, True)] = _shannon(probs)
+            entropies[(bits, False)] = _shannon(_group_sums(cells // self.target_alphabet, probs)[1])
+            pending += [(bits & ~(1 << i), i, cells, probs) for i in range(dropped) if (bits >> i) & 1]
+        return entropies
+
+
+def _strides(sizes) -> list[int]:
+    """Row-major strides of a table with these axis sizes."""
+    return [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
+
+
+def _group_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in ascending order, and the sum of the values at each.
+
+    Sorting keeps every temporary the length of ``keys``, however large
+    the keys are.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.add.reduceat(values[order], starts)
+
+
+def _shannon(probs: np.ndarray) -> float:
+    """Entropy in bits of a marginal's masses; those at or below MASS_EPS count as zeros."""
+    probs = probs[probs > MASS_EPS]
+    return -float((probs * np.log2(probs)).sum())
 
 
 def _as_bits(dist: JointDistribution, a) -> int:
@@ -122,13 +177,10 @@ def _as_bits(dist: JointDistribution, a) -> int:
 def mutual_information(dist: JointDistribution, a) -> float:
     """I(a : target) in bits; the empty collection carries none."""
     bits = _as_bits(dist, a)
-    cached = dist._mi_cache.get(bits)
-    if cached is not None:
-        return cached
-    value = dist._entropy(bits, False) + dist._entropy(0, True) - dist._entropy(bits, True)
+    h = dist._entropies
+    value = h[(bits, False)] + h[(0, True)] - h[(bits, True)]
     if value < 0:
         value = 0.0 if value > -1e-12 else value
-    dist._mi_cache[bits] = value
     return value
 
 
@@ -136,11 +188,12 @@ def conditional_mi(dist: JointDistribution, a, given) -> float:
     """I(a : target | given) in bits; overlapping collections are fine."""
     abits = _as_bits(dist, a)
     gbits = _as_bits(dist, given)
+    h = dist._entropies
     value = (
-        dist._entropy(abits | gbits, False)
-        + dist._entropy(gbits, True)
-        - dist._entropy(abits | gbits, True)
-        - dist._entropy(gbits, False)
+        h[(abits | gbits, False)]
+        + h[(gbits, True)]
+        - h[(abits | gbits, True)]
+        - h[(gbits, False)]
     )
     if value < 0:
         value = 0.0 if value > -1e-12 else value
@@ -246,13 +299,9 @@ def random_joint(
             raise ValidationError("source_alphabets must list one size per source")
     target = int(rng.integers(2, 4)) if target_alphabet is None else target_alphabet
     shape = (*sizes, target)
-    masses = rng.dirichlet(np.ones(math.prod(shape)))
-    pmf = {}
-    for flat, p in enumerate(masses):
-        state = []
-        rest = flat
-        for size in reversed(shape):
-            state.append(rest % size)
-            rest //= size
-        pmf[tuple(reversed(state))] = float(p)
+    cells = math.prod(shape)
+    masses = rng.dirichlet(np.ones(cells))
+    # row-major states as tuples of Python ints, one column per axis
+    columns = [axis.tolist() for axis in np.unravel_index(np.arange(cells), shape)]
+    pmf = dict(zip(zip(*columns), masses.tolist()))
     return JointDistribution(sizes, target, pmf)

@@ -34,7 +34,7 @@ from .concepts import (
     REFERENCE_MEASURE_NAME,
     BaseConcept,
     MeasureAssignment,
-    domain_for_concept,
+    domain_members,
     domain_positions,
     load_measure,
     reference_measure,
@@ -60,8 +60,6 @@ from .lattices import (
     lattice_index,
     parse_antichain_label,
     parse_collection_label,
-    parthood_from_antichain,
-    synergy_antichain_from_parthood,
 )
 
 ENGINE_TOL = 1e-9
@@ -340,7 +338,7 @@ class InclusionExclusionReport:
 
 def inclusion_exclusion_check(result: PidResult, alpha: Antichain) -> InclusionExclusionReport:
     """Union information vs the alternating redundancy sum over subsets of alpha."""
-    if alpha not in set(domain_for_concept(BaseConcept.UNION, result.n)):
+    if alpha not in domain_members(BaseConcept.UNION, result.n):
         raise DomainError(f"antichain {alpha.label()!r} outside the union domain")
     union_value = summate(BaseConcept.UNION, alpha, result)
     members = alpha.collections
@@ -520,27 +518,38 @@ def load_result(path) -> PidResult:
         mi[parse_collection_label(label, n)] = _number(v, f"MI at {label!r}")
     if set(mi) != set(range(1 << n)):
         raise ParseError("result file's MI table does not cover all collections")
-    atoms = {}
+    index = lattice_index(n)
+    position = {label: i for i, label in enumerate(index.labels)}
+    values = {}
     for row in doc["atoms"]:
         if not isinstance(row, dict) or not isinstance(row.get("alpha"), str) or "value" not in row:
             raise ParseError(f"atom row {row!r} must be an object with an 'alpha' label and a 'value'")
-        alpha = parse_antichain_label(row["alpha"], n)
-        f = parthood_from_antichain(alpha)
-        expect_tilde = synergy_antichain_from_parthood(f).label()
+        label = row["alpha"]
+        if label not in position:
+            # not a canonical label: the parser says what is wrong with it
+            label = parse_antichain_label(label, n).label()
+        j = int(index.access_atom[position[label]])
+        if j < 0:
+            raise DomainError(
+                f"antichain {label!r} does not label a parthood distribution "
+                "by minimal 1-collections"
+            )
+        expect_tilde = index.labels[index.blockage_antichain[j]]
         if row.get("alpha_tilde") != expect_tilde:
             raise ParseError(
                 f"atom {row['alpha']!r} pairs with {expect_tilde!r}, file says "
                 f"{row.get('alpha_tilde')!r}"
             )
-        if f in atoms:
+        if j in values:
             raise ParseError(f"duplicate atom {row['alpha']!r}")
-        atoms[f] = _number(row["value"], f"value of atom {row['alpha']!r}")
+        values[j] = _number(row["value"], f"value of atom {row['alpha']!r}")
     meta = PidMeta(
         concept=doc["concept"], measure=doc["measure"], digest=doc["distribution_digest"]
     )
-    ordered = {f: atoms[f] for f in enumerate_parthood_distributions(n) if f in atoms}
-    if len(ordered) != len(enumerate_parthood_distributions(n)):
+    atoms = enumerate_parthood_distributions(n)
+    if len(values) != len(atoms):
         raise ParseError("result file does not cover all atoms")
+    ordered = {f: values[j] for j, f in enumerate(atoms)}
     return PidResult(n=n, atoms=ordered, meta=meta, mi=mi)
 
 

@@ -443,10 +443,10 @@ def enumerate_antichains(n: int) -> tuple[Antichain, ...]:
 class LatticeIndex:
     """The antichains over n sources compiled into integer arrays.
 
-    Antichain i is ``enumerate_antichains(n)[i]``, labeled ``labels[i]``,
-    with upward and downward closures ``up[i]`` and ``down[i]`` (uint64
-    truth tables) and its collection masks in row ``members[i]``, padded
-    with ``1 << n``.  ``partner[minimal_non_subsets]`` and
+    Antichain i is ``enumerate_antichains(n)[i]``, with ``position[alpha]``
+    giving i back, labeled ``labels[i]``, with upward and downward closures
+    ``up[i]`` and ``down[i]`` (uint64 truth tables) and its collection masks
+    in row ``members[i]``, padded with ``1 << n``.  ``partner[minimal_non_subsets]`` and
     ``partner[maximal_non_supersets]`` are those two maps as permutations of
     the antichain positions.
 
@@ -484,6 +484,11 @@ class LatticeIndex:
     export_rank: np.ndarray
     steps: tuple[tuple[np.ndarray, np.ndarray], ...]
     _table_order: np.ndarray
+
+    @functools.cached_property
+    def position(self) -> Mapping[Antichain, int]:
+        """Antichain -> its index; built on first use, as most callers never need it."""
+        return MappingProxyType({alpha: i for i, alpha in enumerate(self.antichains)})
 
     def atom_positions(self, tables: np.ndarray) -> np.ndarray:
         """Atom index of each packed truth table; DomainError for a non-atom."""

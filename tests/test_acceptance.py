@@ -40,6 +40,7 @@ from pidlattice import (
     verify_consistency,
 )
 from pidlattice.cli import main as cli_main
+from pidlattice.concepts import domain_members
 from pidlattice.lattices import lattice_index, source_mask
 from pidlattice.oracle import brute_monotone_tables, oracle_selector
 
@@ -56,6 +57,7 @@ def announce(num, text):
 def clear_enumeration_caches():
     """Empty every per-n cache, so a timed criterion runs the cold path."""
     domain_for_concept.cache_clear()
+    domain_members.cache_clear()
     enumerate_parthood_distributions.cache_clear()
     lattice_index.cache_clear()
     enumerate_antichains.cache_clear()

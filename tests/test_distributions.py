@@ -2,7 +2,9 @@
 
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from pidlattice import (
     random_joint,
     save_joint,
 )
+from pidlattice.distributions import MASS_EPS
 from pidlattice.oracle import oracle_conditional_mi, oracle_mi
 
 
@@ -60,6 +63,75 @@ def test_conditional_mi_matches_oracle(seed):
         for g in range(1 << n):
             ours = conditional_mi(dist, a, g)
             assert abs(ours - oracle_conditional_mi(dist.pmf, n, a, g)) < 1e-10
+
+
+def _wide_sparse_pmf():
+    """~1k seeded outcomes of a 2^24-cell table: sources (32, 32, 32, 32), target 16."""
+    rng = np.random.default_rng(3)
+    states = np.unique(rng.integers(0, 32, size=(1024, 5)) % [32, 32, 32, 32, 16], axis=0)
+    masses = rng.dirichlet(np.ones(len(states)))
+    return ((32, 32, 32, 32), 16, dict(zip(map(tuple, states.tolist()), masses.tolist())))
+
+
+def _zeros_and_dust_pmf():
+    """A 3 x 2 -> 3 pmf with exact zeros, masses below MASS_EPS and masses just above it."""
+    pmf = dict(random_joint(2, 5, source_alphabets=(3, 2), target_alphabet=3).pmf)
+    states = list(pmf)
+    for s in states[::3]:
+        pmf[s] = 0.0
+    for s in states[1::5]:
+        pmf[s] = MASS_EPS / 10
+    for s in states[2::7]:
+        pmf[s] = MASS_EPS * 10
+    rest = [s for s in states if pmf[s] > 1e-9]
+    total = math.fsum(pmf.values())
+    for s in rest:
+        pmf[s] /= total
+    return ((3, 2), 3, pmf)
+
+
+# (source alphabets, target alphabet, pmf) for inputs random_joint does not make
+ORACLE_INPUTS = {
+    "5x3x4-to-3": lambda: ((5, 3, 4), 3, random_joint(3, 11, (5, 3, 4), 3).pmf),
+    "16x16-to-16": lambda: ((16, 16), 16, random_joint(2, 12, (16, 16), 16).pmf),
+    "zeros-and-dust": _zeros_and_dust_pmf,
+    "sparse-2^24-cells": _wide_sparse_pmf,
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_information_matches_oracle_on_wide_and_sparse_inputs(name):
+    sizes, target, pmf = ORACLE_INPUTS[name]()
+    dist = JointDistribution(sizes, target, pmf)
+    n = dist.n
+    for a in range(1 << n):
+        assert abs(mutual_information(dist, a) - oracle_mi(pmf, n, a)) < 1e-10
+        for g in range(1 << n):
+            ours = conditional_mi(dist, a, g)
+            assert abs(ours - oracle_conditional_mi(pmf, n, a, g)) < 1e-10
+
+
+def test_information_ignores_insertion_order():
+    ordered = random_joint(3, 11, source_alphabets=(5, 3, 4), target_alphabet=3)
+    items = list(ordered.pmf.items())
+    shuffled = [items[i] for i in np.random.default_rng(0).permutation(len(items))]
+    dist = JointDistribution((5, 3, 4), 3, dict(shuffled))
+    assert list(dist.pmf) != list(ordered.pmf)
+    assert mi_table(dist) == mi_table(ordered)
+    assert dist.digest() == ordered.digest()
+
+
+def test_information_memory_grows_with_support_not_cells():
+    # a marginal table over the cells would take 8 bytes per cell: 8 MiB for
+    # each 2^20-cell marginal of this 2^24-cell table of ~1k outcomes
+    dist = JointDistribution(*_wide_sparse_pmf())
+    tracemalloc.start()
+    try:
+        mi_table(dist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -123,8 +195,6 @@ def test_distribution_rejects_non_numbers(pmf):
 
 
 def test_distribution_accepts_numeric_masses():
-    import numpy as np
-
     dist = JointDistribution((2, 2), 2, {(0, 0, 0): 1, (1, 1, 1): np.float32(0.0)})
     assert dist.pmf == {(0, 0, 0): 1.0}
 
@@ -250,6 +320,26 @@ def test_random_joint_is_seed_deterministic():
     assert a.pmf == b.pmf
     assert a.digest() == b.digest()
     assert random_joint(3, 43).digest() != a.digest()
+
+
+# digests of random_joint(...) as written by the per-cell loop it replaced
+RANDOM_JOINT_DIGESTS = [
+    ((3, 0), {}, "3cbd3073bd8bceacceabe432af40b637253bcacecc8157a4c36f69553ece2f4b"),
+    ((5, 1), {}, "49121427a5a5f154de073154e60f4f4378331df940e58c65375818f9efd1f6a6"),
+    (
+        (2, 7),
+        {"source_alphabets": (3, 5), "target_alphabet": 4},
+        "a7e728cda07276628ba6f097c030fb2f12b4da7bc54e377d133567bfee635b69",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, kwargs, digest", RANDOM_JOINT_DIGESTS)
+def test_random_joint_digest_is_pinned(args, kwargs, digest):
+    dist = random_joint(*args, **kwargs)
+    assert dist.digest() == digest
+    shape = (*dist.source_alphabets, dist.target_alphabet)
+    assert list(dist.pmf) == [tuple(s) for s in np.ndindex(*shape)]
 
 
 def test_random_joint_respects_requested_alphabets():

@@ -39,7 +39,7 @@ from pidlattice import (
     summate,
     verify_consistency,
 )
-from pidlattice.lattices import downward_closure, source_mask
+from pidlattice.lattices import EMPTY_CHAIN_LABEL, downward_closure, source_mask
 from pidlattice.oracle import oracle_selector
 
 ALL_CONCEPTS = list(BaseConcept)
@@ -514,6 +514,8 @@ def test_load_result_rejects(tmp_path, xor_dist):
         lambda doc: doc["atoms"][0].pop("alpha"),
         lambda doc: doc["atoms"][0].update(value="1.0"),
         lambda doc: doc["atoms"][0].update(alpha=3),
+        lambda doc: doc["atoms"][0].update(alpha="{2}{1}"),
+        lambda doc: doc["atoms"][0].update(alpha="{3}"),
         lambda doc: doc["mi"].update({"{1}": None}),
         lambda doc: doc.update(n=99),
     ):
@@ -524,6 +526,12 @@ def test_load_result_rejects(tmp_path, xor_dist):
     path.write_text("[]")
     with pytest.raises(ParseError):
         load_result(path)
+
+    # canonical labels of antichains that label no atom by minimal 1-collections
+    for label in ("{}", EMPTY_CHAIN_LABEL):
+        rewrite(lambda doc, label=label: doc["atoms"][0].update(alpha=label))
+        with pytest.raises(DomainError, match="does not label a parthood distribution"):
+            load_result(path)
 
 
 def test_loaded_corruption_is_detectable(tmp_path, xor_dist):
