@@ -8,10 +8,16 @@ insufficient / unnecessary for parthood or non-parthood of the atom.  Eight
 cells of the grid are informative and become the base concepts; unique
 information is the conjunction of two cells.
 
-Selectors are evaluated from the quantified formulas directly (loop over
-all collections); :func:`selection_mask` provides the equivalent bitmask
-shortcut used for bulk sums, and the test suite checks the two against each
-other exhaustively.
+A packed truth table makes each cell one subset test.  The related
+collections of an antichain are its up-closure (superset cells) or its
+down-closure (subset cells), both precomputed in the per-n lattice index;
+a cell holds iff the collections it constrains avoid the truth table's
+"wrong" bits.  One private evaluator reads every cell this way, and every
+selector (:func:`condition_holds`, :func:`grid_condition`,
+:func:`atom_selector`, :func:`selection_mask`) goes through it.  The test
+suite checks it exhaustively against the literal quantified formulas of
+:func:`pidlattice.oracle.oracle_selector`.  The cell's relation also fixes
+which listed collections a concept ignores and how its lattice is ordered.
 """
 
 from __future__ import annotations
@@ -95,64 +101,73 @@ CONDITION_FOR_CONCEPT = {
     BaseConcept.VULNERABLE_PARTNER: "unnecessary-subset-exclusion",
 }
 
-# Conditions built from the superset relation only see the upward closure of
-# the antichain, so superset collections in a list are redundant; subset
-# conditions only see the downward closure, making subset collections
-# redundant.  This drives list canonicalization and the invariance laws.
-_MINIMAL_REDUCTION = {
-    BaseConcept.REDUNDANCY,
-    BaseConcept.VULNERABLE,
-    BaseConcept.RESTRICTED,
-    BaseConcept.UNION_PARTNER,
-    BaseConcept.UNIQUE,
+# Unique information is the conjunction of two cells of one relation: the
+# redundancy and restricted cells, or their partner (subset) counterparts.
+_CELLS_FOR_CONCEPT = {
+    **{concept: (cid,) for concept, cid in CONDITION_FOR_CONCEPT.items()},
+    BaseConcept.UNIQUE: (
+        CONDITION_FOR_CONCEPT[BaseConcept.REDUNDANCY],
+        CONDITION_FOR_CONCEPT[BaseConcept.RESTRICTED],
+    ),
+    BaseConcept.UNIQUE_PARTNER: (
+        CONDITION_FOR_CONCEPT[BaseConcept.WEAK_SYNERGY],
+        CONDITION_FOR_CONCEPT[BaseConcept.REDUNDANCY_PARTNER],
+    ),
 }
-_MAXIMAL_REDUCTION = {
-    BaseConcept.WEAK_SYNERGY,
-    BaseConcept.UNION,
-    BaseConcept.REDUNDANCY_PARTNER,
-    BaseConcept.VULNERABLE_PARTNER,
-    BaseConcept.UNIQUE_PARTNER,
-}
+
+
+def _cell(condition_id: str) -> tuple[str, str, str]:
+    """Split a grid cell id into its mode, relation and polarity."""
+    if condition_id not in CONDITION_IDS:
+        raise DomainError(f"unknown condition {condition_id!r}")
+    return tuple(condition_id.split("-"))
+
+
+def _cells(concept: BaseConcept) -> tuple[str, ...]:
+    try:
+        return _CELLS_FOR_CONCEPT[concept]
+    except KeyError:
+        raise DomainError(f"unknown concept {concept!r}") from None
+
+
+def _relation(concept: BaseConcept) -> str:
+    """The relation shared by the concept's cells: "superset" or "subset"."""
+    return _cell(_cells(concept)[0])[1]
+
+
+def _cell_holds(condition_id: str, alpha: Antichain, tables: int | np.ndarray) -> np.ndarray:
+    """Evaluate one grid cell at alpha for each packed truth table in ``tables``.
+
+    Related collections are alpha's up-closure (superset cells) or
+    down-closure (subset cells).  A sufficient cell constrains the related
+    collections, a necessary cell the unrelated ones; the constrained
+    collections must all be marked (sufficient-inclusion, necessary-exclusion)
+    or all be unmarked (the other two).  Insufficient and unnecessary cells
+    negate their sufficient and necessary counterparts.
+    """
+    mode, relation, polarity = _cell(condition_id)
+    index = lattice_index(alpha.n)
+    at = index.position[alpha]
+    full = np.uint64(table_mask(alpha.n))
+    related = (index.up if relation == "superset" else index.down)[at]
+    sufficient = mode in ("sufficient", "insufficient")
+    scope = related if sufficient else full & ~related
+    t = np.asarray(tables, dtype=np.uint64)
+    wrong = full & ~t if sufficient == (polarity == "inclusion") else t
+    holds = (wrong & scope) == 0
+    return holds if mode in ("sufficient", "necessary") else ~holds
 
 
 def condition_holds(condition_id: str, alpha: Antichain, f: ParthoodDistribution) -> bool:
-    """Evaluate one grid condition by its quantified formula."""
-    try:
-        mode, relation, polarity = condition_id.split("-")
-    except ValueError:
-        raise DomainError(f"unknown condition {condition_id!r}") from None
-    if mode not in MODES or relation not in RELATIONS or polarity not in POLARITIES:
-        raise DomainError(f"unknown condition {condition_id!r}")
+    """Whether the parthood distribution satisfies one grid condition at alpha."""
     if alpha.n != f.n:
         raise DomainError("antichain and parthood distribution disagree on source count")
-    members = alpha.masks
-    positive = mode in ("sufficient", "necessary")
-    sufficient_flavor = mode in ("sufficient", "insufficient")
-    if sufficient_flavor:
-        target = 1 if polarity == "inclusion" else 0
-    else:
-        target = 0 if polarity == "inclusion" else 1
-    holds = True
-    for b in range(1 << alpha.n):
-        if relation == "superset":
-            related = any(b & a == a for a in members)
-        else:
-            related = any(b & ~a == 0 for a in members)
-        antecedent = related if sufficient_flavor else not related
-        if antecedent and f.value(b) != target:
-            holds = False
-            break
-    return holds if positive else not holds
+    return bool(_cell_holds(condition_id, alpha, f.table))
 
 
 def grid_condition(condition_id: str, alpha: Antichain) -> Callable[[ParthoodDistribution], bool]:
-    condition_holds(condition_id, alpha, _probe(alpha.n))  # validate id eagerly
+    _cell(condition_id)  # validate id eagerly
     return lambda f: condition_holds(condition_id, alpha, f)
-
-
-@functools.lru_cache(maxsize=None)
-def _probe(n: int) -> ParthoodDistribution:
-    return ParthoodDistribution(n, 1 << source_mask(n))
 
 
 def atom_selector(concept: BaseConcept, alpha: Antichain) -> Callable[[ParthoodDistribution], bool]:
@@ -164,46 +179,13 @@ def atom_selector(concept: BaseConcept, alpha: Antichain) -> Callable[[ParthoodD
     """
     if alpha not in domain_members(concept, alpha.n):
         raise DomainError(f"antichain {alpha.label()!r} outside the {concept.tag} domain")
-    if concept is BaseConcept.UNIQUE:
-        first = grid_condition("sufficient-superset-inclusion", alpha)
-        second = grid_condition("necessary-superset-inclusion", alpha)
-        return lambda f: first(f) and second(f)
-    if concept is BaseConcept.UNIQUE_PARTNER:
-        first = grid_condition("sufficient-subset-exclusion", alpha)
-        second = grid_condition("necessary-subset-exclusion", alpha)
-        return lambda f: first(f) and second(f)
-    return grid_condition(CONDITION_FOR_CONCEPT[concept], alpha)
+    cells = _cells(concept)
+    return lambda f: all(condition_holds(cid, alpha, f) for cid in cells)
 
 
 def selection_mask(concept: BaseConcept, alpha: Antichain, tables: np.ndarray) -> np.ndarray:
-    """Vectorized equivalent of :func:`atom_selector` over packed truth tables."""
-    index = lattice_index(alpha.n)
-    at = index.position[alpha]
-    full = table_mask(alpha.n)
-    up = int(index.up[at])
-    down = int(index.down[at])
-    t = tables.astype(np.uint64, copy=False)
-    if concept is BaseConcept.REDUNDANCY:
-        return (np.uint64(up) & ~t) == 0
-    if concept is BaseConcept.WEAK_SYNERGY:
-        return (t & np.uint64(down)) == 0
-    if concept is BaseConcept.UNION:
-        return (t & np.uint64(down)) != 0
-    if concept is BaseConcept.VULNERABLE:
-        return (np.uint64(up) & ~t) != 0
-    if concept is BaseConcept.RESTRICTED:
-        return (t & np.uint64(full & ~up)) == 0
-    if concept is BaseConcept.REDUNDANCY_PARTNER:
-        return ((np.uint64(full) & ~t) & np.uint64(full & ~down)) == 0
-    if concept is BaseConcept.UNION_PARTNER:
-        return (t & np.uint64(full & ~up)) != 0
-    if concept is BaseConcept.VULNERABLE_PARTNER:
-        return ((np.uint64(full) & ~t) & np.uint64(full & ~down)) != 0
-    if concept is BaseConcept.UNIQUE:
-        return t == np.uint64(up)
-    if concept is BaseConcept.UNIQUE_PARTNER:
-        return t == np.uint64(full & ~down)
-    raise DomainError(f"unknown concept {concept!r}")
+    """Vectorized :func:`atom_selector` over packed truth tables."""
+    return np.logical_and.reduce([_cell_holds(cid, alpha, tables) for cid in _cells(concept)])
 
 
 _ACCESS_DOMAIN = {
@@ -263,17 +245,18 @@ def values_on_domain(concept: BaseConcept, n: int, by_position: np.ndarray) -> d
     return dict(zip(domain_for_concept(concept, n), picked))
 
 
-# Node set is the concept's domain; order kind and direction follow how the
-# concept's values nest (small values drawn at the bottom).
-_LATTICE_SPEC = {
-    BaseConcept.REDUNDANCY: ("redundancy", "up"),
-    BaseConcept.WEAK_SYNERGY: ("synergy", "up"),
-    BaseConcept.RESTRICTED: ("redundancy", "down"),
-    BaseConcept.REDUNDANCY_PARTNER: ("synergy", "down"),
-    BaseConcept.UNION: ("synergy", "up"),
-    BaseConcept.VULNERABLE: ("redundancy", "down"),
-    BaseConcept.UNION_PARTNER: ("redundancy", "up"),
-    BaseConcept.VULNERABLE_PARTNER: ("synergy", "up"),
+# Node set is the concept's domain; the direction follows how the concept's
+# values nest (small values drawn at the bottom).  The order kind is the
+# concept's relation: superset cells order antichains by redundancy.
+_LATTICE_DIRECTION = {
+    BaseConcept.REDUNDANCY: "up",
+    BaseConcept.WEAK_SYNERGY: "up",
+    BaseConcept.RESTRICTED: "down",
+    BaseConcept.REDUNDANCY_PARTNER: "down",
+    BaseConcept.UNION: "up",
+    BaseConcept.VULNERABLE: "down",
+    BaseConcept.UNION_PARTNER: "up",
+    BaseConcept.VULNERABLE_PARTNER: "up",
 }
 
 
@@ -284,8 +267,8 @@ def concept_lattice(concept: BaseConcept, n: int) -> ConceptLattice:
     """
     if concept in (BaseConcept.UNIQUE, BaseConcept.UNIQUE_PARTNER):
         raise DomainError(f"{concept.tag} information is not nested; it has no lattice")
-    kind, direction = _LATTICE_SPEC[concept]
-    return build_lattice(domain_for_concept(concept, n), kind, direction)
+    kind = "redundancy" if _relation(concept) == "superset" else "synergy"
+    return build_lattice(domain_for_concept(concept, n), kind, _LATTICE_DIRECTION[concept])
 
 
 def canonicalize_collections(
@@ -293,9 +276,10 @@ def canonicalize_collections(
 ) -> Antichain:
     """Reduce a list of collections to the antichain the concept actually sees.
 
-    Superset-relation concepts drop collections containing another listed
-    collection; subset-relation concepts drop collections contained in one.
-    An Antichain passes through unchanged.
+    A superset cell sees only the antichain's up-closure, so superset-relation
+    concepts drop collections containing another listed collection; a subset
+    cell sees only the down-closure, so subset-relation concepts drop
+    collections contained in one.  An Antichain passes through unchanged.
     """
     if isinstance(collections, Antichain):
         return collections
@@ -308,12 +292,10 @@ def canonicalize_collections(
     for m in masks:
         if not 0 <= m <= source_mask(n):
             raise ValidationError(f"collection bits {m!r} out of range for n={n}")
-    if concept in _MINIMAL_REDUCTION:
+    if _relation(concept) == "superset":
         keep = [m for m in masks if not any(o != m and m & o == o for o in masks)]
-    elif concept in _MAXIMAL_REDUCTION:
-        keep = [m for m in masks if not any(o != m and o & m == m for o in masks)]
     else:
-        raise DomainError(f"unknown concept {concept!r}")
+        keep = [m for m in masks if not any(o != m and o & m == m for o in masks)]
     return Antichain.of(n, keep)
 
 
@@ -435,7 +417,8 @@ def load_measure(path, n: int) -> MeasureAssignment:
     """Read a measure file: a flat JSON object of canonical antichain labels
     to numbers plus a ``concept`` tag field."""
     try:
-        doc = json.loads(open(path, "r", encoding="utf-8").read())
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON in measure file: {exc}") from None
     if not isinstance(doc, dict) or "concept" not in doc:

@@ -207,7 +207,8 @@ def mi_table(dist: JointDistribution) -> dict[int, float]:
 
 def load_joint(path, fmt: str = "json") -> JointDistribution:
     """Read a joint distribution from a JSON or TSV file."""
-    text = open(path, "r", encoding="utf-8").read()
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     if fmt == "json":
         return _joint_from_json(text)
     if fmt == "tsv":

@@ -15,9 +15,12 @@ measure table comes out of the two forward sums.
 Externally supplied measures are screened first: the single-collection
 boundary identities (self-redundancy and friends) must hold to 1e-7 or the
 engine refuses to invert.  A passing preflight does not certify the
-summation identities at the 1e-9 reporting tolerance; measures that are
-internally consistent (the reference family, or tables generated from an
-atom vector) reproduce exactly, noisy files reproduce at their own noise.
+summation identities: :meth:`PidResult.build` then refuses any atom table
+that misses a mutual-information value by more than 1e-9.  Measures that
+are internally consistent (the reference family, or tables generated from
+an atom vector) reproduce exactly; a file whose single-collection values
+are off by more than 1e-9 but less than 1e-7 passes the preflight and is
+refused at build.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -377,12 +380,18 @@ def proper_synergy_values(result: PidResult, alpha: Antichain) -> float:
             "proper synergy at an empty union is identically zero by the parthood "
             "axioms; supply a non-empty union"
         )
-    strict_down = downward_closure(result.n, (union,)) & ~(1 << union)
+    selects = _first_reached_at(result.n, union)
     acc = 0.0
     for f, v in result.atoms.items():
-        if (f.table >> union) & 1 and f.table & strict_down == 0:
+        if selects(f.table):
             acc += v
     return acc
+
+
+def _first_reached_at(n: int, union: int) -> Callable[[int], bool]:
+    """Proper-synergy selector: a truth table marks the union and no proper subset of it."""
+    strict_down = downward_closure(n, (union,)) & ~(1 << union)
+    return lambda table: bool((table >> union) & 1) and table & strict_down == 0
 
 
 @dataclass(frozen=True)
@@ -442,10 +451,8 @@ def proper_synergy_rank_analysis(n: int) -> RankAnalysis:
         consistency_rows.append([(f.table >> bits) & 1 for f in atoms])
     synergy_rows = []
     for union in range(1, 1 << n):
-        strict_down = downward_closure(n, (union,)) & ~(1 << union)
-        synergy_rows.append(
-            [1 if (f.table >> union) & 1 and f.table & strict_down == 0 else 0 for f in atoms]
-        )
+        selects = _first_reached_at(n, union)
+        synergy_rows.append([int(selects(f.table)) for f in atoms])
     consistency_rank = _exact_rank(consistency_rows)
     combined_rank = _exact_rank(consistency_rows + synergy_rows)
     return RankAnalysis(
@@ -496,7 +503,8 @@ def save_result(result: PidResult, path) -> None:
 def load_result(path) -> PidResult:
     """Read a result file back; the stored MI table is trusted as-is."""
     try:
-        doc = json.loads(open(path, "r", encoding="utf-8").read())
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON in result file: {exc}") from None
     if not isinstance(doc, dict):

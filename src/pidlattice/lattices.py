@@ -27,6 +27,7 @@ from .errors import (
     CapacityError,
     CompletenessError,
     DomainError,
+    ParseError,
     UnsupportedStructureError,
     ValidationError,
 )
@@ -63,8 +64,6 @@ def collection_label(bits: int) -> str:
 
 
 def parse_collection_label(text: str, n: int) -> int:
-    from .errors import ParseError
-
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError(f"collection label must be brace-delimited, got {text!r}")
     inner = text[1:-1]
@@ -199,8 +198,6 @@ class Antichain:
 
 def parse_antichain_label(text: str, n: int) -> Antichain:
     """Parse a canonical antichain label back into an Antichain."""
-    from .errors import ParseError
-
     if text == EMPTY_CHAIN_LABEL:
         return Antichain(n, ())
     if not text or text.count("{") != text.count("}"):
@@ -368,11 +365,7 @@ def parthood_from_antichain(alpha: Antichain) -> ParthoodDistribution:
 
 def antichain_from_parthood(f: ParthoodDistribution) -> Antichain:
     """Antichain of minimal collections the distribution marks."""
-    ones = 0
-    for s in range(1 << f.n):
-        if (f.table >> s) & 1:
-            ones |= 1 << s
-    return Antichain.of(f.n, _minimal_positions(f.n, ones))
+    return Antichain.of(f.n, _minimal_positions(f.n, f.table))
 
 
 def parthood_from_synergy_antichain(alpha: Antichain) -> ParthoodDistribution:
@@ -388,11 +381,7 @@ def parthood_from_synergy_antichain(alpha: Antichain) -> ParthoodDistribution:
 
 def synergy_antichain_from_parthood(f: ParthoodDistribution) -> Antichain:
     """Antichain of maximal collections the distribution clears."""
-    zeros = 0
-    for s in range(1 << f.n):
-        if not (f.table >> s) & 1:
-            zeros |= 1 << s
-    return Antichain.of(f.n, _maximal_positions(f.n, zeros))
+    return Antichain.of(f.n, _maximal_positions(f.n, table_mask(f.n) & ~f.table))
 
 
 def minimal_non_subsets(alpha: Antichain) -> Antichain:

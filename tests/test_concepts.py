@@ -211,6 +211,24 @@ def test_selector_equals_selection_mask(n, concept):
         assert [sel(f) for f in fs] == [bool(x) for x in mask]
 
 
+# Oracle ids of each concept's cell; unique information is a conjunction.
+ORACLE_CELL = {
+    **CONDITION_FOR_CONCEPT,
+    BaseConcept.UNIQUE: "unique",
+    BaseConcept.UNIQUE_PARTNER: "unique-partner",
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("concept", ALL_CONCEPTS)
+def test_selection_mask_matches_oracle(n, concept):
+    tables = tables_for(n)
+    for alpha in domain_for_concept(concept, n):
+        mask = selection_mask(concept, alpha, tables)
+        expected = [oracle_selector(ORACLE_CELL[concept], n, alpha, int(t)) for t in tables]
+        assert [bool(x) for x in mask] == expected, alpha.label()
+
+
 def test_atom_selector_rejects_out_of_domain():
     with pytest.raises(DomainError):
         atom_selector(BaseConcept.REDUNDANCY, Antichain.of(2, [0]))
@@ -299,13 +317,41 @@ def test_concept_lattice_nodes_are_the_domain():
         assert lat.nodes == domain_for_concept(concept, 3)
 
 
+def test_concept_lattice_order_kinds():
+    kinds = {
+        BaseConcept.REDUNDANCY: "redundancy",
+        BaseConcept.RESTRICTED: "redundancy",
+        BaseConcept.VULNERABLE: "redundancy",
+        BaseConcept.UNION_PARTNER: "redundancy",
+        BaseConcept.WEAK_SYNERGY: "synergy",
+        BaseConcept.REDUNDANCY_PARTNER: "synergy",
+        BaseConcept.UNION: "synergy",
+        BaseConcept.VULNERABLE_PARTNER: "synergy",
+    }
+    for concept, kind in kinds.items():
+        assert concept_lattice(concept, 2).order_kind == kind, concept
+
+
 # --------------------------------------------------------- canonicalization
+
+# Concepts whose cells use the superset relation; the rest use subset.
+SUPERSET_CONCEPTS = {
+    BaseConcept.REDUNDANCY,
+    BaseConcept.RESTRICTED,
+    BaseConcept.VULNERABLE,
+    BaseConcept.UNION_PARTNER,
+    BaseConcept.UNIQUE,
+}
+
 
 def test_canonicalize_collections():
     red = canonicalize_collections(BaseConcept.REDUNDANCY, [0b011, 0b001, 0b110], n=3)
     assert red.label() == "{1}{2,3}"  # the superset {1,2} is dropped
     ws = canonicalize_collections(BaseConcept.WEAK_SYNERGY, [0b011, 0b001, 0b110], n=3)
     assert ws.label() == "{1,2}{2,3}"  # the subset {1} is dropped
+    for concept in ALL_CONCEPTS:
+        got = canonicalize_collections(concept, [0b011, 0b001, 0b110], n=3).label()
+        assert got == ("{1}{2,3}" if concept in SUPERSET_CONCEPTS else "{1,2}{2,3}"), concept
     mixed = canonicalize_collections(
         BaseConcept.REDUNDANCY, [SourceSet(3, 0b100), 0b110, 0b110], n=3
     )

@@ -1,6 +1,8 @@
 """Engine: inversion round trips, screening, reports, result files."""
 
+import gc
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,8 @@ from pidlattice import (
     enumerate_parthood_distributions,
     export_result,
     inclusion_exclusion_check,
+    load_joint,
+    load_measure,
     load_result,
     maximal_non_supersets,
     measure_table_from_atoms,
@@ -34,6 +38,8 @@ from pidlattice import (
     proper_synergy_values,
     random_joint,
     reference_measure,
+    save_joint,
+    save_measure,
     save_result,
     solve_concept,
     summate,
@@ -453,6 +459,19 @@ def test_export_shape(xor_dist):
     labels = [row["alpha"] for row in doc["atoms"]]
     assert labels == sorted(labels)
     assert {tuple(row) for row in doc["atoms"]} == {("alpha", "alpha_tilde", "value")}
+
+
+def test_loaders_close_their_files(tmp_path, xor_dist):
+    save_joint(xor_dist, tmp_path / "dist.json")
+    save_measure(reference_measure(xor_dist, BaseConcept.REDUNDANCY), tmp_path / "measure.json")
+    save_result(decompose(xor_dist, BaseConcept.REDUNDANCY), tmp_path / "result.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        load_joint(tmp_path / "dist.json")
+        load_measure(tmp_path / "measure.json", 2)
+        load_result(tmp_path / "result.json")
+        gc.collect()
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("concept", [BaseConcept.REDUNDANCY, BaseConcept.VULNERABLE_PARTNER])
