@@ -41,6 +41,7 @@ from .errors import (
 from .lattices import (
     Antichain,
     ConceptLattice,
+    LatticeIndex,
     ParthoodDistribution,
     SourceSet,
     build_lattice,
@@ -188,39 +189,66 @@ def selection_mask(concept: BaseConcept, alpha: Antichain, tables: np.ndarray) -
     return np.logical_and.reduce([_cell_holds(cid, alpha, tables) for cid in _cells(concept)])
 
 
-_ACCESS_DOMAIN = {
-    BaseConcept.REDUNDANCY,
-    BaseConcept.UNION,
-    BaseConcept.RESTRICTED,
-    BaseConcept.UNIQUE,
+_ACCESS_DOMAIN = {BaseConcept.REDUNDANCY, BaseConcept.UNION, BaseConcept.UNIQUE}
+_BLOCKAGE_DOMAIN = {BaseConcept.WEAK_SYNERGY, BaseConcept.VULNERABLE, BaseConcept.UNIQUE_PARTNER}
+
+# The partner relation: each partner concept's value at alpha is its base
+# concept's value at mapper(alpha).
+PARTNER_TO_BASE = {
+    BaseConcept.RESTRICTED: (BaseConcept.WEAK_SYNERGY, maximal_non_supersets),
+    BaseConcept.REDUNDANCY_PARTNER: (BaseConcept.REDUNDANCY, minimal_non_subsets),
+    BaseConcept.UNION_PARTNER: (BaseConcept.UNION, maximal_non_supersets),
+    BaseConcept.VULNERABLE_PARTNER: (BaseConcept.VULNERABLE, minimal_non_subsets),
 }
-_BLOCKAGE_DOMAIN = {
-    BaseConcept.WEAK_SYNERGY,
-    BaseConcept.VULNERABLE,
-    BaseConcept.REDUNDANCY_PARTNER,
-    BaseConcept.UNIQUE_PARTNER,
+
+# Union and vulnerable information are the complements, against the total
+# information, of weak synergy and redundancy.
+COMPLEMENT_OF = {
+    BaseConcept.UNION: BaseConcept.WEAK_SYNERGY,
+    BaseConcept.VULNERABLE: BaseConcept.REDUNDANCY,
 }
 
 
 def domain_positions(concept: BaseConcept, n: int) -> np.ndarray:
     """Ascending positions in :func:`enumerate_antichains` of the concept's domain.
 
-    The two plain domains exclude one degenerate antichain each; the
-    union-partner and vulnerable-partner domains are the images of those
-    under the partner mappings (they contain the empty antichain).
+    The access and blockage domains each exclude one degenerate antichain; a
+    partner concept's domain holds the antichains whose partner image lies
+    in its base concept's domain.
     """
     index = lattice_index(n)
-    access = index.access_antichain
-    blockage = np.flatnonzero(index.blockage_atom >= 0)
+    if concept in PARTNER_TO_BASE:
+        base, mapper = PARTNER_TO_BASE[concept]
+        in_base = np.zeros(len(index.antichains), dtype=bool)
+        in_base[domain_positions(base, n)] = True
+        return np.flatnonzero(in_base[index.partner[mapper]])
     if concept in _ACCESS_DOMAIN:
-        return access
+        return index.access_antichain
     if concept in _BLOCKAGE_DOMAIN:
-        return blockage
-    if concept is BaseConcept.UNION_PARTNER:
-        return np.sort(index.partner[minimal_non_subsets][access])
-    if concept is BaseConcept.VULNERABLE_PARTNER:
-        return np.sort(index.partner[maximal_non_supersets][blockage])
+        return np.flatnonzero(index.blockage_atom >= 0)
     raise DomainError(f"unknown concept {concept!r}")
+
+
+def derive_tables(
+    index: LatticeIndex, total: float, known: Mapping[BaseConcept, np.ndarray]
+) -> dict[BaseConcept, np.ndarray]:
+    """The eight nested concepts' values at every antichain position.
+
+    ``known`` holds one concept of each complement pair in
+    :data:`COMPLEMENT_OF`, indexed by antichain position; the other is its
+    complement against the total, and each partner concept reads its base
+    concept through the partner permutation.  Positions outside a concept's
+    domain hold meaningless values.
+    """
+    tables = dict(known)
+    for concept, base in COMPLEMENT_OF.items():
+        if concept in tables:
+            tables[base] = total - tables[concept]
+        else:
+            tables[concept] = total - tables[base]
+    for concept, (base, mapper) in PARTNER_TO_BASE.items():
+        tables[concept] = tables[base][index.partner[mapper]]
+    return tables
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,15 +355,6 @@ def summate(
 
 REFERENCE_MEASURE_NAME = "reference (min-MI family)"
 
-# The partner relation: each partner concept's value at alpha is its base
-# concept's value at mapper(alpha).
-PARTNER_TO_BASE = {
-    BaseConcept.RESTRICTED: (BaseConcept.WEAK_SYNERGY, maximal_non_supersets),
-    BaseConcept.REDUNDANCY_PARTNER: (BaseConcept.REDUNDANCY, minimal_non_subsets),
-    BaseConcept.UNION_PARTNER: (BaseConcept.UNION, maximal_non_supersets),
-    BaseConcept.VULNERABLE_PARTNER: (BaseConcept.VULNERABLE, minimal_non_subsets),
-}
-
 
 def reference_measure(dist: JointDistribution, concept: BaseConcept) -> "MeasureAssignment":
     """Built-in measure family: redundancy is the smallest single-collection
@@ -356,18 +375,9 @@ def reference_measure(dist: JointDistribution, concept: BaseConcept) -> "Measure
     # min or max.  The empty antichain, outside every base domain, reads it.
     smallest = np.append(infos, np.inf)[index.members].min(axis=1)
     largest = np.append(infos, -np.inf)[index.members].max(axis=1)
-    base_values = {
-        BaseConcept.REDUNDANCY: smallest,
-        BaseConcept.UNION: largest,
-        BaseConcept.WEAK_SYNERGY: total - largest,
-        BaseConcept.VULNERABLE: total - smallest,
-    }
-    if concept in PARTNER_TO_BASE:
-        base, mapper = PARTNER_TO_BASE[concept]
-        values = base_values[base][index.partner[mapper]]
-    else:
-        values = base_values[concept]
-    return MeasureAssignment(concept, n, values_on_domain(concept, n, values))
+    known = {BaseConcept.REDUNDANCY: smallest, BaseConcept.UNION: largest}
+    tables = derive_tables(index, total, known)
+    return MeasureAssignment(concept, n, values_on_domain(concept, n, tables[concept]))
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,8 @@ def _joint_from_json(text: str) -> JointDistribution:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("distribution file must be a JSON object")
     for key in ("n_sources", "source_alphabets", "target_alphabet", "pmf"):
         if key not in doc:
             raise ParseError(f"distribution file missing field {key!r}")
@@ -228,14 +230,23 @@ def _joint_from_json(text: str) -> JointDistribution:
     alphabets = doc["source_alphabets"]
     if not isinstance(alphabets, list) or len(alphabets) != n:
         raise ParseError("source_alphabets must list one size per source")
+    if not isinstance(doc["pmf"], list):
+        raise ParseError("pmf must be a list of entries")
     pmf: dict[tuple[int, ...], float] = {}
     for entry in doc["pmf"]:
         if not isinstance(entry, dict) or "state" not in entry or "p" not in entry:
             raise ParseError(f"bad pmf entry {entry!r}")
-        state = tuple(entry["state"])
+        state = entry["state"]
+        if not isinstance(state, list):
+            raise ParseError(f"state {state!r} is not a list of symbols")
+        state = tuple(state)
         if len(state) != n + 1:
             raise ParseError(f"state {list(state)!r} has wrong arity")
-        if state in pmf:
+        try:
+            duplicate = state in pmf
+        except TypeError:  # a list or object among the symbols
+            raise ParseError(f"state {list(state)!r} holds a non-symbol") from None
+        if duplicate:
             raise ParseError(f"duplicate state {list(state)!r}")
         pmf[state] = entry["p"]
     return JointDistribution(tuple(alphabets), doc["target_alphabet"], pmf)
@@ -264,6 +275,8 @@ def _joint_from_tsv(text: str) -> JointDistribution:
         if state in pmf:
             raise ParseError(f"line {lineno}: duplicate state {list(state)!r}")
         pmf[state] = p
+    if not pmf:
+        raise ParseError("TSV file has a header but no outcome rows")
     alphabets = tuple(max(s[i] for s in pmf) + 1 for i in range(n))
     target = max(s[-1] for s in pmf) + 1
     return JointDistribution(alphabets, target, pmf)

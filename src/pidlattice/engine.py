@@ -33,10 +33,12 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .concepts import (
+    COMPLEMENT_OF,
     PARTNER_TO_BASE,
     REFERENCE_MEASURE_NAME,
     BaseConcept,
     MeasureAssignment,
+    derive_tables,
     domain_members,
     domain_positions,
     load_measure,
@@ -207,10 +209,8 @@ def solve_concept(
 
     _preflight_boundary(concept, index, at, infos)
 
-    if concept is BaseConcept.UNION:
-        at, concept = infos[-1] - at, BaseConcept.WEAK_SYNERGY
-    elif concept is BaseConcept.VULNERABLE:
-        at, concept = infos[-1] - at, BaseConcept.REDUNDANCY
+    if concept in COMPLEMENT_OF:
+        at, concept = infos[-1] - at, COMPLEMENT_OF[concept]
 
     if concept is BaseConcept.UNIQUE:
         atoms = at[index.access_antichain]
@@ -282,31 +282,21 @@ def _atom_vector(index: LatticeIndex, atoms: Mapping[ParthoodDistribution, float
 def _forward_tables(index: LatticeIndex, atoms: np.ndarray) -> dict[BaseConcept, np.ndarray]:
     """Every concept's value at every antichain position of its domain.
 
-    Redundancy and weak synergy are the two zeta sums of the atoms; union
-    and vulnerable information are their complements against the total;
-    partner concepts read their base concept through the partner
-    permutation.  Positions outside a concept's domain hold meaningless
-    values.
+    Redundancy and weak synergy are the two zeta sums of the atoms, from
+    which :func:`~pidlattice.concepts.derive_tables` gives the other nested
+    concepts; unique information reads single atoms.  Positions outside a
+    concept's domain hold meaningless values.
     """
     size = len(index.antichains)
-    total = atoms.sum()
     red, ws = np.zeros(size), np.zeros(size)
     red[index.access_antichain] = index.superset_sums(atoms)
     ws[index.blockage_antichain] = index.subset_sums(atoms)
     unique, unique_partner = np.zeros(size), np.zeros(size)
     unique[index.access_antichain] = atoms
     unique_partner[index.blockage_antichain] = atoms
-    tables = {
-        BaseConcept.REDUNDANCY: red,
-        BaseConcept.WEAK_SYNERGY: ws,
-        BaseConcept.UNION: total - ws,
-        BaseConcept.VULNERABLE: total - red,
-        BaseConcept.UNIQUE: unique,
-        BaseConcept.UNIQUE_PARTNER: unique_partner,
-    }
-    for concept, (base, mapper) in PARTNER_TO_BASE.items():
-        tables[concept] = tables[base][index.partner[mapper]]
-    return tables
+    known = {BaseConcept.REDUNDANCY: red, BaseConcept.WEAK_SYNERGY: ws}
+    tables = derive_tables(index, atoms.sum(), known)
+    return {**tables, BaseConcept.UNIQUE: unique, BaseConcept.UNIQUE_PARTNER: unique_partner}
 
 
 def measure_table_from_atoms(

@@ -10,8 +10,10 @@ A parthood distribution marks, for every collection of sources, whether
 the information atom under construction is part of what that collection
 carries.  It is fixed by the antichain of its minimal 1-collections
 (access labeling) or, equally well, by the antichain of its maximal
-0-collections (blockage labeling); both directions are implemented here
-together with the partner mappings that translate between the two.
+0-collections (blockage labeling).  The per-n :class:`LatticeIndex` is the
+one home of both labelings, of the closures behind the two orders and of
+the partner maps that translate between the labelings; every
+per-antichain function here is a lookup into it.
 """
 
 from __future__ import annotations
@@ -245,45 +247,6 @@ def downward_closure(n: int, masks: Iterable[int]) -> int:
     return out
 
 
-def _minimal_positions(n: int, posmask: int) -> list[int]:
-    """Minimal members of an up-closed set of truth-table positions."""
-    out = []
-    for s in range(1 << n):
-        if not (posmask >> s) & 1:
-            continue
-        reducible = False
-        m = s
-        while m:
-            low = m & -m
-            if (posmask >> (s ^ low)) & 1:
-                reducible = True
-                break
-            m ^= low
-        if not reducible:
-            out.append(s)
-    return out
-
-
-def _maximal_positions(n: int, posmask: int) -> list[int]:
-    """Maximal members of a down-closed set of truth-table positions."""
-    full = source_mask(n)
-    out = []
-    for s in range(1 << n):
-        if not (posmask >> s) & 1:
-            continue
-        extendable = False
-        m = full & ~s
-        while m:
-            low = m & -m
-            if (posmask >> (s | low)) & 1:
-                extendable = True
-                break
-            m ^= low
-        if not extendable:
-            out.append(s)
-    return out
-
-
 def _monotone_violation_masks(n: int) -> tuple[tuple[int, int], ...]:
     pairs = []
     for i in range(n):
@@ -360,12 +323,13 @@ def parthood_from_antichain(alpha: Antichain) -> ParthoodDistribution:
             f"antichain {alpha.label()!r} does not label a parthood distribution "
             "by minimal 1-collections"
         )
-    return ParthoodDistribution(alpha.n, upward_closure(alpha.n, alpha.masks))
+    return ParthoodDistribution(alpha.n, _order_table("redundancy", alpha))
 
 
 def antichain_from_parthood(f: ParthoodDistribution) -> Antichain:
     """Antichain of minimal collections the distribution marks."""
-    return Antichain.of(f.n, _minimal_positions(f.n, f.table))
+    index = lattice_index(f.n)
+    return index.antichains[index.access_antichain[_atom_position(index, f)]]
 
 
 def parthood_from_synergy_antichain(alpha: Antichain) -> ParthoodDistribution:
@@ -375,13 +339,13 @@ def parthood_from_synergy_antichain(alpha: Antichain) -> ParthoodDistribution:
             f"antichain {alpha.label()!r} does not label a parthood distribution "
             "by maximal 0-collections"
         )
-    table = table_mask(alpha.n) & ~downward_closure(alpha.n, alpha.masks)
-    return ParthoodDistribution(alpha.n, table)
+    return ParthoodDistribution(alpha.n, _order_table("synergy", alpha))
 
 
 def synergy_antichain_from_parthood(f: ParthoodDistribution) -> Antichain:
     """Antichain of maximal collections the distribution clears."""
-    return Antichain.of(f.n, _maximal_positions(f.n, table_mask(f.n) & ~f.table))
+    index = lattice_index(f.n)
+    return index.antichains[index.blockage_antichain[_atom_position(index, f)]]
 
 
 def minimal_non_subsets(alpha: Antichain) -> Antichain:
@@ -390,14 +354,21 @@ def minimal_non_subsets(alpha: Antichain) -> Antichain:
     Translates a blockage labeling into the access labeling of the same
     parthood distribution; inverse of :func:`maximal_non_supersets`.
     """
-    non_subsets = table_mask(alpha.n) & ~downward_closure(alpha.n, alpha.masks)
-    return Antichain.of(alpha.n, _minimal_positions(alpha.n, non_subsets))
+    return _partner_image(minimal_non_subsets, alpha)
 
 
 def maximal_non_supersets(alpha: Antichain) -> Antichain:
     """Partner map: maximal collections that contain no member of alpha."""
-    non_supersets = table_mask(alpha.n) & ~upward_closure(alpha.n, alpha.masks)
-    return Antichain.of(alpha.n, _maximal_positions(alpha.n, non_supersets))
+    return _partner_image(maximal_non_supersets, alpha)
+
+
+def _partner_image(mapper: Callable[[Antichain], Antichain], alpha: Antichain) -> Antichain:
+    index = lattice_index(alpha.n)
+    return index.antichains[index.partner[mapper][index.position[alpha]]]
+
+
+def _atom_position(index: LatticeIndex, f: ParthoodDistribution) -> int:
+    return int(index.atom_positions(np.array([f.table], dtype=np.uint64))[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -595,22 +566,19 @@ def enumerate_parthood_distributions(n: int) -> tuple[ParthoodDistribution, ...]
     return tuple(ParthoodDistribution(n, int(t)) for t in lattice_index(n).atom_tables)
 
 
-def redundancy_table(alpha: Antichain) -> int:
-    """Truth table whose subset order realizes the redundancy order on antichains."""
-    return upward_closure(alpha.n, alpha.masks)
-
-
-def synergy_table(alpha: Antichain) -> int:
-    """Truth table whose subset order realizes the synergy order on antichains."""
-    return table_mask(alpha.n) & ~downward_closure(alpha.n, alpha.masks)
-
-
 def _order_table(kind: OrderKind, alpha: Antichain) -> int:
+    """Truth table whose subset order realizes the kind's order on antichains.
+
+    It is the up-closure for redundancy and the complement of the
+    down-closure for synergy.
+    """
+    if kind not in ("redundancy", "synergy"):
+        raise DomainError(f"unknown order kind {kind!r}")
+    index = lattice_index(alpha.n)
+    at = index.position[alpha]
     if kind == "redundancy":
-        return redundancy_table(alpha)
-    if kind == "synergy":
-        return synergy_table(alpha)
-    raise DomainError(f"unknown order kind {kind!r}")
+        return int(index.up[at])
+    return table_mask(alpha.n) ^ int(index.down[at])
 
 
 def antichain_leq(kind: OrderKind, alpha: Antichain, beta: Antichain) -> bool:
@@ -680,12 +648,10 @@ class ConceptLattice:
     tables: tuple[int, ...]
     covers: tuple[tuple[int, ...], ...]
 
-    def index(self, alpha: Antichain) -> int:
-        try:
-            return self._index[alpha]
-        except AttributeError:
-            object.__setattr__(self, "_index", {a: i for i, a in enumerate(self.nodes)})
-            return self._index[alpha]
+    @functools.cached_property
+    def index(self) -> Callable[[Antichain], int]:
+        """Node -> its index; the lookup table is built on first use."""
+        return {a: i for i, a in enumerate(self.nodes)}.__getitem__
 
     def leq(self, alpha: Antichain, beta: Antichain) -> bool:
         i, j = self.index(alpha), self.index(beta)
@@ -696,20 +662,20 @@ class ConceptLattice:
         return self.tables[above] & ~self.tables[below] == 0
 
     def bottom_indices(self) -> tuple[int, ...]:
-        n = len(self.nodes)
-        return tuple(
-            i
-            for i in range(n)
-            if not any(j != i and self.leq_by_index(j, i) for j in range(n))
-        )
+        return _extrema(self.covers)[0]
 
     def top_indices(self) -> tuple[int, ...]:
-        n = len(self.nodes)
-        return tuple(
-            i
-            for i in range(n)
-            if not any(j != i and self.leq_by_index(i, j) for j in range(n))
-        )
+        return _extrema(self.covers)[1]
+
+
+def _extrema(covers: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bottoms and tops of a cover relation, ``covers[i]`` listing node i's successors.
+
+    A bottom is no node's successor; a top has no successor.
+    """
+    covered = {j for ups in covers for j in ups}
+    bottoms = tuple(i for i in range(len(covers)) if i not in covered)
+    return bottoms, tuple(i for i, ups in enumerate(covers) if not ups)
 
 
 def build_lattice(
@@ -767,8 +733,7 @@ def build_lattice(
             m ^= low
         covers.append(tuple(ups))
 
-    bottoms = [i for i in range(size) if strict_below[i] == 0]
-    tops = [i for i in range(size) if strict_above[i] == 0]
+    bottoms, tops = _extrema(covers)
     if len(tops) == 1 and len(bottoms) == 1:
         tag = FULL_LATTICE
     elif len(tops) == 1:

@@ -34,6 +34,22 @@ XOR_PMF = {(0, 0, 0): 0.25, (0, 1, 1): 0.25, (1, 0, 1): 0.25, (1, 1, 0): 0.25}
 COPY_PMF = {(0, 0, 0): 0.5, (1, 1, 1): 0.5}
 
 
+# distribution files that are valid JSON but not distribution documents
+MALFORMED_JSON_DISTRIBUTIONS = {
+    "number-document": "5",
+    "null-document": "null",
+    "pmf-not-a-list": '{"n_sources": 1, "source_alphabets": [2], "target_alphabet": 2, "pmf": 7}',
+    "state-not-a-list": (
+        '{"n_sources": 1, "source_alphabets": [2], "target_alphabet": 2,'
+        ' "pmf": [{"state": 5, "p": 1.0}]}'
+    ),
+    "unhashable-symbol": (
+        '{"n_sources": 1, "source_alphabets": [2], "target_alphabet": 2,'
+        ' "pmf": [{"state": [[0], [1]], "p": 1.0}]}'
+    ),
+}
+
+
 def xor_distribution() -> JointDistribution:
     return JointDistribution((2, 2), 2, XOR_PMF)
 

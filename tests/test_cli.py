@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from helpers import DATA_DIR, GOLDEN_CASES, GOLDEN_DIR
+from helpers import DATA_DIR, GOLDEN_CASES, GOLDEN_DIR, MALFORMED_JSON_DISTRIBUTIONS
 from pidlattice.cli import main
 
 XOR_JSON = str(DATA_DIR / "xor.json")
@@ -196,6 +196,24 @@ def test_decompose_rejects_non_numbers_exit_1(tmp_path, capsys, mass, state):
     assert main(["decompose", "--input", str(path), "--concept", "redundancy"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        *MALFORMED_JSON_DISTRIBUTIONS.items(),
+        ("header-only-tsv", "s1\tt\tp\n"),
+    ],
+    ids=[*MALFORMED_JSON_DISTRIBUTIONS, "header-only-tsv"],
+)
+def test_decompose_rejects_malformed_distribution_exit_1(tmp_path, capsys, name, text):
+    fmt = "tsv" if name.endswith("tsv") else "json"
+    path = tmp_path / f"bad.{fmt}"
+    path.write_text(text)
+    argv = ["decompose", "--input", str(path), "--format", fmt, "--concept", "redundancy"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_decompose_rejects_nan_tsv_mass_exit_1(tmp_path, capsys):

@@ -242,6 +242,7 @@ def test_tsv_load(tmp_path):
         "s1\tt\tp\n0\t0",
         "s1\tt\tp\n0\tx\t1.0",
         "s1\tt\tp\n0\t0\t0.5\n0\t0\t0.5",
+        "s1\tt\tp\n",  # a header and no rows
     ],
 )
 def test_tsv_rejects(tmp_path, text):
@@ -283,6 +284,16 @@ def test_json_rejects(tmp_path):
     expect_parse_error(
         {"n_sources": 1, "source_alphabets": [2], "target_alphabet": 2, "pmf": [[0, 0, 1.0]]}
     )  # entry shape
+
+
+@pytest.mark.parametrize(
+    "text", helpers.MALFORMED_JSON_DISTRIBUTIONS.values(), ids=helpers.MALFORMED_JSON_DISTRIBUTIONS
+)
+def test_json_rejects_malformed_documents(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ParseError):
+        load_joint(path)
 
 
 def test_unknown_format(tmp_path):

@@ -1,4 +1,8 @@
-"""The per-n lattice index against the per-antichain loops it replaced.
+"""The per-n lattice index against per-antichain references.
+
+The references are the loops the index replaced, and, for the partner
+maps and the atom labels, which now read the index, their definitions
+through :func:`upward_closure` and :func:`downward_closure`.
 
 Tolerances are fixed from float64 summation error, not fitted to the runs:
 forward sums of unit-scale atoms must match the masked per-antichain sums
@@ -15,9 +19,12 @@ import numpy as np
 import pytest
 
 from pidlattice import (
+    Antichain,
     BaseConcept,
+    CapacityError,
     DomainError,
     ENGINE_TOL,
+    ParthoodDistribution,
     antichain_from_parthood,
     derived_measure_table,
     domain_for_concept,
@@ -31,13 +38,13 @@ from pidlattice import (
     reference_measure,
     selection_mask,
     solve_concept,
-    synergy_antichain_from_parthood,
 )
 from pidlattice.lattices import (
     _invert_cumulative,
     downward_closure,
     lattice_index,
     source_mask,
+    table_mask,
     upward_closure,
 )
 
@@ -59,9 +66,35 @@ def seeds_for(n: int) -> range:
 
 
 @functools.lru_cache(maxsize=None)
+def closure_labels(n: int) -> tuple[dict, dict]:
+    """Antichains by up-closure and by down-closure, from the closure loops.
+
+    Each closure determines its antichain, so these invert the closures.
+    """
+    antichains = enumerate_antichains(n)
+    by_up = {upward_closure(n, a.masks): a for a in antichains}
+    by_down = {downward_closure(n, a.masks): a for a in antichains}
+    return by_up, by_down
+
+
+@functools.lru_cache(maxsize=None)
 def partner_images(n: int) -> dict:
-    """Each antichain's images under the two partner maps, by the per-antichain loops."""
-    return {a: (minimal_non_subsets(a), maximal_non_supersets(a)) for a in enumerate_antichains(n)}
+    """Each antichain's images under the two partner maps, by definition.
+
+    The ``minimal_non_subsets`` image of alpha is the antichain whose
+    up-closure is the complement of alpha's down-closure; the
+    ``maximal_non_supersets`` image the one whose down-closure is the
+    complement of alpha's up-closure.
+    """
+    by_up, by_down = closure_labels(n)
+    full = table_mask(n)
+    return {
+        a: (
+            by_up[full & ~downward_closure(n, a.masks)],
+            by_down[full & ~upward_closure(n, a.masks)],
+        )
+        for a in enumerate_antichains(n)
+    }
 
 
 # ---------------------------------------------------------- forward sums
@@ -171,12 +204,23 @@ def test_partner_permutations_match_partner_maps(n):
 def test_atom_labels_and_export_order(n):
     index = lattice_index(n)
     fs = enumerate_parthood_distributions(n)
-    access = [antichain_from_parthood(f).label() for f in fs]
-    blockage = [synergy_antichain_from_parthood(f).label() for f in fs]
+    # an atom's access label has its table as up-closure, its blockage
+    # label the table's complement as down-closure
+    by_up, by_down = closure_labels(n)
+    access = [by_up[f.table].label() for f in fs]
+    blockage = [by_down[table_mask(n) & ~f.table].label() for f in fs]
     assert [index.labels[i] for i in index.access_antichain] == access
     assert [index.labels[i] for i in index.blockage_antichain] == blockage
     by_rank = sorted(range(len(fs)), key=lambda j: index.export_rank[j])
     assert by_rank == sorted(range(len(fs)), key=lambda j: access[j])
+
+
+def test_per_antichain_helpers_refuse_more_than_five_sources():
+    alpha = Antichain.of(6, [0b1])
+    with pytest.raises(CapacityError):
+        minimal_non_subsets(alpha)
+    with pytest.raises(CapacityError):
+        antichain_from_parthood(ParthoodDistribution(6, upward_closure(6, [0b1])))
 
 
 def test_index_rejects_foreign_tables():

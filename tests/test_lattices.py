@@ -368,7 +368,7 @@ EXPECTED_KIND = {
 
 
 @pytest.mark.parametrize("concept", list(EXPECTED_KIND))
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_lattice_kinds(concept, n):
     lat = concept_lattice(concept, n)
     assert lat.kind == EXPECTED_KIND[concept]
@@ -381,7 +381,7 @@ def test_lattice_kinds(concept, n):
         assert len(bottoms) == 1 and len(tops) == n
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_semi_lattice_extrema(n):
     union = concept_lattice(BaseConcept.UNION, n)
     singles = {Antichain.of(n, [1 << i]) for i in range(n)}
