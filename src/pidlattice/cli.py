@@ -11,7 +11,7 @@ validation failures and 2 for usage mistakes.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 
 from .concepts import BaseConcept, concept_lattice, domain_for_concept
@@ -26,6 +26,7 @@ from .engine import (
     verify_consistency,
 )
 from .errors import PidError
+from .fileio import render, write_text
 from .lattices import lattice_to_dot
 
 CONCEPT_TAGS = tuple(c.value for c in BaseConcept)
@@ -76,8 +77,7 @@ def _build_parser() -> _Parser:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -99,7 +99,7 @@ def _cmd_decompose(args) -> int:
         for (c, alpha), v in derived.items():
             tables.setdefault(c.tag, {})[alpha.label()] = v
         doc["derived_measures"] = tables
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(render(doc), args.out)
     return 0
 
 
@@ -118,24 +118,16 @@ def _cmd_domains(args) -> int:
     if args.table:
         _emit("".join(label + "\n" for label in labels), args.out)
     else:
-        _emit(json.dumps(labels, indent=2) + "\n", args.out)
+        _emit(render(labels), args.out)
     return 0
 
 
 def _cmd_rank(args) -> int:
-    analysis = proper_synergy_rank_analysis(args.n)
-    fields = {
-        "n": analysis.n,
-        "unknowns": analysis.unknowns,
-        "consistency_rank": analysis.consistency_rank,
-        "combined_rank": analysis.combined_rank,
-        "novel_constraints": analysis.novel_constraints,
-        "deficit": analysis.deficit,
-    }
+    fields = dataclasses.asdict(proper_synergy_rank_analysis(args.n))
     if args.table:
         _emit("".join(f"{k}={v}\n" for k, v in fields.items()), args.out)
     else:
-        _emit(json.dumps(fields, indent=2) + "\n", args.out)
+        _emit(render(fields), args.out)
     return 0
 
 
@@ -168,7 +160,7 @@ def _cmd_check(args) -> int:
         failed = failed or not ie_passed
     else:
         doc["inclusion_exclusion"] = {"skipped": f"n={result.n} > 3"}
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(render(doc), args.out)
     if failed:
         print("error: result file fails its summation identities", file=sys.stderr)
         return 1

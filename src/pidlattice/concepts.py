@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -32,12 +31,8 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .distributions import JointDistribution, conditional_mi, mutual_information
-from .errors import (
-    CompletenessError,
-    DomainError,
-    ParseError,
-    ValidationError,
-)
+from .errors import CompletenessError, DomainError, ValidationError
+from .fileio import number, read_object, render, write_text
 from .lattices import (
     Antichain,
     ConceptLattice,
@@ -418,29 +413,19 @@ def save_measure(measure: MeasureAssignment, path) -> None:
     doc = {"concept": measure.concept.tag}
     for alpha, v in measure.values.items():
         doc[alpha.label()] = v
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_text(path, render(doc))
 
 
 def load_measure(path, n: int) -> MeasureAssignment:
     """Read a measure file: a flat JSON object of canonical antichain labels
     to numbers plus a ``concept`` tag field."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON in measure file: {exc}") from None
-    if not isinstance(doc, dict) or "concept" not in doc:
-        raise ParseError("measure file must be an object with a 'concept' field")
+    doc = read_object(path, "measure file", ("concept",))
     concept = BaseConcept.from_tag(doc["concept"])
     values = {}
     for key, v in doc.items():
         if key == "concept":
             continue
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ParseError(f"value at {key!r} is not a number")
-        values[parse_antichain_label(key, n)] = float(v)
+        values[parse_antichain_label(key, n)] = number(v, f"value at {key!r}")
     return MeasureAssignment(concept, n, values)
 
 

@@ -18,6 +18,10 @@ JSON: an object with ``n_sources``, ``source_alphabets`` (list of sizes),
 
 TSV: a header line ``s1<TAB>...<TAB>sn<TAB>t<TAB>p`` followed by one row
 per outcome; alphabet sizes are inferred as (max symbol + 1).
+
+Both are UTF-8 text.  Reading, decoding and writing the files, for these
+and the package's other documents, live in :mod:`pidlattice.fileio`, the
+format's one home; this module parses and builds the distribution's fields.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import CapacityError, ParseError, ValidationError
+from .fileio import read_object, read_text, render, write_text
 from .lattices import MAX_SOURCES, SourceSet, source_mask
 
 MASS_EPS = 1e-15
@@ -72,7 +77,10 @@ class JointDistribution:
                 raise ValidationError(f"mass {p!r} at outcome {state!r} is not a number")
             if not p >= 0:  # also refuses NaN, which every comparison fails
                 raise ValidationError(f"negative or NaN mass {p!r} at outcome {state!r}")
-            total += p
+            try:
+                total += p
+            except OverflowError:  # an int beyond float range; its repr can fail, so leave it out
+                raise ValidationError(f"mass at outcome {state!r} exceeds the float range") from None
             if p > MASS_EPS:
                 cleaned[tuple(state)] = float(p)
         if abs(total - 1.0) > MASS_SUM_TOL:
@@ -207,25 +215,15 @@ def mi_table(dist: JointDistribution) -> dict[int, float]:
 
 def load_joint(path, fmt: str = "json") -> JointDistribution:
     """Read a joint distribution from a JSON or TSV file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     if fmt == "json":
-        return _joint_from_json(text)
+        fields = ("n_sources", "source_alphabets", "target_alphabet", "pmf")
+        return _joint_from_json(read_object(path, "distribution file", fields))
     if fmt == "tsv":
-        return _joint_from_tsv(text)
+        return _joint_from_tsv(read_text(path, "distribution file"))
     raise ParseError(f"unknown distribution format {fmt!r}")
 
 
-def _joint_from_json(text: str) -> JointDistribution:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("distribution file must be a JSON object")
-    for key in ("n_sources", "source_alphabets", "target_alphabet", "pmf"):
-        if key not in doc:
-            raise ParseError(f"distribution file missing field {key!r}")
+def _joint_from_json(doc: dict) -> JointDistribution:
     n = doc["n_sources"]
     alphabets = doc["source_alphabets"]
     if not isinstance(alphabets, list) or len(alphabets) != n:
@@ -289,9 +287,7 @@ def save_joint(dist: JointDistribution, path) -> None:
         "target_alphabet": dist.target_alphabet,
         "pmf": [{"state": list(k), "p": v} for k, v in sorted(dist.pmf.items())],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_text(path, render(doc))
 
 
 def random_joint(

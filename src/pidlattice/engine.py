@@ -25,7 +25,6 @@ refused at build.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -54,6 +53,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
+from .fileio import number, read_object, render, write_text
 from .lattices import (
     MAX_SOURCES,
     Antichain,
@@ -238,33 +238,27 @@ def decompose(
     path to a measure file for the same concept.
     """
     mi = mi_table(dist)
+    measured = concept
     if isinstance(measure, str) and measure == "reference":
         measure_name = REFERENCE_MEASURE_NAME
         if concept in (BaseConcept.UNIQUE, BaseConcept.UNIQUE_PARTNER):
             # The reference family defines unique information as the atoms of
             # the reference redundancy decomposition.
-            atoms = solve_concept(
-                dist.n,
-                BaseConcept.REDUNDANCY,
-                reference_measure(dist, BaseConcept.REDUNDANCY).values,
-                mi,
-            )
-            meta = PidMeta(concept=concept.tag, measure=measure_name, digest=dist.digest())
-            return PidResult.build(dist.n, atoms, meta, mi)
-        assignment = reference_measure(dist, concept)
+            measured = BaseConcept.REDUNDANCY
+        assignment = reference_measure(dist, measured)
     elif isinstance(measure, MeasureAssignment):
         assignment = measure
         measure_name = "supplied"
     else:
         assignment = load_measure(measure, dist.n)
         measure_name = f"file:{str(measure).rsplit('/', 1)[-1]}"
-    if assignment.concept is not concept:
+    if assignment.concept is not measured:
         raise ValidationError(
             f"measure is for {assignment.concept.tag!r}, decomposition asked for {concept.tag!r}"
         )
     if assignment.n != dist.n:
         raise ValidationError("measure and distribution disagree on source count")
-    atoms = solve_concept(dist.n, concept, assignment.values, mi)
+    atoms = solve_concept(dist.n, measured, assignment.values, mi)
     meta = PidMeta(concept=concept.tag, measure=measure_name, digest=dist.digest())
     return PidResult.build(dist.n, atoms, meta, mi)
 
@@ -485,23 +479,13 @@ def export_result(result: PidResult) -> dict:
 
 
 def save_result(result: PidResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(export_result(result), fh, indent=2)
-        fh.write("\n")
+    write_text(path, render(export_result(result)))
 
 
 def load_result(path) -> PidResult:
     """Read a result file back; the stored MI table is trusted as-is."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON in result file: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("result file must be a JSON object")
-    for key in ("n", "concept", "measure", "distribution_digest", "mi", "atoms"):
-        if key not in doc:
-            raise ParseError(f"result file missing field {key!r}")
+    fields = ("n", "concept", "measure", "distribution_digest", "mi", "atoms")
+    doc = read_object(path, "result file", fields)
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ParseError("field 'n' must be an int")
@@ -513,7 +497,7 @@ def load_result(path) -> PidResult:
         raise ParseError("field 'atoms' must be a list of atom rows")
     mi = {}
     for label, v in doc["mi"].items():
-        mi[parse_collection_label(label, n)] = _number(v, f"MI at {label!r}")
+        mi[parse_collection_label(label, n)] = number(v, f"MI at {label!r}")
     if set(mi) != set(range(1 << n)):
         raise ParseError("result file's MI table does not cover all collections")
     index = lattice_index(n)
@@ -540,7 +524,7 @@ def load_result(path) -> PidResult:
             )
         if j in values:
             raise ParseError(f"duplicate atom {row['alpha']!r}")
-        values[j] = _number(row["value"], f"value of atom {row['alpha']!r}")
+        values[j] = number(row["value"], f"value of atom {row['alpha']!r}")
     meta = PidMeta(
         concept=doc["concept"], measure=doc["measure"], digest=doc["distribution_digest"]
     )
@@ -550,8 +534,3 @@ def load_result(path) -> PidResult:
     ordered = {f: values[j] for j, f in enumerate(atoms)}
     return PidResult(n=n, atoms=ordered, meta=meta, mi=mi)
 
-
-def _number(v, what: str) -> float:
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ParseError(f"{what} is not a number: {v!r}")
-    return float(v)

@@ -3,20 +3,18 @@
 Everything here recomputes results from raw definitions: monotone Boolean
 functions are found by filtering all 2**(2**n) truth tables, antichains by
 testing every small family of collections for pairwise incomparability,
-selectors by literally walking the quantified formulas, linear algebra by
-dense Fraction elimination, and entropies straight from a pmf dict.  This
-module imports nothing from the rest of the package; inputs are plain ints
-(bitmasks, packed truth tables) or pmf dicts, and helpers duck-read the
-``bits`` / ``table`` attributes off richer objects when handed one.
+selectors by literally walking the quantified formulas, and entropies
+straight from a pmf dict.  This module imports nothing from the rest of
+the package; inputs are plain ints (bitmasks, packed truth tables) or pmf
+dicts, and helpers duck-read the ``bits`` / ``table`` attributes off
+richer objects when handed one.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 
 def _mask_of(collection) -> int:
@@ -132,78 +130,6 @@ def oracle_selector(condition_id: str, n: int, antichain, distribution) -> bool:
     elif mode == "unnecessary":
         return not oracle_selector(f"necessary-{relation}-{polarity}", n, members, table)
     raise ValueError(f"unknown condition {condition_id!r}")
-
-
-@dataclass
-class DenseSolveReport:
-    """Outcome of dense Fraction elimination on A x = b."""
-
-    unknowns: int
-    rank: int
-    nullity: int
-    feasible: bool
-    solution: list[Fraction] | None
-    row_labels: list[str]
-
-
-def solve_dense(
-    matrix: Sequence[Sequence], rhs: Sequence, row_labels: Sequence[str] | None = None
-) -> DenseSolveReport:
-    """Gaussian elimination over Fractions with full rank/feasibility report.
-
-    The solution is filled in only when the system is feasible and the rank
-    equals the number of unknowns.
-    """
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    b = [Fraction(x) for x in rhs]
-    if len(rows) != len(b):
-        raise ValueError("matrix and rhs size mismatch")
-    labels = list(row_labels) if row_labels is not None else [str(i) for i in range(len(rows))]
-    unknowns = len(rows[0]) if rows else 0
-    if any(len(r) != unknowns for r in rows):
-        raise ValueError("ragged matrix")
-
-    aug = [row + [bv] for row, bv in zip(rows, b)]
-    m = len(aug)
-    pivot_cols = []
-    r = 0
-    for col in range(unknowns):
-        pivot = None
-        for i in range(r, m):
-            if aug[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][col]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    rank = r
-    feasible = all(
-        any(aug[i][c] != 0 for c in range(unknowns)) or aug[i][unknowns] == 0
-        for i in range(m)
-    )
-    solution = None
-    if feasible and rank == unknowns:
-        solution = [Fraction(0)] * unknowns
-        for i, col in enumerate(pivot_cols):
-            solution[col] = aug[i][unknowns]
-    return DenseSolveReport(
-        unknowns=unknowns,
-        rank=rank,
-        nullity=unknowns - rank,
-        feasible=feasible,
-        solution=solution,
-        row_labels=labels,
-    )
 
 
 def oracle_entropy(pmf: Mapping[tuple, float], positions: Iterable[int]) -> float:

@@ -9,16 +9,21 @@ exact round-trip testing possible for every concept path.
 from __future__ import annotations
 
 import functools
+import json
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from pidlattice import (
+    BaseConcept,
     JointDistribution,
     PidMeta,
     PidResult,
+    decompose,
     enumerate_parthood_distributions,
+    export_result,
+    reference_measure,
 )
 from pidlattice.oracle import brute_monotone_tables
 
@@ -48,6 +53,58 @@ MALFORMED_JSON_DISTRIBUTIONS = {
         ' "pmf": [{"state": [[0], [1]], "p": 1.0}]}'
     ),
 }
+
+
+# where a number sits in each kind of file: (file kind, keys into its document)
+NUMBER_SLOTS = {
+    "pmf-mass": ("distribution", ("pmf", 0, "p")),
+    "measure-value": ("measure", ("{1}",)),
+    "mi-value": ("result", ("mi", "{1}")),
+    "atom-value": ("result", ("atoms", 0, "value")),
+}
+
+
+def xor_file_texts() -> dict[str, str]:
+    """The XOR example as each kind of file a loader reads."""
+    dist = xor_distribution()
+    measure = reference_measure(dist, BaseConcept.REDUNDANCY)
+    return {
+        "distribution": (DATA_DIR / "xor.json").read_text(encoding="utf-8"),
+        "tsv": (DATA_DIR / "xor.tsv").read_text(encoding="utf-8"),
+        "measure": json.dumps(
+            {"concept": "redundancy", **{a.label(): v for a, v in measure.values.items()}}
+        ),
+        "result": json.dumps(export_result(decompose(dist, BaseConcept.REDUNDANCY))),
+    }
+
+
+def unreadable_files() -> dict[str, dict[str, tuple[str, bytes]]]:
+    """Files no loader can read, by defect class: case id -> (file kind, bytes).
+
+    Each raises ParseError from its loader, except a pmf mass beyond float
+    range, which is read and then refused by JointDistribution with a
+    ValidationError.
+    """
+    texts = xor_file_texts()
+
+    def with_literal(slot, literal):
+        # the XOR file holding ``slot``, with that number written as ``literal``
+        kind, keys = NUMBER_SLOTS[slot]
+        doc = json.loads(texts[kind])
+        functools.reduce(lambda part, key: part[key], keys[:-1], doc)[keys[-1]] = "@"
+        return kind, json.dumps(doc).replace('"@"', literal).encode()
+
+    return {
+        "not-utf8": {kind: (kind, b"\xff\xfe" + text.encode()) for kind, text in texts.items()},
+        "deep-nesting": {
+            kind: (kind, b"[" * 100_000) for kind in ("distribution", "measure", "result")
+        },
+        "overlong-literal": {
+            slot: with_literal(slot, "9" * 5001)
+            for slot in ("pmf-mass", "measure-value", "atom-value")
+        },
+        "beyond-float": {slot: with_literal(slot, "1" + "0" * 400) for slot in NUMBER_SLOTS},
+    }
 
 
 def xor_distribution() -> JointDistribution:

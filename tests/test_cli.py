@@ -6,7 +6,13 @@ import sys
 
 import pytest
 
-from helpers import DATA_DIR, GOLDEN_CASES, GOLDEN_DIR, MALFORMED_JSON_DISTRIBUTIONS
+from helpers import (
+    DATA_DIR,
+    GOLDEN_CASES,
+    GOLDEN_DIR,
+    MALFORMED_JSON_DISTRIBUTIONS,
+    unreadable_files,
+)
 from pidlattice.cli import main
 
 XOR_JSON = str(DATA_DIR / "xor.json")
@@ -24,6 +30,20 @@ def test_golden_outputs(tmp_path, golden, argv):
     code, body = run_to_file(tmp_path, argv)
     assert code == 0
     assert body == (GOLDEN_DIR / golden).read_bytes()
+
+
+def test_domains_json_lists_the_table_labels(tmp_path):
+    code, body = run_to_file(tmp_path, ["domains", "--n", "2", "--concept", "weak-synergy"])
+    assert code == 0
+    table = (GOLDEN_DIR / "domains_weak_synergy_n2.txt").read_text().splitlines()
+    assert body.decode() == json.dumps(table, indent=2) + "\n"
+
+
+def test_rank_table_lists_the_json_fields(tmp_path):
+    code, body = run_to_file(tmp_path, ["rank", "--n", "3", "--table"])
+    assert code == 0
+    fields = json.loads((GOLDEN_DIR / "rank_n3.json").read_text())
+    assert body.decode() == "".join(f"{k}={v}\n" for k, v in fields.items())
 
 
 def test_stdout_matches_out_file(tmp_path, capsys):
@@ -239,3 +259,31 @@ def test_check_rejects_malformed_result_exit_1(tmp_path, capsys, mutate):
     result_path.write_text(json.dumps(doc))
     assert main(["check", "--input", str(result_path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+UNREADABLE_CASES = [
+    (f"{defect}-{case}", kind, data)
+    for defect, cases in unreadable_files().items()
+    for case, (kind, data) in cases.items()
+]
+
+
+@pytest.mark.parametrize(
+    "kind,data", [c[1:] for c in UNREADABLE_CASES], ids=[c[0] for c in UNREADABLE_CASES]
+)
+def test_unreadable_file_exits_1(tmp_path, capsys, kind, data):
+    path = tmp_path / "file"
+    path.write_bytes(data)
+    argv = {
+        "distribution": ["decompose", "--input", str(path), "--concept", "redundancy"],
+        "tsv": ["decompose", "--input", str(path), "--format", "tsv", "--concept", "redundancy"],
+        "measure": [
+            "decompose", "--input", XOR_JSON, "--concept", "redundancy", "--measure", str(path),
+        ],
+        "result": ["check", "--input", str(path)],
+    }[kind]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

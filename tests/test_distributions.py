@@ -186,8 +186,13 @@ def test_distribution_validation():
         {(0, 0, 0): None, (0, 1, 1): 1.0},
         {(0, 0, 0): True, (0, 1, 1): 0.0},
         {(True, 0, 0): 0.5, (0, 1, 1): 0.5},
+        {(0, 0, 0): 10**400, (0, 1, 1): 0.0},
+        {(0, 0, 0): 10**5000, (0, 1, 1): 0.0},
     ],
-    ids=["nan-mass", "string-mass", "none-mass", "bool-mass", "bool-symbol"],
+    ids=[
+        "nan-mass", "string-mass", "none-mass", "bool-mass", "bool-symbol",
+        "int-mass-beyond-float", "int-mass-beyond-repr",
+    ],
 )
 def test_distribution_rejects_non_numbers(pmf):
     with pytest.raises(ValidationError):

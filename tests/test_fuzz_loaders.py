@@ -4,7 +4,9 @@ Each loader gets arbitrary JSON, and objects built from its own field
 names, whose values are arbitrary JSON salted with the labels and tags
 the loader parses, so that the fuzz reaches past the first field check.
 The TSV loader gets text assembled from header names, symbols, masses
-and stray characters.  Any exception other than a PidError fails.
+and stray characters.  Every loader also gets raw bytes: arbitrary ones
+(mostly not UTF-8), deeply nested arrays and integer literals longer than
+the interpreter converts.  Any exception other than a PidError fails.
 """
 
 import json
@@ -29,6 +31,7 @@ LEAVES = (
     | st.booleans()
     | st.integers(-2, 4)
     | st.integers()
+    | st.integers(10**400, 10**401) | st.integers(-(10**401), -(10**400))  # beyond float range
     | st.floats()
     | st.text(max_size=8)
     | st.sampled_from(LABELS + TAGS)
@@ -51,6 +54,14 @@ def documents(fields):
     """Arbitrary JSON, or an object keyed mostly by a loader's own field names."""
     keys = st.sampled_from(fields) | st.text(max_size=4)
     return json_values(keys) | st.dictionaries(keys, json_values(keys), max_size=len(fields))
+
+
+LITERAL_PREFIXES = st.sampled_from([b"", b"-", b"[", b'{"concept": "redundancy", "{1}": '])
+RAW_BYTES = (
+    st.binary(max_size=64)
+    | st.integers(1, 100_000).map(lambda depth: b"[" * depth)
+    | st.tuples(LITERAL_PREFIXES, st.integers(4301, 6000)).map(lambda p: p[0] + b"7" * p[1])
+)
 
 
 def loads_or_raises_pid_error(load, path):
@@ -97,3 +108,19 @@ def test_load_result(tmp_path, doc):
     path = tmp_path / "result.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     loads_or_raises_pid_error(load_result, path)
+
+
+RAW_LOADERS = {
+    "distribution.json": load_joint,
+    "distribution.tsv": lambda p: load_joint(p, fmt="tsv"),
+    "measure.json": lambda p: load_measure(p, 2),
+    "result.json": load_result,
+}
+
+
+@FUZZ
+@given(name=st.sampled_from(sorted(RAW_LOADERS)), data=RAW_BYTES)
+def test_loaders_on_raw_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    loads_or_raises_pid_error(RAW_LOADERS[name], path)
