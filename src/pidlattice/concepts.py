@@ -44,7 +44,6 @@ from .lattices import (
     lattice_index,
     maximal_non_supersets,
     minimal_non_subsets,
-    parse_antichain_label,
     source_mask,
     table_mask,
 )
@@ -421,11 +420,12 @@ def load_measure(path, n: int) -> MeasureAssignment:
     to numbers plus a ``concept`` tag field."""
     doc = read_object(path, "measure file", ("concept",))
     concept = BaseConcept.from_tag(doc["concept"])
+    index = lattice_index(n)
     values = {}
     for key, v in doc.items():
         if key == "concept":
             continue
-        values[parse_antichain_label(key, n)] = number(v, f"value at {key!r}")
+        values[index.antichains[index.label_position(key)]] = number(v, f"value at {key!r}")
     return MeasureAssignment(concept, n, values)
 
 

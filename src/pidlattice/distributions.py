@@ -46,6 +46,13 @@ MASS_SUM_TOL = 1e-9
 MAX_CELLS = 1 << 24
 
 
+def _shown(value) -> str:
+    try:
+        return repr(value)
+    except ValueError:  # an int past the interpreter's limit on str digits
+        return f"<{type(value).__name__} too long to print>"
+
+
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
     """A joint pmf over n source variables and one target variable."""
@@ -68,15 +75,17 @@ class JointDistribution:
         cleaned = {}
         for state, p in self.pmf.items():
             if len(state) != n + 1:
-                raise ValidationError(f"outcome {state!r} has wrong arity")
+                raise ValidationError(f"outcome {_shown(state)} has wrong arity")
             for sym, size in zip(state, sizes):
                 # exact type test: rejects bool, and costs no more than isinstance
                 if type(sym) is not int or not 0 <= sym < size:
-                    raise ValidationError(f"symbol {sym!r} out of range in outcome {state!r}")
+                    raise ValidationError(
+                        f"symbol {_shown(sym)} out of range in outcome {_shown(state)}"
+                    )
             if type(p) is not float and (isinstance(p, bool) or not isinstance(p, numbers.Real)):
-                raise ValidationError(f"mass {p!r} at outcome {state!r} is not a number")
+                raise ValidationError(f"mass {_shown(p)} at outcome {state!r} is not a number")
             if not p >= 0:  # also refuses NaN, which every comparison fails
-                raise ValidationError(f"negative or NaN mass {p!r} at outcome {state!r}")
+                raise ValidationError(f"negative or NaN mass {_shown(p)} at outcome {state!r}")
             try:
                 total += p
             except OverflowError:  # an int beyond float range; its repr can fail, so leave it out

@@ -60,10 +60,8 @@ from .lattices import (
     LatticeIndex,
     ParthoodDistribution,
     collection_label,
-    downward_closure,
     enumerate_parthood_distributions,
     lattice_index,
-    parse_antichain_label,
     parse_collection_label,
 )
 
@@ -374,7 +372,7 @@ def proper_synergy_values(result: PidResult, alpha: Antichain) -> float:
 
 def _first_reached_at(n: int, union: int) -> Callable[[int], bool]:
     """Proper-synergy selector: a truth table marks the union and no proper subset of it."""
-    strict_down = downward_closure(n, (union,)) & ~(1 << union)
+    strict_down = sum(1 << s for s in range(union) if s & ~union == 0)
     return lambda table: bool((table >> union) & 1) and table & strict_down == 0
 
 
@@ -501,16 +499,12 @@ def load_result(path) -> PidResult:
     if set(mi) != set(range(1 << n)):
         raise ParseError("result file's MI table does not cover all collections")
     index = lattice_index(n)
-    position = {label: i for i, label in enumerate(index.labels)}
     values = {}
     for row in doc["atoms"]:
         if not isinstance(row, dict) or not isinstance(row.get("alpha"), str) or "value" not in row:
             raise ParseError(f"atom row {row!r} must be an object with an 'alpha' label and a 'value'")
         label = row["alpha"]
-        if label not in position:
-            # not a canonical label: the parser says what is wrong with it
-            label = parse_antichain_label(label, n).label()
-        j = int(index.access_atom[position[label]])
+        j = int(index.access_atom[index.label_position(label)])
         if j < 0:
             raise DomainError(
                 f"antichain {label!r} does not label a parthood distribution "

@@ -13,7 +13,9 @@ carries.  It is fixed by the antichain of its minimal 1-collections
 0-collections (blockage labeling).  The per-n :class:`LatticeIndex` is the
 one home of both labelings, of the closures behind the two orders and of
 the partner maps that translate between the labelings; every
-per-antichain function here is a lookup into it.
+per-antichain function here is a lookup into it.  It is generated from
+the up-sets of the collections, the monotone truth tables, and reads each
+antichain off an up-set as its minimal collections.
 """
 
 from __future__ import annotations
@@ -223,31 +225,9 @@ def parse_antichain_label(text: str, n: int) -> Antichain:
     return alpha
 
 
-def upward_closure(n: int, masks: Iterable[int]) -> int:
-    """Truth-table mask of all collections that contain some member."""
-    out = 0
-    members = tuple(masks)
-    for b in range(1 << n):
-        for a in members:
-            if b & a == a:
-                out |= 1 << b
-                break
-    return out
-
-
-def downward_closure(n: int, masks: Iterable[int]) -> int:
-    """Truth-table mask of all collections contained in some member."""
-    out = 0
-    members = tuple(masks)
-    for b in range(1 << n):
-        for a in members:
-            if b & ~a == 0:
-                out |= 1 << b
-                break
-    return out
-
-
+@functools.lru_cache(maxsize=None)
 def _monotone_violation_masks(n: int) -> tuple[tuple[int, int], ...]:
+    """``(1 << i, pattern)`` per source i, pattern marking the collections without source i."""
     pairs = []
     for i in range(n):
         step = 1 << i
@@ -376,37 +356,24 @@ def enumerate_antichains(n: int) -> tuple[Antichain, ...]:
     """All antichains over n sources, in canonical order.
 
     Counts follow the Dedekind numbers: 3, 6, 20, 168, 7581 for n = 1..5.
-    Backtracking over collections in canonical order; a candidate extends a
-    partial antichain iff it contains no chosen collection (it can never be
-    contained in one, since candidates arrive in non-decreasing cardinality).
+    Canonical order ranks the collections by (cardinality, bitmask value)
+    and compares antichains as the tuples of their collections' ranks, so a
+    prefix comes before its extensions.  The antichains are those of
+    :func:`lattice_index`.
     """
-    check_source_count(n)
-    order = sorted(range(1 << n), key=lambda s: (s.bit_count(), s))
-    found: list[Antichain] = []
-    chosen: list[int] = []
-
-    def extend(start: int) -> None:
-        found.append(Antichain.of(n, tuple(chosen)))
-        for idx in range(start, len(order)):
-            s = order[idx]
-            if any(s & c == c for c in chosen):
-                continue
-            chosen.append(s)
-            extend(idx + 1)
-            chosen.pop()
-
-    extend(0)
-    return tuple(found)
+    return lattice_index(n).antichains
 
 
 @dataclass(frozen=True, eq=False)
 class LatticeIndex:
     """The antichains over n sources compiled into integer arrays.
 
-    Antichain i is ``enumerate_antichains(n)[i]``, with ``position[alpha]``
-    giving i back, labeled ``labels[i]``, with upward and downward closures
-    ``up[i]`` and ``down[i]`` (uint64 truth tables) and its collection masks
-    in row ``members[i]``, padded with ``1 << n``.  ``partner[minimal_non_subsets]`` and
+    Antichain i holds the minimal collections of the up-set ``up[i]`` (a
+    uint64 truth table), whose downward closure is ``down[i]``.  Row
+    ``members[i]`` lists them in canonical order, padded with ``1 << n``;
+    ``antichains[i]`` is built from that row and labeled ``labels[i]``, and
+    ``position[alpha]`` gives i back.  The rows are in the canonical order
+    of :func:`enumerate_antichains`.  ``partner[minimal_non_subsets]`` and
     ``partner[maximal_non_supersets]`` are those two maps as permutations of
     the antichain positions.
 
@@ -450,6 +417,16 @@ class LatticeIndex:
         """Antichain -> its index; built on first use, as most callers never need it."""
         return MappingProxyType({alpha: i for i, alpha in enumerate(self.antichains)})
 
+    @functools.cached_property
+    def _label_positions(self) -> dict[str, int]:
+        return {label: i for i, label in enumerate(self.labels)}
+
+    def label_position(self, label: str) -> int:
+        """Index of the antichain with this canonical label; ParseError for any other text."""
+        if label not in self._label_positions:
+            parse_antichain_label(label, self.n)  # raises: every canonical label is listed
+        return self._label_positions[label]
+
     def atom_positions(self, tables: np.ndarray) -> np.ndarray:
         """Atom index of each packed truth table; DomainError for a non-atom."""
         sorted_tables = self.atom_tables[self._table_order]
@@ -490,19 +467,36 @@ class LatticeIndex:
 
 @functools.lru_cache(maxsize=None)
 def lattice_index(n: int) -> LatticeIndex:
-    """The per-n :class:`LatticeIndex`, built once from :func:`enumerate_antichains`."""
-    antichains = enumerate_antichains(n)
+    """The per-n :class:`LatticeIndex`, generated from the up-sets of the collections."""
+    check_source_count(n)
     full = np.uint64(table_mask(n))
     pad = 1 << n
-    width = max(len(a.collections) for a in antichains)
-    members = np.full((len(antichains), width), pad, dtype=np.int8)
-    for i, alpha in enumerate(antichains):
-        members[i, : len(alpha.collections)] = alpha.masks
-    # closures of single collections; the padding slot contributes nothing
-    up_of = np.array([upward_closure(n, (s,)) for s in range(pad)] + [0], dtype=np.uint64)
-    down_of = np.array([downward_closure(n, (s,)) for s in range(pad)] + [0], dtype=np.uint64)
-    up = np.bitwise_or.reduce(up_of[members], axis=1)
-    down = np.bitwise_or.reduce(down_of[members], axis=1)
+    # An up-set over sources 1..k splits into its halves without and with
+    # source k, f = f0 | f1 << 2**(k-1): up-sets over 1..k-1 with f0 inside
+    # f1 (the split behind Dedekind-number counts; Wiedemann, Order 8, 1991).
+    up = np.array([0, 1], dtype=np.uint64)
+    for k in range(n):
+        f0, f1 = up[:, None], up[None, :]
+        up = (f0 | f1 << np.uint64(1 << k))[f0 & ~f1 == 0]
+    # the members: collections whose one-smaller subsets all lie outside the up-set
+    minimal = up.copy()
+    for step, lacking in _monotone_violation_masks(n):
+        minimal &= ~((up & np.uint64(lacking)) << np.uint64(step))
+    # Rank the members in canonical collection order.  Sorting the rank rows
+    # lexicographically, empty slots first, puts a prefix before its extensions.
+    canonical = sorted(range(pad), key=lambda s: (s.bit_count(), s))
+    has = (minimal[:, None] >> np.array(canonical, dtype=np.uint64)) & np.uint64(1) == 1
+    ranks = np.sort(np.where(has, np.arange(pad), pad), axis=1)[:, : has.sum(axis=1).max()]
+    order = np.lexsort(np.where(ranks == pad, -1, ranks).T[::-1])
+    members = np.array(canonical + [pad], dtype=np.int8)[ranks[order]]
+    up, down = up[order], minimal[order]
+    for step, lacking in _monotone_violation_masks(n):  # down-closure: drop one source at a time
+        down |= (down & ~np.uint64(lacking)) >> np.uint64(step)
+    rows = members.tolist()
+    sets = [SourceSet(n, s) for s in range(pad)]
+    antichains = tuple(Antichain(n, tuple(sets[s] for s in row if s < pad)) for row in rows)
+    names = [collection_label(s) for s in range(pad)] + [""]
+    labels = tuple("".join(names[s] for s in row) or EMPTY_CHAIN_LABEL for row in rows)
 
     # Up-sets and down-sets each label the antichains one to one, so a
     # partner map is a lookup of the complementary closure.
@@ -519,7 +513,7 @@ def lattice_index(n: int) -> LatticeIndex:
     sorted_tables = atom_tables[table_order]
 
     steps = []
-    for s in sorted(range(pad), key=lambda s: (s.bit_count(), s)):
+    for s in canonical:
         bit = np.uint64(1 << s)
         lacking = np.flatnonzero((atom_tables & bit) == 0)
         grown = atom_tables[lacking] | bit
@@ -529,11 +523,7 @@ def lattice_index(n: int) -> LatticeIndex:
             # int32 halves the largest array of the index (35,510 pairs at n = 5)
             steps.append((lacking[hit].astype(np.int32), table_order[at[hit]].astype(np.int32)))
 
-    labels = tuple(a.label() for a in antichains)
-    export_rank = np.empty(len(access_antichain), dtype=np.intp)
-    export_rank[sorted(range(len(access_antichain)), key=lambda j: labels[access_antichain[j]])] = (
-        np.arange(len(access_antichain))
-    )
+    export_rank = np.argsort(np.argsort(np.array(labels)[access_antichain]))
     index = LatticeIndex(
         n=n,
         antichains=antichains,
@@ -562,7 +552,6 @@ def lattice_index(n: int) -> LatticeIndex:
 @functools.lru_cache(maxsize=None)
 def enumerate_parthood_distributions(n: int) -> tuple[ParthoodDistribution, ...]:
     """All parthood distributions over n sources (Dedekind number minus two)."""
-    check_source_count(n)
     return tuple(ParthoodDistribution(n, int(t)) for t in lattice_index(n).atom_tables)
 
 

@@ -3,8 +3,9 @@
 Everything here recomputes results from raw definitions: monotone Boolean
 functions are found by filtering all 2**(2**n) truth tables, antichains by
 testing every small family of collections for pairwise incomparability,
-selectors by literally walking the quantified formulas, and entropies
-straight from a pmf dict.  This module imports nothing from the rest of
+closures by testing every collection against every member, selectors by
+literally walking the quantified formulas, and entropies straight from a
+pmf dict.  This module imports nothing from the rest of
 the package; inputs are plain ints (bitmasks, packed truth tables) or pmf
 dicts, and helpers duck-read the ``bits`` / ``table`` attributes off
 richer objects when handed one.
@@ -80,6 +81,18 @@ def brute_antichains(n: int) -> list[tuple[int, ...]]:
             if ok:
                 found.append(tuple(sorted(family)))
     return found
+
+
+def upward_closure(n: int, masks: Iterable[int]) -> int:
+    """Truth-table mask of all collections that contain some member."""
+    members = tuple(masks)
+    return sum(1 << b for b in range(1 << n) if any(b & a == a for a in members))
+
+
+def downward_closure(n: int, masks: Iterable[int]) -> int:
+    """Truth-table mask of all collections contained in some member."""
+    members = tuple(masks)
+    return sum(1 << b for b in range(1 << n) if any(b & ~a == 0 for a in members))
 
 
 def oracle_selector(condition_id: str, n: int, antichain, distribution) -> bool:

@@ -492,6 +492,16 @@ def test_measure_file_round_trip(tmp_path, xor_dist):
     assert back.values == measure.values
 
 
+@pytest.mark.parametrize(
+    "concept", [c for c in BaseConcept if c not in (BaseConcept.UNIQUE, BaseConcept.UNIQUE_PARTNER)]
+)
+def test_measure_file_round_trip_at_five_sources(tmp_path, concept):
+    measure = reference_measure(random_joint(5, 3), concept)
+    path = tmp_path / "m.json"
+    save_measure(measure, path)
+    assert load_measure(path, 5) == measure
+
+
 def test_measure_file_rejects(tmp_path):
     path = tmp_path / "m.json"
     path.write_text("{broken")

@@ -188,10 +188,14 @@ def test_distribution_validation():
         {(True, 0, 0): 0.5, (0, 1, 1): 0.5},
         {(0, 0, 0): 10**400, (0, 1, 1): 0.0},
         {(0, 0, 0): 10**5000, (0, 1, 1): 0.0},
+        {(10**5000,): 1.0},
+        {(10**5000, 0, 0): 1.0},
+        {(0, 0, 0): -(10**5000), (0, 1, 1): 1.0},
     ],
     ids=[
         "nan-mass", "string-mass", "none-mass", "bool-mass", "bool-symbol",
         "int-mass-beyond-float", "int-mass-beyond-repr",
+        "arity-symbol-beyond-repr", "symbol-beyond-repr", "negative-mass-beyond-repr",
     ],
 )
 def test_distribution_rejects_non_numbers(pmf):

@@ -45,8 +45,8 @@ from pidlattice import (
     summate,
     verify_consistency,
 )
-from pidlattice.lattices import EMPTY_CHAIN_LABEL, downward_closure, source_mask
-from pidlattice.oracle import oracle_selector
+from pidlattice.lattices import EMPTY_CHAIN_LABEL, source_mask
+from pidlattice.oracle import downward_closure, oracle_selector
 
 ALL_CONCEPTS = list(BaseConcept)
 INVERTIBLE = [

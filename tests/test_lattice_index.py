@@ -14,6 +14,8 @@ inputs at n = 5.
 """
 
 import functools
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from pidlattice import (
     CapacityError,
     DomainError,
     ENGINE_TOL,
+    ParseError,
     ParthoodDistribution,
     antichain_from_parthood,
     derived_measure_table,
@@ -41,12 +44,11 @@ from pidlattice import (
 )
 from pidlattice.lattices import (
     _invert_cumulative,
-    downward_closure,
     lattice_index,
     source_mask,
     table_mask,
-    upward_closure,
 )
+from pidlattice.oracle import downward_closure, upward_closure
 
 import helpers
 
@@ -186,6 +188,53 @@ def test_closure_tables_match_closure_loops(n):
     assert (index.access_atom[index.access_antichain] == atoms).all()
     assert (index.blockage_atom[index.blockage_antichain] == atoms).all()
     assert (index.access_atom >= 0).sum() == (index.blockage_atom >= 0).sum() == len(atoms)
+
+
+# SHA-256 of every LatticeIndex array and of the labels, read as Python
+# ints and strings so that a dtype change leaves it be (see index_digest).
+# Recorded while the index was still compiled from a backtracking
+# enumeration of the antichains, which the up-set generation must match.
+INDEX_SHA256 = {
+    1: "6e8805960ad2932a5ae04ed1e626432d2609cc13bacbb34e32600bb294af0fa9",
+    2: "6345d62736385110ebd9802b0228cb979c49453fc6387b01d86c91470dc183e7",
+    3: "d12d0c9e00d619d2a0ef74a6483b547cd37e3b8899abd7bd873410ca88c307dc",
+    4: "cdfef57969b2044d67135a513212ac82b01713c9d7809ecfe6fbeb8e2c54423e",
+    5: "ae04161d6ac25d2f2b478e64f0c3bec29f724b8f7bf9c667edad5d7ca0e02560",
+}
+
+
+def index_digest(index) -> str:
+    fields = {
+        "labels": list(index.labels),
+        "up": index.up.tolist(),
+        "down": index.down.tolist(),
+        "members": index.members.tolist(),
+        "minimal_non_subsets": index.partner[minimal_non_subsets].tolist(),
+        "maximal_non_supersets": index.partner[maximal_non_supersets].tolist(),
+        "access_atom": index.access_atom.tolist(),
+        "blockage_atom": index.blockage_atom.tolist(),
+        "atom_tables": index.atom_tables.tolist(),
+        "access_antichain": index.access_antichain.tolist(),
+        "blockage_antichain": index.blockage_antichain.tolist(),
+        "export_rank": index.export_rank.tolist(),
+        "steps": [[dst.tolist(), src.tolist()] for dst, src in index.steps],
+        "_table_order": index._table_order.tolist(),
+    }
+    return hashlib.sha256(json.dumps(fields).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", ALL_N)
+def test_index_matches_recorded_digest(n):
+    assert index_digest(lattice_index(n)) == INDEX_SHA256[n]
+
+
+@pytest.mark.parametrize("n", ALL_N)
+def test_label_position_resolves_canonical_labels(n):
+    index = lattice_index(n)
+    assert [index.label_position(label) for label in index.labels] == list(range(len(index.labels)))
+    for bad in ("{1}{1}", f"{{{n + 1}}}", "{1", ""):
+        with pytest.raises(ParseError):
+            index.label_position(bad)
 
 
 @pytest.mark.parametrize("n", ALL_N)

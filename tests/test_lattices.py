@@ -40,12 +40,15 @@ from pidlattice import (
 )
 from pidlattice.lattices import (
     check_source_count,
-    downward_closure,
     source_mask,
     table_mask,
+)
+from pidlattice.oracle import (
+    brute_antichains,
+    brute_monotone_tables,
+    downward_closure,
     upward_closure,
 )
-from pidlattice.oracle import brute_antichains, brute_monotone_tables
 
 FULL_CONCEPTS = (
     BaseConcept.REDUNDANCY,
@@ -86,6 +89,19 @@ def test_counts_at_five_sources():
 def test_enumeration_order_n2():
     labels = [a.label() for a in enumerate_antichains(2)]
     assert labels == ["∅-chain", "{}", "{1}", "{1}{2}", "{2}", "{1,2}"]
+
+
+@pytest.mark.parametrize("n,count", [(1, 3), (2, 6), (3, 20), (4, 168), (5, 7581)])
+def test_enumeration_is_strictly_increasing_in_canonical_order(n, count):
+    """Distinct valid antichains, every one of them, in one order: the sequence is fixed."""
+    rank = {s: r for r, s in enumerate(sorted(range(1 << n), key=lambda s: (s.bit_count(), s)))}
+    antichains = enumerate_antichains(n)
+    keys = [tuple(rank[m] for m in alpha.masks) for alpha in antichains]
+    assert len(antichains) == count
+    # tuple order puts a prefix before its extensions
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    for alpha in antichains:
+        assert Antichain(n, alpha.collections) == alpha  # the public checks pass
 
 
 def test_source_count_limits():

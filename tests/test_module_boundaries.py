@@ -1,0 +1,47 @@
+"""The reference module and the package it checks stay apart.
+
+``pidlattice.oracle`` recomputes results from raw definitions, so it is an
+independent reference only while it imports nothing from the package, and
+the package must not come to depend on it.  Both facts are read off the
+import statements of the source files.
+"""
+
+import ast
+from pathlib import Path
+
+import pidlattice
+
+PACKAGE = Path(pidlattice.__file__).parent
+ORACLE = PACKAGE / "oracle.py"
+PRODUCTION = sorted(p for p in PACKAGE.glob("*.py") if p != ORACLE)
+
+
+def imported_names(path: Path) -> set[str]:
+    """Every module and module attribute a file imports, relative imports resolved."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # every source file sits at the top of the package
+                module = f"pidlattice.{module}".rstrip(".")
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def within(name: str, module: str) -> bool:
+    return name == module or name.startswith(module + ".")
+
+
+def test_production_modules_do_not_import_the_oracle():
+    assert PRODUCTION and "pidlattice.lattices" in imported_names(PACKAGE / "engine.py")
+    for path in PRODUCTION:
+        found = [name for name in imported_names(path) if within(name, "pidlattice.oracle")]
+        assert not found, f"{path.name} imports {found}"
+
+
+def test_oracle_imports_nothing_from_the_package():
+    found = [name for name in imported_names(ORACLE) if within(name, "pidlattice")]
+    assert not found, f"oracle.py imports {found}"
