@@ -14,20 +14,20 @@ import argparse
 import dataclasses
 import sys
 
-from .concepts import BaseConcept, concept_lattice, domain_for_concept
+from .concepts import BaseConcept, concept_lattice, domain_for_concept, domain_positions
 from .distributions import load_joint, random_joint
 from .engine import (
     decompose,
-    derived_measure_table,
     export_result,
     inclusion_exclusion_check,
     load_result,
+    measure_table_from_atoms,
     proper_synergy_rank_analysis,
     verify_consistency,
 )
 from .errors import PidError
 from .fileio import render, write_text
-from .lattices import lattice_to_dot
+from .lattices import lattice_index, lattice_to_dot
 
 CONCEPT_TAGS = tuple(c.value for c in BaseConcept)
 
@@ -94,10 +94,10 @@ def _cmd_decompose(args) -> int:
     result = decompose(dist, concept, args.measure)
     doc = export_result(result)
     if args.table:
-        derived = derived_measure_table(result)
-        tables: dict[str, dict[str, float]] = {}
-        for (c, alpha), v in derived.items():
-            tables.setdefault(c.tag, {})[alpha.label()] = v
+        tables = {}
+        for c in BaseConcept:
+            values = measure_table_from_atoms(c, result.n, result.atoms).values.values()
+            tables[c.tag] = dict(zip(_domain_labels(c, result.n), values))
         doc["derived_measures"] = tables
     _emit(render(doc), args.out)
     return 0
@@ -112,9 +112,15 @@ def _cmd_lattice(args) -> int:
     return 0
 
 
+def _domain_labels(concept: BaseConcept, n: int) -> list[str]:
+    """The labels of the concept's domain, in domain order."""
+    labels = lattice_index(n).labels
+    return [labels[i] for i in domain_positions(concept, n).tolist()]
+
+
 def _cmd_domains(args) -> int:
     concept = BaseConcept.from_tag(args.concept)
-    labels = [a.label() for a in domain_for_concept(concept, args.n)]
+    labels = _domain_labels(concept, args.n)
     if args.table:
         _emit("".join(label + "\n" for label in labels), args.out)
     else:

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .lattices import (
     SourceSet,
     build_lattice,
     enumerate_antichains,
+    enumerate_parthood_distributions,
     lattice_index,
     maximal_non_supersets,
     minimal_non_subsets,
@@ -261,10 +262,89 @@ def domain_members(concept: BaseConcept, n: int) -> frozenset[Antichain]:
     return frozenset(domain_for_concept(concept, n))
 
 
-def values_on_domain(concept: BaseConcept, n: int, by_position: np.ndarray) -> dict[Antichain, float]:
+class _IndexView(Mapping):
+    """A read-only mapping from index-ordered keys to one float vector.
+
+    The keys are the atoms, :func:`enumerate_parthood_distributions` in atom
+    order, when ``concept`` is None, and otherwise the concept's
+    :func:`domain_for_concept` in domain order; ``vector[i]`` is the value
+    at key i.  Both key tuples are cached, so making a view is O(1).  It
+    iterates in key order, yields Python floats and equals any mapping with
+    the same items.  The vector is made read-only, as views share it.
+    """
+
+    __slots__ = ("concept", "n", "vector")
+
+    def __init__(self, concept: BaseConcept | None, n: int, vector: np.ndarray):
+        vector.flags.writeable = False
+        self.concept, self.n, self.vector = concept, n, vector
+
+    def __getitem__(self, key) -> float:
+        return float(self.vector[_view_places(self.concept, self.n)[key]])
+
+    def __iter__(self):
+        return iter(_view_keys(self.concept, self.n))
+
+    def __len__(self) -> int:
+        return len(self.vector)
+
+    def items(self) -> ItemsView:
+        return _ViewItems(self)
+
+    def values(self) -> ValuesView:
+        return _ViewValues(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _ViewItems(ItemsView):
+    def __iter__(self):
+        view = self._mapping
+        return zip(_view_keys(view.concept, view.n), view.vector.tolist())
+
+
+class _ViewValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping.vector.tolist())
+
+
+def _view_keys(concept: BaseConcept | None, n: int) -> tuple:
+    if concept is None:
+        return enumerate_parthood_distributions(n)
+    return domain_for_concept(concept, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _view_places(concept: BaseConcept | None, n: int) -> dict:
+    """Key -> place in a view's key tuple; built on a view's first lookup."""
+    return {key: i for i, key in enumerate(_view_keys(concept, n))}
+
+
+def atom_view(n: int, vector: np.ndarray) -> Mapping[ParthoodDistribution, float]:
+    """The atoms of n sources as a mapping onto ``vector``, in atom order."""
+    return _IndexView(None, n, vector)
+
+
+def atom_vector(atoms: Mapping[ParthoodDistribution, float], n: int) -> np.ndarray | None:
+    """The vector behind an :func:`atom_view` of n sources; None for any other mapping."""
+    if isinstance(atoms, _IndexView) and atoms.concept is None and atoms.n == n:
+        return atoms.vector
+    return None
+
+
+def atom_arrays(atoms: Mapping[ParthoodDistribution, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Truth tables and values of an atom mapping, in its iteration order."""
+    if isinstance(atoms, _IndexView) and atoms.concept is None:
+        return lattice_index(atoms.n).atom_tables, atoms.vector
+    tables = np.fromiter((f.table for f in atoms), dtype=np.uint64, count=len(atoms))
+    values = np.fromiter((float(v) for v in atoms.values()), dtype=np.float64, count=len(atoms))
+    return tables, values
+
+
+def values_on_domain(concept: BaseConcept, n: int, by_position: np.ndarray) -> Mapping[Antichain, float]:
     """Pick the concept's domain out of values indexed by antichain position."""
-    picked = by_position[domain_positions(concept, n)].tolist()
-    return dict(zip(domain_for_concept(concept, n), picked))
+    return _IndexView(concept, n, by_position[domain_positions(concept, n)])
 
 
 # Node set is the concept's domain; the direction follows how the concept's
@@ -341,8 +421,7 @@ def summate(
         raise DomainError("antichain and atoms disagree on source count")
     if alpha not in domain_members(concept, n):
         raise DomainError(f"antichain {alpha.label()!r} outside the {concept.tag} domain")
-    tables = np.array([f.table for f in mapping], dtype=np.uint64)
-    values = np.array([float(v) for v in mapping.values()], dtype=np.float64)
+    tables, values = atom_arrays(mapping)
     mask = selection_mask(concept, alpha, tables)
     return float(values[mask].sum())
 
@@ -376,7 +455,12 @@ def reference_measure(dist: JointDistribution, concept: BaseConcept) -> "Measure
 
 @dataclass(frozen=True)
 class MeasureAssignment:
-    """A concept's measure evaluated over its whole domain."""
+    """A concept's measure evaluated over its whole domain.
+
+    ``values`` may be any mapping that covers the domain exactly with finite
+    numbers; it is stored as a read-only mapping onto one float vector in
+    domain order, which iterates in :func:`domain_for_concept` order.
+    """
 
     concept: BaseConcept
     n: int
@@ -385,24 +469,28 @@ class MeasureAssignment:
     def __post_init__(self):
         domain = domain_for_concept(self.concept, self.n)
         values = self.values
-        try:
-            ordered = {a: values[a] for a in domain}
-        except KeyError:
-            missing = [a.label() for a in domain if a not in values]
-            raise CompletenessError(
-                f"{self.concept.tag} values missing for: {', '.join(missing[:5])}"
-                + (" ..." if len(missing) > 5 else "")
-            ) from None
-        if len(values) != len(ordered):
-            extra = [a.label() for a in values if a not in ordered]
-            raise CompletenessError(
-                f"{self.concept.tag} values outside the domain: {', '.join(extra[:5])}"
-            )
-        for a, v in ordered.items():
-            v = ordered[a] = float(v)
-            if not math.isfinite(v):
-                raise ValidationError(f"non-finite value at {a.label()!r}")
-        object.__setattr__(self, "values", ordered)
+        if isinstance(values, _IndexView) and (values.concept, values.n) == (self.concept, self.n):
+            vector = values.vector
+        else:
+            try:
+                picked = [values[a] for a in domain]
+            except KeyError:
+                missing = [a.label() for a in domain if a not in values]
+                raise CompletenessError(
+                    f"{self.concept.tag} values missing for: {', '.join(missing[:5])}"
+                    + (" ..." if len(missing) > 5 else "")
+                ) from None
+            if len(values) != len(picked):
+                inside = domain_members(self.concept, self.n)
+                extra = [a.label() for a in values if a not in inside]
+                raise CompletenessError(
+                    f"{self.concept.tag} values outside the domain: {', '.join(extra[:5])}"
+                )
+            vector = np.array([float(v) for v in picked], dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(vector))
+        if bad.size:
+            raise ValidationError(f"non-finite value at {domain[bad[0]].label()!r}")
+        object.__setattr__(self, "values", _IndexView(self.concept, self.n, vector))
 
     def __getitem__(self, alpha: Antichain) -> float:
         return self.values[alpha]

@@ -12,6 +12,15 @@ the antichains.  So every concept funnels into one of the two inversions
 (or, for unique information, directly into single atoms), and every
 measure table comes out of the two forward sums.
 
+Atoms and measure values travel as float vectors in index order: atom
+order for atoms, domain order for a concept's values.  Results, measure
+assignments and :func:`solve_concept` expose them as read-only mappings
+onto those vectors, and every function here reads the vector straight
+from such a view.  :class:`MeasureAssignment` and :meth:`PidResult.build`
+check any other mapping's key set and convert it once; a result
+constructed directly keeps the mapping it is given, which the functions
+here then read key by key.
+
 Externally supplied measures are screened first: the single-collection
 boundary identities (self-redundancy and friends) must hold to 1e-7 or the
 engine refuses to invert.  A passing preflight does not certify the
@@ -25,9 +34,10 @@ refused at build.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -37,6 +47,9 @@ from .concepts import (
     REFERENCE_MEASURE_NAME,
     BaseConcept,
     MeasureAssignment,
+    atom_arrays,
+    atom_vector,
+    atom_view,
     derive_tables,
     domain_members,
     domain_positions,
@@ -78,7 +91,13 @@ class PidMeta:
 
 @dataclass(frozen=True)
 class PidResult:
-    """A full decomposition: one value per parthood distribution."""
+    """A full decomposition: one value per parthood distribution.
+
+    :meth:`build`, :func:`decompose` and :func:`load_result` store the atoms
+    as a read-only mapping onto one float vector in atom order, iterating in
+    :func:`~pidlattice.lattices.enumerate_parthood_distributions` order.  A
+    result constructed directly keeps the mapping it is given.
+    """
 
     n: int
     atoms: Mapping[ParthoodDistribution, float]
@@ -94,11 +113,13 @@ class PidResult:
         mi: Mapping[int, float],
     ) -> "PidResult":
         """Construct after checking the atoms reproduce every MI value."""
-        expected_keys = enumerate_parthood_distributions(n)
-        if set(atoms) != set(expected_keys):
-            raise CompletenessError("atom table does not cover all parthood distributions")
-        ordered = {f: float(atoms[f]) for f in expected_keys}
-        result = cls(n=n, atoms=ordered, meta=meta, mi=dict(mi))
+        vector = atom_vector(atoms, n)
+        if vector is None:
+            expected_keys = enumerate_parthood_distributions(n)
+            if set(atoms) != set(expected_keys):
+                raise CompletenessError("atom table does not cover all parthood distributions")
+            vector = np.array([float(atoms[f]) for f in expected_keys], dtype=np.float64)
+        result = cls(n=n, atoms=atom_view(n, vector), meta=meta, mi=dict(mi))
         report = verify_consistency(result)
         if not report.passed:
             raise MeasureInconsistencyError(
@@ -130,13 +151,16 @@ def verify_consistency(result: PidResult, dist: JointDistribution | None = None)
         expected = mi_table(dist)
     else:
         expected = dict(result.mi)
-    tables = np.array([f.table for f in result.atoms], dtype=np.uint64)
-    values = np.array(list(result.atoms.values()), dtype=np.float64)
+    values = atom_vector(result.atoms, result.n)
+    if values is None:
+        tables, values = atom_arrays(result.atoms)
+        marks = _marks(tables, result.n)
+    else:
+        marks = _atom_marks(result.n)
     errors = {}
     worst_label, worst = "", 0.0
     for bits in range(1 << result.n):
-        marked = ((tables >> np.uint64(bits)) & np.uint64(1)) == 1
-        got = float(values[marked].sum())
+        got = float(values[marks[bits]].sum())
         err = abs(got - expected[bits])
         label = collection_label(bits)
         errors[label] = err
@@ -150,6 +174,20 @@ def verify_consistency(result: PidResult, dist: JointDistribution | None = None)
         errors=errors,
         passed=worst <= ENGINE_TOL,
     )
+
+
+def _marks(tables: np.ndarray, n: int) -> np.ndarray:
+    """Row s: which of the truth tables mark collection s."""
+    collections = np.arange(1 << n, dtype=np.uint64)[:, None]
+    return (tables >> collections) & np.uint64(1) == 1
+
+
+@functools.lru_cache(maxsize=None)
+def _atom_marks(n: int) -> np.ndarray:
+    """:func:`_marks` of the atoms in atom order, built on first use."""
+    marks = _marks(lattice_index(n).atom_tables, n)
+    marks.flags.writeable = False
+    return marks
 
 
 def _preflight_boundary(
@@ -184,12 +222,13 @@ def solve_concept(
     concept: BaseConcept,
     values: Mapping[Antichain, float],
     mi: Mapping[int, float],
-) -> dict[ParthoodDistribution, float]:
+) -> Mapping[ParthoodDistribution, float]:
     """Invert one concept's measure values into atoms.
 
     ``mi`` must give the mutual information for every collection bitmask;
     only the total enters the union/vulnerable complements, the rest feeds
-    the preflight identities.
+    the preflight identities.  The atoms come back as a read-only mapping
+    onto one vector in atom order, like :attr:`PidResult.atoms`.
     """
     assignment = MeasureAssignment(concept, n, values)
     index = lattice_index(n)
@@ -203,7 +242,7 @@ def solve_concept(
     # becomes weak synergy, the full collection when vulnerable becomes
     # redundancy.
     at = np.zeros(len(index.antichains))
-    at[positions] = list(assignment.values.values())
+    at[positions] = assignment.values.vector
 
     _preflight_boundary(concept, index, at, infos)
 
@@ -222,7 +261,7 @@ def solve_concept(
         atoms = index.invert_subset_sums(at[index.blockage_antichain])
     else:
         raise DomainError(f"unknown concept {concept!r}")
-    return dict(zip(enumerate_parthood_distributions(n), atoms.tolist()))
+    return atom_view(n, atoms)
 
 
 def decompose(
@@ -261,13 +300,14 @@ def decompose(
     return PidResult.build(dist.n, atoms, meta, mi)
 
 
-def _atom_vector(index: LatticeIndex, atoms: Mapping[ParthoodDistribution, float]) -> np.ndarray:
+def _atom_order(index: LatticeIndex, atoms: Mapping[ParthoodDistribution, float]) -> np.ndarray:
     """Atom values in the index's atom order; atoms absent from the mapping count as 0."""
-    tables = np.fromiter((f.table for f in atoms), dtype=np.uint64, count=len(atoms))
+    vector = atom_vector(atoms, index.n)
+    if vector is not None:
+        return vector
+    tables, values = atom_arrays(atoms)
     out = np.zeros(len(index.atom_tables))
-    out[index.atom_positions(tables)] = np.fromiter(
-        (float(v) for v in atoms.values()), dtype=np.float64, count=len(atoms)
-    )
+    out[index.atom_positions(tables)] = values
     return out
 
 
@@ -296,14 +336,14 @@ def measure_table_from_atoms(
 ) -> MeasureAssignment:
     """Evaluate a concept over its whole domain from an atom vector."""
     index = lattice_index(n)
-    values = _forward_tables(index, _atom_vector(index, atoms))[concept]
+    values = _forward_tables(index, _atom_order(index, atoms))[concept]
     return MeasureAssignment(concept, n, values_on_domain(concept, n, values))
 
 
 def derived_measure_table(result: PidResult) -> dict[tuple[BaseConcept, Antichain], float]:
     """All ten concepts evaluated over their domains from the result's atoms."""
     index = lattice_index(result.n)
-    tables = _forward_tables(index, _atom_vector(index, result.atoms))
+    tables = _forward_tables(index, _atom_order(index, result.atoms))
     out = {}
     for concept in BaseConcept:
         for alpha, v in values_on_domain(concept, result.n, tables[concept]).items():
@@ -362,18 +402,18 @@ def proper_synergy_values(result: PidResult, alpha: Antichain) -> float:
             "proper synergy at an empty union is identically zero by the parthood "
             "axioms; supply a non-empty union"
         )
-    selects = _first_reached_at(result.n, union)
+    tables, values = atom_arrays(result.atoms)
     acc = 0.0
-    for f, v in result.atoms.items():
-        if selects(f.table):
-            acc += v
+    for v in values[_first_reached_at(union, tables)].tolist():  # not numpy's pairwise sum
+        acc += v
     return acc
 
 
-def _first_reached_at(n: int, union: int) -> Callable[[int], bool]:
-    """Proper-synergy selector: a truth table marks the union and no proper subset of it."""
+def _first_reached_at(union: int, tables: np.ndarray) -> np.ndarray:
+    """Proper-synergy selector: which truth tables mark the union and no proper subset of it."""
     strict_down = sum(1 << s for s in range(union) if s & ~union == 0)
-    return lambda table: bool((table >> union) & 1) and table & strict_down == 0
+    reached = (tables >> np.uint64(union)) & np.uint64(1) == 1
+    return reached & (tables & np.uint64(strict_down) == 0)
 
 
 @dataclass(frozen=True)
@@ -426,15 +466,12 @@ def proper_synergy_rank_analysis(n: int) -> RankAnalysis:
     proper-synergy row per non-empty union.  Ranks are computed exactly in
     integer arithmetic.
     """
-    atoms = enumerate_parthood_distributions(n)
-    unknowns = len(atoms)
-    consistency_rows = []
-    for bits in range(1, 1 << n):
-        consistency_rows.append([(f.table >> bits) & 1 for f in atoms])
-    synergy_rows = []
-    for union in range(1, 1 << n):
-        selects = _first_reached_at(n, union)
-        synergy_rows.append([int(selects(f.table)) for f in atoms])
+    tables = lattice_index(n).atom_tables
+    unknowns = len(tables)
+    consistency_rows = _atom_marks(n)[1:].astype(int).tolist()
+    synergy_rows = [
+        _first_reached_at(union, tables).astype(int).tolist() for union in range(1, 1 << n)
+    ]
     consistency_rank = _exact_rank(consistency_rows)
     combined_rank = _exact_rank(consistency_rows + synergy_rows)
     return RankAnalysis(
@@ -455,10 +492,14 @@ def export_result(result: PidResult) -> dict:
         for bits in sorted(result.mi, key=lambda b: (b.bit_count(), b))
     }
     index = lattice_index(result.n)
-    tables = np.fromiter((f.table for f in result.atoms), dtype=np.uint64, count=len(result.atoms))
-    positions = index.atom_positions(tables)
+    values = atom_vector(result.atoms, result.n)
+    if values is None:
+        tables, values = atom_arrays(result.atoms)
+        positions = index.atom_positions(tables)
+    else:
+        positions = np.arange(len(values))
     order = np.argsort(index.export_rank[positions]).tolist()
-    values = list(result.atoms.values())
+    values = values.tolist()
     labels = index.labels
     access = index.access_antichain[positions].tolist()
     blockage = index.blockage_antichain[positions].tolist()
@@ -499,7 +540,8 @@ def load_result(path) -> PidResult:
     if set(mi) != set(range(1 << n)):
         raise ParseError("result file's MI table does not cover all collections")
     index = lattice_index(n)
-    values = {}
+    values = np.zeros(len(index.atom_tables))
+    seen = np.zeros(len(values), dtype=bool)
     for row in doc["atoms"]:
         if not isinstance(row, dict) or not isinstance(row.get("alpha"), str) or "value" not in row:
             raise ParseError(f"atom row {row!r} must be an object with an 'alpha' label and a 'value'")
@@ -516,15 +558,14 @@ def load_result(path) -> PidResult:
                 f"atom {row['alpha']!r} pairs with {expect_tilde!r}, file says "
                 f"{row.get('alpha_tilde')!r}"
             )
-        if j in values:
+        if seen[j]:
             raise ParseError(f"duplicate atom {row['alpha']!r}")
+        seen[j] = True
         values[j] = number(row["value"], f"value of atom {row['alpha']!r}")
     meta = PidMeta(
         concept=doc["concept"], measure=doc["measure"], digest=doc["distribution_digest"]
     )
-    atoms = enumerate_parthood_distributions(n)
-    if len(values) != len(atoms):
+    if not seen.all():
         raise ParseError("result file does not cover all atoms")
-    ordered = {f: values[j] for j, f in enumerate(atoms)}
-    return PidResult(n=n, atoms=ordered, meta=meta, mi=mi)
+    return PidResult(n=n, atoms=atom_view(n, values), meta=meta, mi=mi)
 
