@@ -14,7 +14,7 @@ import argparse
 import dataclasses
 import sys
 
-from .concepts import BaseConcept, concept_lattice, domain_for_concept, domain_positions
+from .concepts import BaseConcept, concept_lattice, domain_for_concept, domain_labels
 from .distributions import load_joint, random_joint
 from .engine import (
     decompose,
@@ -27,7 +27,7 @@ from .engine import (
 )
 from .errors import PidError
 from .fileio import render, write_text
-from .lattices import lattice_index, lattice_to_dot
+from .lattices import lattice_to_dot
 
 CONCEPT_TAGS = tuple(c.value for c in BaseConcept)
 
@@ -97,7 +97,7 @@ def _cmd_decompose(args) -> int:
         tables = {}
         for c in BaseConcept:
             values = measure_table_from_atoms(c, result.n, result.atoms).values.values()
-            tables[c.tag] = dict(zip(_domain_labels(c, result.n), values))
+            tables[c.tag] = dict(zip(domain_labels(c, result.n), values))
         doc["derived_measures"] = tables
     _emit(render(doc), args.out)
     return 0
@@ -112,15 +112,9 @@ def _cmd_lattice(args) -> int:
     return 0
 
 
-def _domain_labels(concept: BaseConcept, n: int) -> list[str]:
-    """The labels of the concept's domain, in domain order."""
-    labels = lattice_index(n).labels
-    return [labels[i] for i in domain_positions(concept, n).tolist()]
-
-
 def _cmd_domains(args) -> int:
     concept = BaseConcept.from_tag(args.concept)
-    labels = _domain_labels(concept, args.n)
+    labels = domain_labels(concept, args.n)
     if args.table:
         _emit("".join(label + "\n" for label in labels), args.out)
     else:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import numbers
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -326,20 +327,63 @@ def atom_view(n: int, vector: np.ndarray) -> Mapping[ParthoodDistribution, float
     return _IndexView(None, n, vector)
 
 
-def atom_vector(atoms: Mapping[ParthoodDistribution, float], n: int) -> np.ndarray | None:
-    """The vector behind an :func:`atom_view` of n sources; None for any other mapping."""
-    if isinstance(atoms, _IndexView) and atoms.concept is None and atoms.n == n:
-        return atoms.vector
-    return None
+def index_vector(
+    concept: BaseConcept | None, n: int, mapping: Mapping, complete: bool = True
+) -> np.ndarray:
+    """The index-order float vector of a mapping over a view's keys.
+
+    The keys are the atoms when ``concept`` is None and the concept's domain
+    otherwise, as for :class:`_IndexView`.  A view over the same keys hands
+    back its vector.  Any other mapping is checked once: every key must be
+    one of those keys and every value a finite real number, not a bool.
+    With ``complete`` every key must be present; otherwise absent keys
+    count as 0, which is how readers of atom mappings take a partial table.
+    """
+    if isinstance(mapping, _IndexView) and (mapping.concept, mapping.n) == (concept, n):
+        return mapping.vector
+    places = _view_places(concept, n)
+    what = "atom" if concept is None else concept.tag
+
+    def at_label(place: int) -> str:
+        return f"{what} value at {domain_labels(concept, n)[place]!r}"
+
+    at, values, extra = [], [], []
+    for key, value in mapping.items():
+        place = places.get(key)
+        if place is None:
+            extra.append(key.label() if isinstance(key, Antichain) else repr(key))
+            continue
+        if type(value) is not float:  # the exact test spares floats the slow ABC check
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"{at_label(place)} is not a number: {value!r}")
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond float range
+                raise ValidationError(f"{at_label(place)} exceeds the float range") from None
+        at.append(place)
+        values.append(value)
+    if extra:
+        raise CompletenessError(f"{what} values outside the domain: {', '.join(extra[:5])}")
+    vector = np.zeros(len(places))
+    vector[np.array(at, dtype=np.intp)] = values
+    if complete and len(at) < len(places):
+        missing = sorted(set(range(len(places))).difference(at))
+        labels = domain_labels(concept, n)
+        shown = ", ".join(labels[i] for i in missing[:5])
+        more = " ..." if len(missing) > 5 else ""
+        raise CompletenessError(f"{what} values missing for: {shown}{more}")
+    bad = np.flatnonzero(~np.isfinite(vector))
+    if bad.size:
+        raise ValidationError(f"non-finite {at_label(bad[0])}")
+    return vector
 
 
-def atom_arrays(atoms: Mapping[ParthoodDistribution, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Truth tables and values of an atom mapping, in its iteration order."""
-    if isinstance(atoms, _IndexView) and atoms.concept is None:
-        return lattice_index(atoms.n).atom_tables, atoms.vector
-    tables = np.fromiter((f.table for f in atoms), dtype=np.uint64, count=len(atoms))
-    values = np.fromiter((float(v) for v in atoms.values()), dtype=np.float64, count=len(atoms))
-    return tables, values
+def domain_labels(concept: BaseConcept | None, n: int) -> list[str]:
+    """Canonical labels of a view's keys, in key order: the concept's domain,
+    or the atoms by their access antichains when ``concept`` is None."""
+    index = lattice_index(n)
+    at = index.access_antichain if concept is None else domain_positions(concept, n)
+    return [index.labels[i] for i in at.tolist()]
 
 
 def values_on_domain(concept: BaseConcept, n: int, by_position: np.ndarray) -> Mapping[Antichain, float]:
@@ -421,9 +465,8 @@ def summate(
         raise DomainError("antichain and atoms disagree on source count")
     if alpha not in domain_members(concept, n):
         raise DomainError(f"antichain {alpha.label()!r} outside the {concept.tag} domain")
-    tables, values = atom_arrays(mapping)
-    mask = selection_mask(concept, alpha, tables)
-    return float(values[mask].sum())
+    values = index_vector(None, n, mapping, complete=False)
+    return float(values[selection_mask(concept, alpha, lattice_index(n).atom_tables)].sum())
 
 
 REFERENCE_MEASURE_NAME = "reference (min-MI family)"
@@ -458,8 +501,8 @@ class MeasureAssignment:
     """A concept's measure evaluated over its whole domain.
 
     ``values`` may be any mapping that covers the domain exactly with finite
-    numbers; it is stored as a read-only mapping onto one float vector in
-    domain order, which iterates in :func:`domain_for_concept` order.
+    numbers; :func:`index_vector` checks it, and it is stored as a read-only
+    mapping onto one float vector in :func:`domain_for_concept` order.
     """
 
     concept: BaseConcept
@@ -467,29 +510,7 @@ class MeasureAssignment:
     values: Mapping[Antichain, float]
 
     def __post_init__(self):
-        domain = domain_for_concept(self.concept, self.n)
-        values = self.values
-        if isinstance(values, _IndexView) and (values.concept, values.n) == (self.concept, self.n):
-            vector = values.vector
-        else:
-            try:
-                picked = [values[a] for a in domain]
-            except KeyError:
-                missing = [a.label() for a in domain if a not in values]
-                raise CompletenessError(
-                    f"{self.concept.tag} values missing for: {', '.join(missing[:5])}"
-                    + (" ..." if len(missing) > 5 else "")
-                ) from None
-            if len(values) != len(picked):
-                inside = domain_members(self.concept, self.n)
-                extra = [a.label() for a in values if a not in inside]
-                raise CompletenessError(
-                    f"{self.concept.tag} values outside the domain: {', '.join(extra[:5])}"
-                )
-            vector = np.array([float(v) for v in picked], dtype=np.float64)
-        bad = np.flatnonzero(~np.isfinite(vector))
-        if bad.size:
-            raise ValidationError(f"non-finite value at {domain[bad[0]].label()!r}")
+        vector = index_vector(self.concept, self.n, self.values)
         object.__setattr__(self, "values", _IndexView(self.concept, self.n, vector))
 
     def __getitem__(self, alpha: Antichain) -> float:
@@ -498,8 +519,7 @@ class MeasureAssignment:
 
 def save_measure(measure: MeasureAssignment, path) -> None:
     doc = {"concept": measure.concept.tag}
-    for alpha, v in measure.values.items():
-        doc[alpha.label()] = v
+    doc.update(zip(domain_labels(measure.concept, measure.n), measure.values.values()))
     write_text(path, render(doc))
 
 

@@ -15,11 +15,11 @@ measure table comes out of the two forward sums.
 Atoms and measure values travel as float vectors in index order: atom
 order for atoms, domain order for a concept's values.  Results, measure
 assignments and :func:`solve_concept` expose them as read-only mappings
-onto those vectors, and every function here reads the vector straight
-from such a view.  :class:`MeasureAssignment` and :meth:`PidResult.build`
-check any other mapping's key set and convert it once; a result
-constructed directly keeps the mapping it is given, which the functions
-here then read key by key.
+onto those vectors.  Every function here takes its vector from one
+checked conversion, :func:`~pidlattice.concepts.index_vector`, which
+hands back a view's vector and checks any other mapping once.  Readers
+count atoms absent from a mapping as 0; building a result or a measure
+assignment, solving and exporting require every key.
 
 Externally supplied measures are screened first: the single-collection
 boundary identities (self-redundancy and friends) must hold to 1e-7 or the
@@ -47,12 +47,11 @@ from .concepts import (
     REFERENCE_MEASURE_NAME,
     BaseConcept,
     MeasureAssignment,
-    atom_arrays,
-    atom_vector,
     atom_view,
     derive_tables,
     domain_members,
     domain_positions,
+    index_vector,
     load_measure,
     reference_measure,
     summate,
@@ -60,7 +59,6 @@ from .concepts import (
 )
 from .distributions import JointDistribution, mi_table
 from .errors import (
-    CompletenessError,
     DomainError,
     MeasureInconsistencyError,
     ParseError,
@@ -73,7 +71,6 @@ from .lattices import (
     LatticeIndex,
     ParthoodDistribution,
     collection_label,
-    enumerate_parthood_distributions,
     lattice_index,
     parse_collection_label,
 )
@@ -113,13 +110,7 @@ class PidResult:
         mi: Mapping[int, float],
     ) -> "PidResult":
         """Construct after checking the atoms reproduce every MI value."""
-        vector = atom_vector(atoms, n)
-        if vector is None:
-            expected_keys = enumerate_parthood_distributions(n)
-            if set(atoms) != set(expected_keys):
-                raise CompletenessError("atom table does not cover all parthood distributions")
-            vector = np.array([float(atoms[f]) for f in expected_keys], dtype=np.float64)
-        result = cls(n=n, atoms=atom_view(n, vector), meta=meta, mi=dict(mi))
+        result = cls(n=n, atoms=atom_view(n, index_vector(None, n, atoms)), meta=meta, mi=dict(mi))
         report = verify_consistency(result)
         if not report.passed:
             raise MeasureInconsistencyError(
@@ -151,12 +142,8 @@ def verify_consistency(result: PidResult, dist: JointDistribution | None = None)
         expected = mi_table(dist)
     else:
         expected = dict(result.mi)
-    values = atom_vector(result.atoms, result.n)
-    if values is None:
-        tables, values = atom_arrays(result.atoms)
-        marks = _marks(tables, result.n)
-    else:
-        marks = _atom_marks(result.n)
+    values = index_vector(None, result.n, result.atoms, complete=False)
+    marks = _atom_marks(result.n)
     errors = {}
     worst_label, worst = "", 0.0
     for bits in range(1 << result.n):
@@ -164,7 +151,7 @@ def verify_consistency(result: PidResult, dist: JointDistribution | None = None)
         err = abs(got - expected[bits])
         label = collection_label(bits)
         errors[label] = err
-        if err >= worst:
+        if err >= worst or math.isnan(err):  # a NaN error is the worst
             worst_label, worst = label, err
     return ConsistencyReport(
         n=result.n,
@@ -176,16 +163,11 @@ def verify_consistency(result: PidResult, dist: JointDistribution | None = None)
     )
 
 
-def _marks(tables: np.ndarray, n: int) -> np.ndarray:
-    """Row s: which of the truth tables mark collection s."""
-    collections = np.arange(1 << n, dtype=np.uint64)[:, None]
-    return (tables >> collections) & np.uint64(1) == 1
-
-
 @functools.lru_cache(maxsize=None)
 def _atom_marks(n: int) -> np.ndarray:
-    """:func:`_marks` of the atoms in atom order, built on first use."""
-    marks = _marks(lattice_index(n).atom_tables, n)
+    """Row s: which atoms, in atom order, mark collection s; built on first use."""
+    collections = np.arange(1 << n, dtype=np.uint64)[:, None]
+    marks = (lattice_index(n).atom_tables >> collections) & np.uint64(1) == 1
     marks.flags.writeable = False
     return marks
 
@@ -230,7 +212,7 @@ def solve_concept(
     the preflight identities.  The atoms come back as a read-only mapping
     onto one vector in atom order, like :attr:`PidResult.atoms`.
     """
-    assignment = MeasureAssignment(concept, n, values)
+    vector = index_vector(concept, n, values)
     index = lattice_index(n)
     infos = np.array([mi[bits] for bits in range(1 << n)], dtype=np.float64)
     positions = domain_positions(concept, n)
@@ -242,7 +224,7 @@ def solve_concept(
     # becomes weak synergy, the full collection when vulnerable becomes
     # redundancy.
     at = np.zeros(len(index.antichains))
-    at[positions] = assignment.values.vector
+    at[positions] = vector
 
     _preflight_boundary(concept, index, at, infos)
 
@@ -300,17 +282,6 @@ def decompose(
     return PidResult.build(dist.n, atoms, meta, mi)
 
 
-def _atom_order(index: LatticeIndex, atoms: Mapping[ParthoodDistribution, float]) -> np.ndarray:
-    """Atom values in the index's atom order; atoms absent from the mapping count as 0."""
-    vector = atom_vector(atoms, index.n)
-    if vector is not None:
-        return vector
-    tables, values = atom_arrays(atoms)
-    out = np.zeros(len(index.atom_tables))
-    out[index.atom_positions(tables)] = values
-    return out
-
-
 def _forward_tables(index: LatticeIndex, atoms: np.ndarray) -> dict[BaseConcept, np.ndarray]:
     """Every concept's value at every antichain position of its domain.
 
@@ -334,16 +305,15 @@ def _forward_tables(index: LatticeIndex, atoms: np.ndarray) -> dict[BaseConcept,
 def measure_table_from_atoms(
     concept: BaseConcept, n: int, atoms: Mapping[ParthoodDistribution, float]
 ) -> MeasureAssignment:
-    """Evaluate a concept over its whole domain from an atom vector."""
-    index = lattice_index(n)
-    values = _forward_tables(index, _atom_order(index, atoms))[concept]
+    """Evaluate a concept over its whole domain from an atom mapping; absent atoms count as 0."""
+    values = _forward_tables(lattice_index(n), index_vector(None, n, atoms, complete=False))[concept]
     return MeasureAssignment(concept, n, values_on_domain(concept, n, values))
 
 
 def derived_measure_table(result: PidResult) -> dict[tuple[BaseConcept, Antichain], float]:
     """All ten concepts evaluated over their domains from the result's atoms."""
-    index = lattice_index(result.n)
-    tables = _forward_tables(index, _atom_order(index, result.atoms))
+    values = index_vector(None, result.n, result.atoms, complete=False)
+    tables = _forward_tables(lattice_index(result.n), values)
     out = {}
     for concept in BaseConcept:
         for alpha, v in values_on_domain(concept, result.n, tables[concept]).items():
@@ -402,9 +372,10 @@ def proper_synergy_values(result: PidResult, alpha: Antichain) -> float:
             "proper synergy at an empty union is identically zero by the parthood "
             "axioms; supply a non-empty union"
         )
-    tables, values = atom_arrays(result.atoms)
+    values = index_vector(None, result.n, result.atoms, complete=False)
+    reached = _first_reached_at(union, lattice_index(result.n).atom_tables)
     acc = 0.0
-    for v in values[_first_reached_at(union, tables)].tolist():  # not numpy's pairwise sum
+    for v in values[reached].tolist():  # not numpy's pairwise sum
         acc += v
     return acc
 
@@ -492,17 +463,11 @@ def export_result(result: PidResult) -> dict:
         for bits in sorted(result.mi, key=lambda b: (b.bit_count(), b))
     }
     index = lattice_index(result.n)
-    values = atom_vector(result.atoms, result.n)
-    if values is None:
-        tables, values = atom_arrays(result.atoms)
-        positions = index.atom_positions(tables)
-    else:
-        positions = np.arange(len(values))
-    order = np.argsort(index.export_rank[positions]).tolist()
-    values = values.tolist()
+    values = index_vector(None, result.n, result.atoms).tolist()
+    order = np.argsort(index.export_rank).tolist()
     labels = index.labels
-    access = index.access_antichain[positions].tolist()
-    blockage = index.blockage_antichain[positions].tolist()
+    access = index.access_antichain.tolist()
+    blockage = index.blockage_antichain.tolist()
     rows = [
         {"alpha": labels[access[k]], "alpha_tilde": labels[blockage[k]], "value": values[k]}
         for k in order

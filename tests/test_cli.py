@@ -201,6 +201,23 @@ def test_check_skips_inclusion_exclusion_above_n3(tmp_path, capsys):
     assert doc["inclusion_exclusion"] == {"skipped": "n=4 > 3"}
 
 
+@pytest.mark.parametrize("slot", ["atom", "mi"])
+def test_check_fails_on_nan_exit_1(tmp_path, capsys, slot):
+    result_path = tmp_path / "result.json"
+    argv = ["--input", "random", "--n", "4", "--seed", "3", "--concept", "redundancy"]
+    assert main(["decompose", *argv, "--out", str(result_path)]) == 0
+    doc = json.loads(result_path.read_text())
+    if slot == "atom":
+        doc["atoms"][5]["value"] = float("nan")
+    else:
+        doc["mi"]["{1,3}"] = float("nan")
+    result_path.write_text(json.dumps(doc))
+    assert main(["check", "--input", str(result_path)]) == 1
+    captured = capsys.readouterr()
+    assert "error: result file fails its summation identities" in captured.err
+    assert json.loads(captured.out)["consistency"]["passed"] is False
+
+
 @pytest.mark.parametrize(
     "mass,state",
     [("NaN", [0, 0, 0]), ('"0.5"', [0, 0, 0]), ("true", [0, 0, 0]), ("0.5", ["true", 0, 0])],

@@ -17,6 +17,7 @@ from pidlattice import (
     ParseError,
     SourceSet,
     ValidationError,
+    antichain_from_parthood,
     atom_selector,
     canonicalize_collections,
     concept_lattice,
@@ -41,6 +42,7 @@ from pidlattice import (
     selection_mask,
     summate,
 )
+from pidlattice.concepts import domain_labels
 from pidlattice.lattices import source_mask
 from pidlattice.oracle import oracle_selector
 
@@ -282,6 +284,14 @@ def test_domains_n2_explicit():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_domain_labels_are_the_key_labels(n):
+    for concept in BaseConcept:
+        assert domain_labels(concept, n) == [a.label() for a in domain_for_concept(concept, n)]
+    atoms = enumerate_parthood_distributions(n)
+    assert domain_labels(None, n) == [antichain_from_parthood(f).label() for f in atoms]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_partner_domains_are_partner_images(n):
     everything = set(enumerate_antichains(n))
     full = source_mask(n)
@@ -487,6 +497,8 @@ def test_measure_file_round_trip(tmp_path, xor_dist):
     measure = reference_measure(xor_dist, BaseConcept.REDUNDANCY)
     path = tmp_path / "m.json"
     save_measure(measure, path)
+    labelled = {a.label(): v for a, v in measure.values.items()}
+    assert path.read_text() == json.dumps({"concept": "redundancy", **labelled}, indent=2) + "\n"
     back = load_measure(path, 2)
     assert back.concept is BaseConcept.REDUNDANCY
     assert back.values == measure.values

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import warnings
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from pidlattice import (
     MeasureAssignment,
     MeasureInconsistencyError,
     ParseError,
+    PidError,
     PidMeta,
     PidResult,
     REFERENCE_MEASURE_NAME,
@@ -196,6 +198,33 @@ def test_build_requires_full_atom_cover(xor_dist):
         PidResult.build(2, partial, result.meta, result.mi)
 
 
+# (key or FIRST for the mapping's first key, value, error, message fragment)
+MALFORMED_ENTRIES = {
+    "string-key": ("{1}", 0.0, CompletenessError, "outside the domain"),
+    "int-key": (1, 0.0, CompletenessError, "outside the domain"),
+    "string-value": ("FIRST", "0.5", ValidationError, "not a number"),
+    "none-value": ("FIRST", None, ValidationError, "not a number"),
+    "bool-value": ("FIRST", True, ValidationError, "not a number"),
+}
+
+
+@pytest.mark.parametrize("target", ["measure", "atoms"])
+@pytest.mark.parametrize(
+    "key,value,error,fragment", MALFORMED_ENTRIES.values(), ids=list(MALFORMED_ENTRIES)
+)
+def test_malformed_mappings_raise_pid_errors(xor_dist, target, key, value, error, fragment):
+    result = decompose(xor_dist, BaseConcept.REDUNDANCY)
+    measure = reference_measure(xor_dist, BaseConcept.REDUNDANCY)
+    mapping = dict(measure.values if target == "measure" else result.atoms)
+    mapping[next(iter(mapping)) if key == "FIRST" else key] = value
+    with pytest.raises(error, match=fragment) as err:
+        if target == "measure":
+            MeasureAssignment(BaseConcept.REDUNDANCY, 2, mapping)
+        else:
+            PidResult.build(2, mapping, result.meta, result.mi)
+    assert isinstance(err.value, PidError)
+
+
 # ------------------------------------------------------------- verification
 
 def test_verify_consistency_reports_worst_offender(xor_dist):
@@ -221,6 +250,32 @@ def test_verify_consistency_can_recompute_mi(xor_dist):
     )
     assert not verify_consistency(lying).passed
     assert verify_consistency(lying, xor_dist).passed
+
+
+def test_build_refuses_a_nan_atom(xor_dist):
+    result = decompose(xor_dist, BaseConcept.REDUNDANCY)
+    atoms = dict(result.atoms)
+    atoms[next(iter(atoms))] = math.nan
+    with pytest.raises(ValidationError, match="non-finite atom value"):
+        PidResult.build(2, atoms, result.meta, result.mi)
+
+
+@pytest.mark.parametrize("slot", ["atom", "mi"])
+def test_verify_consistency_fails_on_nan(tmp_path, xor_dist, slot):
+    # Python's json reads NaN, so a result file can carry one into the report
+    doc = export_result(decompose(xor_dist, BaseConcept.REDUNDANCY))
+    if slot == "atom":
+        doc["atoms"][0]["value"] = math.nan
+    else:
+        doc["mi"]["{2}"] = math.nan
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(doc))
+    report = verify_consistency(load_result(path))
+    assert not report.passed
+    assert math.isnan(report.worst_error)
+    assert math.isnan(report.errors[report.worst_label])
+    if slot == "mi":
+        assert report.worst_label == "{2}"
 
 
 def test_verify_consistency_checks_source_count(xor_dist):
@@ -459,6 +514,19 @@ def test_export_shape(xor_dist):
     labels = [row["alpha"] for row in doc["atoms"]]
     assert labels == sorted(labels)
     assert {tuple(row) for row in doc["atoms"]} == {("alpha", "alpha_tilde", "value")}
+
+
+def test_partial_results_do_not_export(tmp_path, xor_dist):
+    result = decompose(xor_dist, BaseConcept.REDUNDANCY)
+    atoms = dict(result.atoms)
+    atoms.pop(next(iter(atoms)))
+    partial = PidResult(n=2, atoms=atoms, meta=result.meta, mi=result.mi)
+    with pytest.raises(CompletenessError, match="atom values missing"):
+        export_result(partial)
+    path = tmp_path / "result.json"
+    with pytest.raises(CompletenessError):
+        save_result(partial, path)
+    assert not path.exists()
 
 
 def test_loaders_close_their_files(tmp_path, xor_dist):

@@ -2,10 +2,11 @@
 
 ``PidResult.atoms``, ``MeasureAssignment.values`` and ``solve_concept``'s
 return are views: a cached key tuple plus a float vector in atom or domain
-order.  The functions that accept them take a vector path when handed a
-view and the mapping path for any other mapping.  The first test diffs the
-two paths bit for bit, for every concept, on every source count up to 4
-and on a seeded n = 5 input; the rest pin the views' Mapping contract.
+order.  The functions that accept them hand a view's vector to their one
+vector path and convert any other mapping to that vector once.  The first
+test diffs view and plain-dict inputs bit for bit, for every concept, on
+every source count up to 4 and on a seeded n = 5 input; the rest pin the
+views' Mapping contract.
 """
 
 import dataclasses
