@@ -351,7 +351,7 @@ def index_vector(
     for key, value in mapping.items():
         place = places.get(key)
         if place is None:
-            extra.append(key.label() if isinstance(key, Antichain) else repr(key))
+            extra.append(_key_label(key))
             continue
         if type(value) is not float:  # the exact test spares floats the slow ABC check
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -376,6 +376,10 @@ def index_vector(
     if bad.size:
         raise ValidationError(f"non-finite {at_label(bad[0])}")
     return vector
+
+
+def _key_label(key) -> str:
+    return key.label() if isinstance(key, Antichain) else repr(key)
 
 
 def domain_labels(concept: BaseConcept | None, n: int) -> list[str]:
@@ -459,7 +463,10 @@ def summate(
     mapping = getattr(atoms, "atoms", atoms)
     if not mapping:
         raise ValidationError("no atoms supplied")
-    n = next(iter(mapping)).n
+    first = next(iter(mapping))
+    if not isinstance(first, ParthoodDistribution):  # n comes from the first key
+        raise CompletenessError(f"atom values outside the domain: {_key_label(first)}")
+    n = first.n
     alpha = canonicalize_collections(concept, collections, n)
     if alpha.n != n:
         raise DomainError("antichain and atoms disagree on source count")

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -59,6 +60,7 @@ from .concepts import (
 )
 from .distributions import JointDistribution, mi_table
 from .errors import (
+    CompletenessError,
     DomainError,
     MeasureInconsistencyError,
     ParseError,
@@ -136,12 +138,9 @@ def verify_consistency(result: PidResult, dist: JointDistribution | None = None)
     With a distribution the MI values are recomputed from it; otherwise the
     table stored on the result is used.
     """
-    if dist is not None:
-        if dist.n != result.n:
-            raise ValidationError("distribution and result disagree on source count")
-        expected = mi_table(dist)
-    else:
-        expected = dict(result.mi)
+    if dist is not None and dist.n != result.n:
+        raise ValidationError("distribution and result disagree on source count")
+    expected = _mi_vector(result.n, result.mi if dist is None else mi_table(dist)).tolist()
     values = index_vector(None, result.n, result.atoms, complete=False)
     marks = _atom_marks(result.n)
     errors = {}
@@ -161,6 +160,15 @@ def verify_consistency(result: PidResult, dist: JointDistribution | None = None)
         errors=errors,
         passed=worst <= ENGINE_TOL,
     )
+
+
+def _mi_vector(n: int, mi: Mapping[int, float]) -> np.ndarray:
+    """The MI value of every collection, by bitmask; CompletenessError if one is missing."""
+    missing = [collection_label(bits) for bits in range(1 << n) if bits not in mi]
+    if missing:
+        more = " ..." if len(missing) > 5 else ""
+        raise CompletenessError(f"MI values missing for: {', '.join(missing[:5])}{more}")
+    return np.array([mi[bits] for bits in range(1 << n)], dtype=np.float64)
 
 
 @functools.lru_cache(maxsize=None)
@@ -214,7 +222,7 @@ def solve_concept(
     """
     vector = index_vector(concept, n, values)
     index = lattice_index(n)
-    infos = np.array([mi[bits] for bits in range(1 << n)], dtype=np.float64)
+    infos = _mi_vector(n, mi)
     positions = domain_positions(concept, n)
     if concept in PARTNER_TO_BASE:
         concept, mapper = PARTNER_TO_BASE[concept]
@@ -254,8 +262,13 @@ def decompose(
     """Decompose the distribution's total information into atoms.
 
     ``measure`` is the string ``"reference"``, a MeasureAssignment, or a
-    path to a measure file for the same concept.
+    path (``str`` or ``os.PathLike``) to a measure file for the same concept.
     """
+    if not isinstance(measure, (str, os.PathLike, MeasureAssignment)):
+        raise ValidationError(
+            "measure must be 'reference', a MeasureAssignment or a file path, "
+            f"got {type(measure).__name__}"
+        )
     mi = mi_table(dist)
     measured = concept
     if isinstance(measure, str) and measure == "reference":
@@ -458,6 +471,7 @@ def proper_synergy_rank_analysis(n: int) -> RankAnalysis:
 def export_result(result: PidResult) -> dict:
     """JSON-ready form: atoms carry both antichain labelings, sorted by the
     access label; the MI table rides along so files can be re-verified."""
+    _mi_vector(result.n, result.mi)  # a file missing an MI value would not load back
     mi_obj = {
         collection_label(bits): result.mi[bits]
         for bits in sorted(result.mi, key=lambda b: (b.bit_count(), b))

@@ -673,7 +673,12 @@ def build_lattice(
     """Order the given antichains and compute covers and the structure tag.
 
     ``direction="down"`` reverses the order (used for the concepts whose
-    values accumulate downward).  Covers are the transitive reduction.
+    values accumulate downward).  Covers are the transitive reduction, found
+    in one pass over a linear extension: sorted by the popcount of their
+    order tables, every node comes before the nodes above it.  Each node's
+    up-set is one bitset over the sorted nodes.  The lowest node left in a
+    node's strict up-set is a cover; dropping the cover's up-set and
+    repeating yields the rest, one big-int operation per cover.
     """
     node_list = tuple(nodes)
     if not node_list:
@@ -689,38 +694,27 @@ def build_lattice(
         raise DomainError(f"unknown direction {direction!r}")
 
     tables = tuple(_order_table(kind, a) for a in node_list)
-    size = len(node_list)
-    width = 1 << n
-    arr = np.array(tables, dtype=np.uint64)
-    not_arr = arr ^ np.uint64((1 << width) - 1)
+    # Going up shrinks the tables, or for "down" their complements.
+    flip = table_mask(n) if direction == "down" else 0
+    keys = [t ^ flip for t in tables]
+    order = sorted(range(len(keys)), key=lambda i: -keys[i].bit_count())
+    arr = np.array([keys[i] for i in order], dtype=np.uint64)
+    # upper[k]: bit m set iff sorted node m is sorted node k or lies above it;
+    # distinct nodes have distinct keys, so all of those sort from k on.
+    upper = []
+    for k, i in enumerate(order):
+        rel = (arr[k:] & np.uint64(table_mask(n) ^ keys[i])) == 0
+        upper.append(int.from_bytes(np.packbits(rel, bitorder="little").tobytes(), "little") << k)
 
-    # strict_above[i]: bitmask over j of nodes strictly above i in the chosen direction
-    strict_above = []
-    strict_below = []
-    for i in range(size):
-        t = np.uint64(tables[i])
-        le = (arr & (np.uint64(((1 << width) - 1) & ~tables[i]))) == 0  # table_j subset of table_i
-        ge = (t & not_arr) == 0  # table_j superset of table_i
-        if direction == "up":
-            above, below = le.copy(), ge.copy()
-        else:
-            above, below = ge.copy(), le.copy()
-        above[i] = False
-        below[i] = False
-        strict_above.append(int.from_bytes(np.packbits(above, bitorder="little").tobytes(), "little"))
-        strict_below.append(int.from_bytes(np.packbits(below, bitorder="little").tobytes(), "little"))
-
-    covers: list[tuple[int, ...]] = []
-    for i in range(size):
+    covers: list[tuple[int, ...]] = [()] * len(tables)
+    for k, i in enumerate(order):
         ups = []
-        m = strict_above[i]
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            if strict_above[i] & strict_below[j] == 0:
-                ups.append(j)
-            m ^= low
-        covers.append(tuple(ups))
+        rest = upper[k] ^ (1 << k)
+        while rest:
+            m = (rest & -rest).bit_length() - 1
+            ups.append(order[m])
+            rest &= ~upper[m]
+        covers[i] = tuple(sorted(ups))
 
     bottoms, tops = _extrema(covers)
     if len(tops) == 1 and len(bottoms) == 1:
@@ -774,11 +768,10 @@ def moebius_invert(
 
 def lattice_to_dot(lattice: ConceptLattice) -> str:
     """Render the cover relation as Graphviz DOT, lower nodes drawn below."""
+    labels = [a.label() for a in lattice.nodes]
     lines = ["digraph lattice {", "  rankdir=BT;"]
-    for a in lattice.nodes:
-        lines.append(f'  "{a.label()}";')
+    lines += [f'  "{label}";' for label in labels]
     for i, ups in enumerate(lattice.covers):
-        for j in ups:
-            lines.append(f'  "{lattice.nodes[i].label()}" -> "{lattice.nodes[j].label()}";')
+        lines += [f'  "{labels[i]}" -> "{labels[j]}";' for j in ups]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -415,6 +415,10 @@ def test_summate_validation():
         summate(BaseConcept.REDUNDANCY, [0b01], {})
     with pytest.raises(DomainError):
         summate(BaseConcept.REDUNDANCY, [0], atoms)  # {∅} outside redundancy domain
+    with pytest.raises(CompletenessError, match="atom values outside the domain: 'x'"):
+        summate(BaseConcept.UNION, [1], {"x": 1.0})
+    with pytest.raises(CompletenessError, match="atom values outside the domain"):
+        summate(BaseConcept.UNION, [1], {Antichain.of(2, [1]): 1.0, **atoms})
     with pytest.raises(DomainError):
         summate(BaseConcept.REDUNDANCY, Antichain.of(3, [0b001]), atoms)
 

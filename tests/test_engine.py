@@ -225,6 +225,22 @@ def test_malformed_mappings_raise_pid_errors(xor_dist, target, key, value, error
     assert isinstance(err.value, PidError)
 
 
+@pytest.mark.parametrize("caller", ["solve_concept", "verify_consistency", "build", "export"])
+def test_incomplete_mi_table_is_a_completeness_error(xor_dist, caller):
+    result = decompose(xor_dist, BaseConcept.REDUNDANCY)
+    measure = reference_measure(xor_dist, BaseConcept.REDUNDANCY)
+    mi = {0: 0.0}
+    with pytest.raises(CompletenessError, match=r"MI values missing for: \{1\}, \{2\}, \{1,2\}"):
+        if caller == "solve_concept":
+            solve_concept(2, BaseConcept.REDUNDANCY, measure.values, mi)
+        elif caller == "verify_consistency":
+            verify_consistency(PidResult(n=2, atoms=result.atoms, meta=result.meta, mi=mi))
+        elif caller == "build":
+            PidResult.build(2, result.atoms, result.meta, mi)
+        else:
+            export_result(PidResult(n=2, atoms=result.atoms, meta=result.meta, mi=mi))
+
+
 # ------------------------------------------------------------- verification
 
 def test_verify_consistency_reports_worst_offender(xor_dist):
@@ -471,6 +487,16 @@ def test_decompose_with_assignment_and_file(tmp_path, xor_dist):
     from_file = decompose(xor_dist, BaseConcept.UNION, str(path))
     assert from_file.meta.measure == "file:union.json"
     assert from_file.atoms == supplied.atoms
+    from_path = decompose(xor_dist, BaseConcept.UNION, path)
+    assert from_path.meta.measure == "file:union.json"
+    assert from_path.atoms == supplied.atoms
+
+
+@pytest.mark.parametrize("measure", [5, None, b"union.json"], ids=["int", "none", "bytes"])
+def test_decompose_refuses_other_measure_types(xor_dist, measure):
+    # an int would reach open() as a file descriptor
+    with pytest.raises(ValidationError, match="measure must be 'reference'"):
+        decompose(xor_dist, BaseConcept.UNION, measure)
 
 
 def test_decompose_concept_mismatch(xor_dist):

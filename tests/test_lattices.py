@@ -411,33 +411,79 @@ def test_semi_lattice_extrema(n):
     assert vulnerable_partner.nodes[vulnerable_partner.bottom_indices()[0]] == Antichain(n, ())
 
 
-def _directed_leq(kind, direction, a, b):
-    if direction == "up":
-        return antichain_leq(kind, a, b)
-    return antichain_leq(kind, b, a)
+def _brute_covers(nodes, kind, direction):
+    """Covers by definition, from the oracle's closures: the nodes j strictly
+    above node i with no node strictly between them."""
+    n = nodes[0].n
+    if kind == "redundancy":
+        tables = [upward_closure(n, a.masks) for a in nodes]
+    else:
+        tables = [table_mask(n) ^ downward_closure(n, a.masks) for a in nodes]
+
+    def below(i, j):
+        lo, hi = (i, j) if direction == "up" else (j, i)
+        return i != j and tables[hi] & ~tables[lo] == 0
+
+    covers = []
+    for i in range(len(nodes)):
+        above = [j for j in range(len(nodes)) if below(i, j)]
+        covers.append(tuple(j for j in above if not any(below(k, j) for k in above)))
+    return covers, tables
 
 
 @pytest.mark.parametrize("concept", list(EXPECTED_KIND))
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_covers_are_the_transitive_reduction(concept, n):
     lat = concept_lattice(concept, n)
-    nodes = lat.nodes
-    for i, a in enumerate(nodes):
-        strict_above = [
-            j
-            for j, b in enumerate(nodes)
-            if j != i and _directed_leq(lat.order_kind, lat.direction, a, b)
-        ]
-        expected = {
-            j
-            for j in strict_above
-            if not any(
-                k != j
-                and _directed_leq(lat.order_kind, lat.direction, nodes[k], nodes[j])
-                for k in strict_above
-            )
-        }
-        assert set(lat.covers[i]) == expected
+    covers, _ = _brute_covers(lat.nodes, lat.order_kind, lat.direction)
+    assert list(lat.covers) == covers
+
+
+@pytest.mark.parametrize("direction", ["up", "down"])
+@pytest.mark.parametrize("kind", ["redundancy", "synergy"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_covers_of_arbitrary_node_sets(n, kind, direction):
+    # Random subsets of all antichains, some with the order's two extremes
+    # added so that more of them have a unique top or bottom.  Unlike on a
+    # concept domain, a cover here may add several collections at once.
+    everything = enumerate_antichains(n)
+    extremes = [Antichain(n, ()), Antichain.of(n, [0])]
+    rng = np.random.default_rng([n, kind == "synergy", direction == "down"])
+    built = wide = 0
+    for _ in range(25):
+        size = int(rng.integers(2, min(len(everything), 32) + 1))
+        nodes = [everything[i] for i in rng.choice(len(everything), size, replace=False)]
+        nodes += [a for a in extremes if a not in nodes and rng.random() < 0.7]
+        try:
+            lat = build_lattice(nodes, kind, direction)
+        except UnsupportedStructureError:
+            continue
+        covers, tables = _brute_covers(lat.nodes, kind, direction)
+        assert list(lat.covers) == covers
+        built += 1
+        wide += sum((tables[i] ^ tables[j]).bit_count() > 1 for i, ups in enumerate(covers) for j in ups)
+    assert built >= 10 and wide > 0
+
+
+def _single_flips(tables):
+    """Pairs of tables that differ in one collection, one table holding the other."""
+    present = set(tables)
+    width = max(tables).bit_length()
+    return sum((t | 1 << s) in present for t in tables for s in range(width) if not t >> s & 1)
+
+
+@pytest.mark.parametrize("concept", list(EXPECTED_KIND))
+def test_concept_covers_flip_one_collection_at_five_sources(concept):
+    # Order ideals form a distributive lattice graded by size (Stanley, EC1
+    # Section 3.4), so on a concept domain every cover is one flip and every
+    # flip inside the domain is a cover.
+    lat = concept_lattice(concept, 5)
+    for i, ups in enumerate(lat.covers):
+        for j in ups:
+            assert lat.leq_by_index(i, j) and (lat.tables[i] ^ lat.tables[j]).bit_count() == 1
+    count = sum(map(len, lat.covers))
+    assert count == _single_flips(lat.tables)
+    assert count == (35510 if lat.kind == "full-lattice" else 35506)
 
 
 def test_lattice_leq_matches_order(n=3):
