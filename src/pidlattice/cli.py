@@ -14,7 +14,7 @@ import argparse
 import dataclasses
 import sys
 
-from .concepts import BaseConcept, concept_lattice, domain_for_concept, domain_labels
+from .concepts import BaseConcept, concept_facts, concept_lattice, domain_for_concept, domain_labels
 from .distributions import load_joint, random_joint
 from .engine import (
     decompose,
@@ -105,7 +105,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_lattice(args) -> int:
     concept = BaseConcept.from_tag(args.concept)
-    if concept in (BaseConcept.UNIQUE, BaseConcept.UNIQUE_PARTNER):
+    if not concept_facts(concept).nested:
         print(f"error: {concept.tag} information is not nested; no lattice", file=sys.stderr)
         return 2
     _emit(lattice_to_dot(concept_lattice(concept, args.n)), args.out)

@@ -16,8 +16,14 @@ a cell holds iff the collections it constrains avoid the truth table's
 selector (:func:`condition_holds`, :func:`grid_condition`,
 :func:`atom_selector`, :func:`selection_mask`) goes through it.  The test
 suite checks it exhaustively against the literal quantified formulas of
-:func:`pidlattice.oracle.oracle_selector`.  The cell's relation also fixes
-which listed collections a concept ignores and how its lattice is ordered.
+:func:`pidlattice.oracle.oracle_selector`.
+
+Each concept has one record: its cell and the direction its lattice is
+drawn in.  The rest of the algebra is read off the cells once, at import,
+into :class:`ConceptFacts`: the complement (negated mode), the partner base
+and map (dual mode, relation and polarity flipped), the domain, the order
+kind (the relation) and whether the concept is nested.  Other modules ask
+:func:`concept_facts` and name no concept to pick a route.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ class BaseConcept(enum.Enum):
         raise DomainError(f"unknown concept {tag!r}; valid tags: {valid}")
 
 
-MODES = ("sufficient", "necessary", "insufficient", "unnecessary")
+MODES = ("sufficient", "necessary", "insufficient", "unnecessary")  # index ^ 1: dual, ^ 2: negation
 RELATIONS = ("superset", "subset")
 POLARITIES = ("inclusion", "exclusion")
 
@@ -87,30 +93,29 @@ CONDITION_IDS = tuple(
     for polarity in POLARITIES
 )
 
-CONDITION_FOR_CONCEPT = {
-    BaseConcept.REDUNDANCY: "sufficient-superset-inclusion",
-    BaseConcept.WEAK_SYNERGY: "sufficient-subset-exclusion",
-    BaseConcept.RESTRICTED: "necessary-superset-inclusion",
-    BaseConcept.REDUNDANCY_PARTNER: "necessary-subset-exclusion",
-    BaseConcept.VULNERABLE: "insufficient-superset-inclusion",
-    BaseConcept.UNION: "insufficient-subset-exclusion",
-    BaseConcept.UNION_PARTNER: "unnecessary-superset-inclusion",
-    BaseConcept.VULNERABLE_PARTNER: "unnecessary-subset-exclusion",
+# One record per concept: its grid cell and the direction its lattice is
+# drawn in.  Unique information is not nested and has no lattice; its
+# record holds its sufficient cell, which it takes together with the
+# necessary cell of the same relation and polarity.  The directions are the
+# paper's figure convention, pinned by the golden DOT files, and do not
+# follow from the cells: with positive atoms, weak-synergy, redundancy-
+# partner and vulnerable-partner values fall along every cover of their
+# lattices and the other five nested concepts' values rise.
+_RECORDS = {
+    BaseConcept.REDUNDANCY: ("sufficient-superset-inclusion", "up"),
+    BaseConcept.WEAK_SYNERGY: ("sufficient-subset-exclusion", "up"),
+    BaseConcept.RESTRICTED: ("necessary-superset-inclusion", "down"),
+    BaseConcept.REDUNDANCY_PARTNER: ("necessary-subset-exclusion", "down"),
+    BaseConcept.VULNERABLE: ("insufficient-superset-inclusion", "down"),
+    BaseConcept.UNION: ("insufficient-subset-exclusion", "up"),
+    BaseConcept.UNION_PARTNER: ("unnecessary-superset-inclusion", "up"),
+    BaseConcept.VULNERABLE_PARTNER: ("unnecessary-subset-exclusion", "up"),
+    BaseConcept.UNIQUE: ("sufficient-superset-inclusion", None),
+    BaseConcept.UNIQUE_PARTNER: ("sufficient-subset-exclusion", None),
 }
 
-# Unique information is the conjunction of two cells of one relation: the
-# redundancy and restricted cells, or their partner (subset) counterparts.
-_CELLS_FOR_CONCEPT = {
-    **{concept: (cid,) for concept, cid in CONDITION_FOR_CONCEPT.items()},
-    BaseConcept.UNIQUE: (
-        CONDITION_FOR_CONCEPT[BaseConcept.REDUNDANCY],
-        CONDITION_FOR_CONCEPT[BaseConcept.RESTRICTED],
-    ),
-    BaseConcept.UNIQUE_PARTNER: (
-        CONDITION_FOR_CONCEPT[BaseConcept.WEAK_SYNERGY],
-        CONDITION_FOR_CONCEPT[BaseConcept.REDUNDANCY_PARTNER],
-    ),
-}
+CONDITION_FOR_CONCEPT = {c: cell for c, (cell, direction) in _RECORDS.items() if direction}
+_NESTED_BY_CELL = {cell: c for c, cell in CONDITION_FOR_CONCEPT.items()}
 
 
 def _cell(condition_id: str) -> tuple[str, str, str]:
@@ -120,16 +125,51 @@ def _cell(condition_id: str) -> tuple[str, str, str]:
     return tuple(condition_id.split("-"))
 
 
-def _cells(concept: BaseConcept) -> tuple[str, ...]:
+@dataclass(frozen=True)
+class ConceptFacts:
+    """What a concept's record implies.  ``mode`` and ``relation`` are those
+    of the first of ``cells``, the cells a collected atom satisfies.  A
+    partner (necessary or unnecessary mode) has ``base``'s value at
+    ``mapper(alpha)`` and the preimage of its domain; any other concept
+    lives on the access domain if ``access``, else on the blockage domain.
+    A nested concept's values and its ``complement``'s sum to the total."""
+
+    cells: tuple[str, ...]
+    mode: str
+    relation: str
+    direction: str | None
+    nested: bool
+    base: BaseConcept | None
+    mapper: Callable[[Antichain], Antichain] | None
+    complement: BaseConcept | None
+    access: bool
+
+
+def _derive(cell: str, direction: str | None) -> ConceptFacts:
+    """A concept's facts from its record; relations and polarities come in pairs."""
+    mode, relation, polarity = _cell(cell)
+    m, r, p = MODES.index(mode), RELATIONS.index(relation), POLARITIES.index(polarity)
+    cells = (cell,) if direction else (cell, f"necessary-{relation}-{polarity}")
+    base = mapper = complement = None
+    if mode in ("necessary", "unnecessary"):  # a partner of the dual mode's concept
+        base = _NESTED_BY_CELL[f"{MODES[m ^ 1]}-{RELATIONS[r ^ 1]}-{POLARITIES[p ^ 1]}"]
+        mapper = minimal_non_subsets if RELATIONS[r ^ 1] == "superset" else maximal_non_supersets
+    if direction:  # the complement has the negated mode
+        complement = _NESTED_BY_CELL[f"{MODES[m ^ 2]}-{relation}-{polarity}"]
+    access = (mode == "sufficient") == (relation == "superset")
+    nested = direction is not None
+    return ConceptFacts(cells, mode, relation, direction, nested, base, mapper, complement, access)
+
+
+_FACTS = {concept: _derive(cell, direction) for concept, (cell, direction) in _RECORDS.items()}
+
+
+def concept_facts(concept: BaseConcept) -> ConceptFacts:
+    """The concept's :class:`ConceptFacts`; DomainError for anything but a BaseConcept."""
     try:
-        return _CELLS_FOR_CONCEPT[concept]
-    except KeyError:
+        return _FACTS[concept]
+    except (KeyError, TypeError):  # TypeError: an unhashable argument
         raise DomainError(f"unknown concept {concept!r}") from None
-
-
-def _relation(concept: BaseConcept) -> str:
-    """The relation shared by the concept's cells: "superset" or "subset"."""
-    return _cell(_cells(concept)[0])[1]
 
 
 def _cell_holds(condition_id: str, alpha: Antichain, tables: int | np.ndarray) -> np.ndarray:
@@ -176,33 +216,14 @@ def atom_selector(concept: BaseConcept, alpha: Antichain) -> Callable[[ParthoodD
     """
     if alpha not in domain_members(concept, alpha.n):
         raise DomainError(f"antichain {alpha.label()!r} outside the {concept.tag} domain")
-    cells = _cells(concept)
+    cells = concept_facts(concept).cells
     return lambda f: all(condition_holds(cid, alpha, f) for cid in cells)
 
 
 def selection_mask(concept: BaseConcept, alpha: Antichain, tables: np.ndarray) -> np.ndarray:
     """Vectorized :func:`atom_selector` over packed truth tables."""
-    return np.logical_and.reduce([_cell_holds(cid, alpha, tables) for cid in _cells(concept)])
-
-
-_ACCESS_DOMAIN = {BaseConcept.REDUNDANCY, BaseConcept.UNION, BaseConcept.UNIQUE}
-_BLOCKAGE_DOMAIN = {BaseConcept.WEAK_SYNERGY, BaseConcept.VULNERABLE, BaseConcept.UNIQUE_PARTNER}
-
-# The partner relation: each partner concept's value at alpha is its base
-# concept's value at mapper(alpha).
-PARTNER_TO_BASE = {
-    BaseConcept.RESTRICTED: (BaseConcept.WEAK_SYNERGY, maximal_non_supersets),
-    BaseConcept.REDUNDANCY_PARTNER: (BaseConcept.REDUNDANCY, minimal_non_subsets),
-    BaseConcept.UNION_PARTNER: (BaseConcept.UNION, maximal_non_supersets),
-    BaseConcept.VULNERABLE_PARTNER: (BaseConcept.VULNERABLE, minimal_non_subsets),
-}
-
-# Union and vulnerable information are the complements, against the total
-# information, of weak synergy and redundancy.
-COMPLEMENT_OF = {
-    BaseConcept.UNION: BaseConcept.WEAK_SYNERGY,
-    BaseConcept.VULNERABLE: BaseConcept.REDUNDANCY,
-}
+    cells = concept_facts(concept).cells
+    return np.logical_and.reduce([_cell_holds(cid, alpha, tables) for cid in cells])
 
 
 def domain_positions(concept: BaseConcept, n: int) -> np.ndarray:
@@ -213,37 +234,30 @@ def domain_positions(concept: BaseConcept, n: int) -> np.ndarray:
     in its base concept's domain.
     """
     index = lattice_index(n)
-    if concept in PARTNER_TO_BASE:
-        base, mapper = PARTNER_TO_BASE[concept]
-        in_base = np.zeros(len(index.antichains), dtype=bool)
-        in_base[domain_positions(base, n)] = True
-        return np.flatnonzero(in_base[index.partner[mapper]])
-    if concept in _ACCESS_DOMAIN:
+    facts = concept_facts(concept)
+    if facts.base is not None:
+        return np.flatnonzero(np.isin(index.partner[facts.mapper], domain_positions(facts.base, n)))
+    if facts.access:
         return index.access_antichain
-    if concept in _BLOCKAGE_DOMAIN:
-        return np.flatnonzero(index.blockage_atom >= 0)
-    raise DomainError(f"unknown concept {concept!r}")
+    return np.flatnonzero(index.blockage_atom >= 0)
 
 
 def derive_tables(
     index: LatticeIndex, total: float, known: Mapping[BaseConcept, np.ndarray]
 ) -> dict[BaseConcept, np.ndarray]:
-    """The eight nested concepts' values at every antichain position.
+    """Every concept's values at every antichain position, from the known ones.
 
-    ``known`` holds one concept of each complement pair in
-    :data:`COMPLEMENT_OF`, indexed by antichain position; the other is its
-    complement against the total, and each partner concept reads its base
-    concept through the partner permutation.  Positions outside a concept's
-    domain hold meaningless values.
-    """
+    ``known`` holds one of each complement pair of concepts that are not
+    partners (and may hold unique information); the other is the complement
+    against the total, and a partner reads its base through the partner
+    permutation.  Positions outside a domain hold meaningless values."""
     tables = dict(known)
-    for concept, base in COMPLEMENT_OF.items():
-        if concept in tables:
-            tables[base] = total - tables[concept]
-        else:
-            tables[concept] = total - tables[base]
-    for concept, (base, mapper) in PARTNER_TO_BASE.items():
-        tables[concept] = tables[base][index.partner[mapper]]
+    for concept, facts in _FACTS.items():
+        if facts.nested and facts.base is None and concept not in tables:
+            tables[concept] = total - tables[facts.complement]
+    for concept, facts in _FACTS.items():
+        if facts.base is not None:
+            tables[concept] = tables[facts.base][index.partner[facts.mapper]]
     return tables
 
 
@@ -395,30 +409,16 @@ def values_on_domain(concept: BaseConcept, n: int, by_position: np.ndarray) -> M
     return _IndexView(concept, n, by_position[domain_positions(concept, n)])
 
 
-# Node set is the concept's domain; the direction follows how the concept's
-# values nest (small values drawn at the bottom).  The order kind is the
-# concept's relation: superset cells order antichains by redundancy.
-_LATTICE_DIRECTION = {
-    BaseConcept.REDUNDANCY: "up",
-    BaseConcept.WEAK_SYNERGY: "up",
-    BaseConcept.RESTRICTED: "down",
-    BaseConcept.REDUNDANCY_PARTNER: "down",
-    BaseConcept.UNION: "up",
-    BaseConcept.VULNERABLE: "down",
-    BaseConcept.UNION_PARTNER: "up",
-    BaseConcept.VULNERABLE_PARTNER: "up",
-}
-
-
 def concept_lattice(concept: BaseConcept, n: int) -> ConceptLattice:
     """The (semi-)lattice describing how the concept's values nest.
 
     Unique information is not nested and has no lattice.
     """
-    if concept in (BaseConcept.UNIQUE, BaseConcept.UNIQUE_PARTNER):
+    facts = concept_facts(concept)
+    if not facts.nested:
         raise DomainError(f"{concept.tag} information is not nested; it has no lattice")
-    kind = "redundancy" if _relation(concept) == "superset" else "synergy"
-    return build_lattice(domain_for_concept(concept, n), kind, _LATTICE_DIRECTION[concept])
+    kind = "redundancy" if facts.relation == "superset" else "synergy"
+    return build_lattice(domain_for_concept(concept, n), kind, facts.direction)
 
 
 def canonicalize_collections(
@@ -431,6 +431,7 @@ def canonicalize_collections(
     cell sees only the down-closure, so subset-relation concepts drop
     collections contained in one.  An Antichain passes through unchanged.
     """
+    relation = concept_facts(concept).relation
     if isinstance(collections, Antichain):
         return collections
     masks = []
@@ -442,7 +443,7 @@ def canonicalize_collections(
     for m in masks:
         if not 0 <= m <= source_mask(n):
             raise ValidationError(f"collection bits {m!r} out of range for n={n}")
-    if _relation(concept) == "superset":
+    if relation == "superset":
         keep = [m for m in masks if not any(o != m and m & o == o for o in masks)]
     else:
         keep = [m for m in masks if not any(o != m and o & m == m for o in masks)]
@@ -485,7 +486,7 @@ def reference_measure(dist: JointDistribution, concept: BaseConcept) -> "Measure
     complements against the total, and partner concepts read the value at
     the partner-mapped antichain.
     """
-    if concept in (BaseConcept.UNIQUE, BaseConcept.UNIQUE_PARTNER):
+    if not concept_facts(concept).nested:
         raise DomainError(
             "the reference family defines unique information through the redundancy "
             "decomposition; use decompose() for unique concepts"

@@ -1,16 +1,16 @@
 """Decomposition engine: turn measure values into information atoms.
 
-All work runs on the per-n :class:`~pidlattice.lattices.LatticeIndex`.
-A redundancy value is the sum of the atoms whose truth tables contain its
-distribution's table, a weak-synergy value the sum of those whose tables
-lie inside it: the two zeta sums over the lattice of parthood
-distributions, each computed and inverted by single-collection steps
-along the lattice's covers.  Union and vulnerable information are
-complements of those two against the total information, and each partner
-concept reads its base concept's value through a partner permutation of
-the antichains.  So every concept funnels into one of the two inversions
-(or, for unique information, directly into single atoms), and every
-measure table comes out of the two forward sums.
+All work runs on the per-n :class:`~pidlattice.lattices.LatticeIndex`,
+and every concept takes one route, read off its grid cell by
+:func:`~pidlattice.concepts.concept_facts`.  A partner concept reads its
+base through a partner permutation of the antichains; an insufficient
+cell (union, vulnerable) is the complement of its sufficient cell against
+the total information; and a sufficient cell is a zeta sum over the
+lattice of parthood distributions, computed and inverted by
+single-collection steps along its covers: a superset cell (redundancy)
+sums the atoms above its distribution, a subset cell (weak synergy) those
+below.  Unique information reads single atoms.  :func:`solve_concept`
+runs the route backward; every measure table comes out of it run forward.
 
 Atoms and measure values travel as float vectors in index order: atom
 order for atoms, domain order for a concept's values.  Results, measure
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Mapping
@@ -43,14 +44,12 @@ from typing import Mapping
 import numpy as np
 
 from .concepts import (
-    COMPLEMENT_OF,
-    PARTNER_TO_BASE,
     REFERENCE_MEASURE_NAME,
     BaseConcept,
     MeasureAssignment,
     atom_view,
+    concept_facts,
     derive_tables,
-    domain_members,
     domain_positions,
     index_vector,
     load_measure,
@@ -163,12 +162,23 @@ def verify_consistency(result: PidResult, dist: JointDistribution | None = None)
 
 
 def _mi_vector(n: int, mi: Mapping[int, float]) -> np.ndarray:
-    """The MI value of every collection, by bitmask; CompletenessError if one is missing."""
+    """The MI value of every collection, by bitmask, checked as :func:`index_vector`
+    checks a mapping, except that NaN and infinity pass for the report to flag."""
+    extra = [repr(b) for b in mi if type(b) is not int or not 0 <= b < 1 << n]  # bools too
+    if extra:
+        raise CompletenessError(f"MI values outside the domain: {', '.join(extra[:5])}")
     missing = [collection_label(bits) for bits in range(1 << n) if bits not in mi]
     if missing:
         more = " ..." if len(missing) > 5 else ""
         raise CompletenessError(f"MI values missing for: {', '.join(missing[:5])}{more}")
-    return np.array([mi[bits] for bits in range(1 << n)], dtype=np.float64)
+    values = [mi[bits] for bits in range(1 << n)]
+    for bits, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValidationError(f"MI value at {collection_label(bits)} is not a number: {v!r}")
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:  # an int beyond float range
+        raise ValidationError("an MI value exceeds the float range") from None
 
 
 @functools.lru_cache(maxsize=None)
@@ -180,31 +190,13 @@ def _atom_marks(n: int) -> np.ndarray:
     return marks
 
 
-def _preflight_boundary(
-    concept: BaseConcept, index: LatticeIndex, values: np.ndarray, infos: np.ndarray
-) -> None:
-    """Refuse to invert when a single-collection identity is violated.
-
-    ``values`` holds the concept's value at every antichain position and
-    ``infos`` the mutual information of every collection.
-    """
-    if concept in (BaseConcept.REDUNDANCY, BaseConcept.UNION):
-        want = infos
-    elif concept in (BaseConcept.WEAK_SYNERGY, BaseConcept.VULNERABLE):
-        want = infos[-1] - infos
-    else:
-        return
-    domain = domain_positions(concept, index.n)
-    singles = domain[(index.members[domain] != 1 << index.n).sum(axis=1) == 1]
-    got, expected = values[singles], want[index.members[singles, 0]]
-    bad = np.flatnonzero(np.abs(got - expected) > PREFLIGHT_TOL)
-    if bad.size:
-        k = bad[0]
-        raise MeasureInconsistencyError(
-            f"self-{concept.tag} identity violated at {index.labels[singles[k]]}: "
-            f"value {float(got[k])!r} vs expected {float(expected[k])!r} "
-            f"(tolerance {PREFLIGHT_TOL})"
-        )
+def _base_transform(index: LatticeIndex, relation: str):
+    """A relation's atom labels, zeta sum and its inverse: a superset cell sums
+    the atoms below in the redundancy order, a subset cell those above in the
+    synergy order."""
+    if relation == "superset":
+        return index.access_antichain, index.superset_sums, index.invert_superset_sums
+    return index.blockage_antichain, index.subset_sums, index.invert_subset_sums
 
 
 def solve_concept(
@@ -217,40 +209,45 @@ def solve_concept(
 
     ``mi`` must give the mutual information for every collection bitmask;
     only the total enters the union/vulnerable complements, the rest feeds
-    the preflight identities.  The atoms come back as a read-only mapping
-    onto one vector in atom order, like :attr:`PidResult.atoms`.
+    the preflight identities.  A partner's values move to its base, an
+    insufficient cell's are complemented, and the base transform of the
+    relation inverts them (unique information reads its atoms directly).
+    The atoms come back as a read-only mapping onto one vector in atom
+    order, like :attr:`PidResult.atoms`.
     """
     vector = index_vector(concept, n, values)
     index = lattice_index(n)
     infos = _mi_vector(n, mi)
     positions = domain_positions(concept, n)
-    if concept in PARTNER_TO_BASE:
-        concept, mapper = PARTNER_TO_BASE[concept]
-        positions = index.partner[mapper][positions]
+    facts = concept_facts(concept)
+    if facts.base is not None:
+        positions = index.partner[facts.mapper][positions]
+        concept, facts = facts.base, concept_facts(facts.base)
     # Positions outside the domain hold 0.  So the complements below give
     # the total at the one antichain the target domain adds: {} when union
     # becomes weak synergy, the full collection when vulnerable becomes
     # redundancy.
     at = np.zeros(len(index.antichains))
     at[positions] = vector
-
-    _preflight_boundary(concept, index, at, infos)
-
-    if concept in COMPLEMENT_OF:
-        at, concept = infos[-1] - at, COMPLEMENT_OF[concept]
-
-    if concept is BaseConcept.UNIQUE:
-        atoms = at[index.access_antichain]
-    elif concept is BaseConcept.UNIQUE_PARTNER:
-        atoms = at[index.blockage_antichain]
-    elif concept is BaseConcept.REDUNDANCY:
-        # value at alpha sums atoms at or below in the redundancy order
-        atoms = index.invert_superset_sums(at[index.access_antichain])
-    elif concept is BaseConcept.WEAK_SYNERGY:
-        # value at alpha sums atoms at or above in the synergy order
-        atoms = index.invert_subset_sums(at[index.blockage_antichain])
-    else:
-        raise DomainError(f"unknown concept {concept!r}")
+    if facts.nested:
+        # The preflight: on the access domain a single collection's value is
+        # its information, on the blockage domain the rest of the total.
+        want = infos if facts.access else infos[-1] - infos
+        domain = domain_positions(concept, n)
+        singles = domain[(index.members[domain] != 1 << n).sum(axis=1) == 1]
+        got, expected = at[singles], want[index.members[singles, 0]]
+        bad = np.flatnonzero(np.abs(got - expected) > PREFLIGHT_TOL)
+        if bad.size:
+            k = bad[0]
+            raise MeasureInconsistencyError(
+                f"self-{concept.tag} identity violated at {index.labels[singles[k]]}: "
+                f"value {float(got[k])!r} vs expected {float(expected[k])!r} "
+                f"(tolerance {PREFLIGHT_TOL})"
+            )
+    if facts.mode == "insufficient":
+        at = infos[-1] - at
+    labels, _, invert = _base_transform(index, facts.relation)
+    atoms = invert(at[labels]) if facts.nested else at[labels]
     return atom_view(n, atoms)
 
 
@@ -269,11 +266,12 @@ def decompose(
             "measure must be 'reference', a MeasureAssignment or a file path, "
             f"got {type(measure).__name__}"
         )
+    nested = concept_facts(concept).nested
     mi = mi_table(dist)
     measured = concept
     if isinstance(measure, str) and measure == "reference":
         measure_name = REFERENCE_MEASURE_NAME
-        if concept in (BaseConcept.UNIQUE, BaseConcept.UNIQUE_PARTNER):
+        if not nested:
             # The reference family defines unique information as the atoms of
             # the reference redundancy decomposition.
             measured = BaseConcept.REDUNDANCY
@@ -298,27 +296,26 @@ def decompose(
 def _forward_tables(index: LatticeIndex, atoms: np.ndarray) -> dict[BaseConcept, np.ndarray]:
     """Every concept's value at every antichain position of its domain.
 
-    Redundancy and weak synergy are the two zeta sums of the atoms, from
-    which :func:`~pidlattice.concepts.derive_tables` gives the other nested
-    concepts; unique information reads single atoms.  Positions outside a
-    concept's domain hold meaningless values.
+    The sufficient cells (redundancy, weak synergy and unique information)
+    are the base transforms of the atoms, or the atoms themselves when not
+    nested; :func:`~pidlattice.concepts.derive_tables` gives the rest.
+    Positions outside a concept's domain hold meaningless values.
     """
-    size = len(index.antichains)
-    red, ws = np.zeros(size), np.zeros(size)
-    red[index.access_antichain] = index.superset_sums(atoms)
-    ws[index.blockage_antichain] = index.subset_sums(atoms)
-    unique, unique_partner = np.zeros(size), np.zeros(size)
-    unique[index.access_antichain] = atoms
-    unique_partner[index.blockage_antichain] = atoms
-    known = {BaseConcept.REDUNDANCY: red, BaseConcept.WEAK_SYNERGY: ws}
-    tables = derive_tables(index, atoms.sum(), known)
-    return {**tables, BaseConcept.UNIQUE: unique, BaseConcept.UNIQUE_PARTNER: unique_partner}
+    known = {}
+    for concept in BaseConcept:
+        facts = concept_facts(concept)
+        if facts.mode == "sufficient":
+            labels, zeta, _ = _base_transform(index, facts.relation)
+            known[concept] = np.zeros(len(index.antichains))
+            known[concept][labels] = zeta(atoms) if facts.nested else atoms
+    return derive_tables(index, atoms.sum(), known)
 
 
 def measure_table_from_atoms(
     concept: BaseConcept, n: int, atoms: Mapping[ParthoodDistribution, float]
 ) -> MeasureAssignment:
     """Evaluate a concept over its whole domain from an atom mapping; absent atoms count as 0."""
+    concept_facts(concept)  # DomainError before any work
     values = _forward_tables(lattice_index(n), index_vector(None, n, atoms, complete=False))[concept]
     return MeasureAssignment(concept, n, values_on_domain(concept, n, values))
 
@@ -345,9 +342,9 @@ class InclusionExclusionReport:
 
 
 def inclusion_exclusion_check(result: PidResult, alpha: Antichain) -> InclusionExclusionReport:
-    """Union information vs the alternating redundancy sum over subsets of alpha."""
-    if alpha not in domain_members(BaseConcept.UNION, result.n):
-        raise DomainError(f"antichain {alpha.label()!r} outside the union domain")
+    """Union information vs the alternating redundancy sum over subsets of alpha.
+
+    :func:`~pidlattice.concepts.summate` refuses an alpha outside the union domain."""
     union_value = summate(BaseConcept.UNION, alpha, result)
     members = alpha.collections
     acc = 0.0

@@ -23,6 +23,7 @@ from pidlattice import (
     concept_lattice,
     condition_holds,
     conditional_mi,
+    decompose,
     domain_for_concept,
     enumerate_antichains,
     enumerate_parthood_distributions,
@@ -31,6 +32,7 @@ from pidlattice import (
     in_blockage_domain,
     load_measure,
     maximal_non_supersets,
+    measure_table_from_atoms,
     minimal_non_subsets,
     mutual_information,
     parthood_from_antichain,
@@ -40,9 +42,10 @@ from pidlattice import (
     reference_measure,
     save_measure,
     selection_mask,
+    solve_concept,
     summate,
 )
-from pidlattice.concepts import domain_labels
+from pidlattice.concepts import concept_facts, domain_labels
 from pidlattice.lattices import source_mask
 from pidlattice.oracle import oracle_selector
 
@@ -68,6 +71,98 @@ def test_condition_grid_shape():
     assert len(set(CONDITION_IDS)) == 16
     assert len(CONDITION_FOR_CONCEPT) == 8
     assert set(CONDITION_FOR_CONCEPT.values()) <= set(CONDITION_IDS)
+
+
+# The concept algebra as literal tables, written out by hand.  The code
+# derives all of it from one grid cell and one direction per concept.
+C = BaseConcept
+LITERAL_CELLS = {
+    C.REDUNDANCY: "sufficient-superset-inclusion",
+    C.WEAK_SYNERGY: "sufficient-subset-exclusion",
+    C.RESTRICTED: "necessary-superset-inclusion",
+    C.REDUNDANCY_PARTNER: "necessary-subset-exclusion",
+    C.VULNERABLE: "insufficient-superset-inclusion",
+    C.UNION: "insufficient-subset-exclusion",
+    C.UNION_PARTNER: "unnecessary-superset-inclusion",
+    C.VULNERABLE_PARTNER: "unnecessary-subset-exclusion",
+}
+LITERAL_UNIQUE_CELLS = {
+    C.UNIQUE: ("sufficient-superset-inclusion", "necessary-superset-inclusion"),
+    C.UNIQUE_PARTNER: ("sufficient-subset-exclusion", "necessary-subset-exclusion"),
+}
+LITERAL_PARTNERS = {
+    C.RESTRICTED: (C.WEAK_SYNERGY, maximal_non_supersets),
+    C.REDUNDANCY_PARTNER: (C.REDUNDANCY, minimal_non_subsets),
+    C.UNION_PARTNER: (C.UNION, maximal_non_supersets),
+    C.VULNERABLE_PARTNER: (C.VULNERABLE, minimal_non_subsets),
+}
+LITERAL_COMPLEMENTS = [
+    (C.UNION, C.WEAK_SYNERGY),
+    (C.VULNERABLE, C.REDUNDANCY),
+    (C.RESTRICTED, C.UNION_PARTNER),
+    (C.REDUNDANCY_PARTNER, C.VULNERABLE_PARTNER),
+]
+LITERAL_ACCESS = {C.REDUNDANCY, C.UNION, C.UNIQUE}
+LITERAL_BLOCKAGE = {C.WEAK_SYNERGY, C.VULNERABLE, C.UNIQUE_PARTNER}
+LITERAL_DIRECTIONS = {
+    C.REDUNDANCY: "up",
+    C.WEAK_SYNERGY: "up",
+    C.RESTRICTED: "down",
+    C.REDUNDANCY_PARTNER: "down",
+    C.UNION: "up",
+    C.VULNERABLE: "down",
+    C.UNION_PARTNER: "up",
+    C.VULNERABLE_PARTNER: "up",
+}
+NESTED = list(LITERAL_DIRECTIONS)
+
+
+def test_derived_algebra_matches_the_literal_tables():
+    assert CONDITION_FOR_CONCEPT == LITERAL_CELLS
+    complements = {pair for a, b in LITERAL_COMPLEMENTS for pair in ((a, b), (b, a))}
+    for concept in ALL_CONCEPTS:
+        facts = concept_facts(concept)
+        cells = LITERAL_UNIQUE_CELLS.get(concept) or (LITERAL_CELLS[concept],)
+        assert facts.cells == cells, concept
+        assert (facts.mode, facts.relation) == tuple(cells[0].split("-")[:2]), concept
+        assert facts.relation == ("superset" if concept in SUPERSET_CONCEPTS else "subset")
+        assert (facts.base, facts.mapper) == LITERAL_PARTNERS.get(concept, (None, None)), concept
+        assert facts.nested == (concept in LITERAL_DIRECTIONS), concept
+        assert facts.direction == LITERAL_DIRECTIONS.get(concept), concept
+        if facts.nested:
+            assert (concept, facts.complement) in complements, concept
+        else:
+            assert facts.complement is None, concept
+        if facts.base is None:
+            assert concept in LITERAL_ACCESS | LITERAL_BLOCKAGE, concept
+            assert facts.access == (concept in LITERAL_ACCESS), concept
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c, dist, atoms: atom_selector(c, Antichain.of(2, [0b01])),
+        lambda c, dist, atoms: canonicalize_collections(c, [0b01], 2),
+        lambda c, dist, atoms: concept_lattice(c, 2),
+        lambda c, dist, atoms: domain_for_concept(c, 2),
+        lambda c, dist, atoms: reference_measure(dist, c),
+        lambda c, dist, atoms: selection_mask(c, Antichain.of(2, [0b01]), tables_for(2)),
+        lambda c, dist, atoms: summate(c, [0b01], atoms),
+        lambda c, dist, atoms: MeasureAssignment(c, 2, {}),
+        lambda c, dist, atoms: decompose(dist, c),
+        lambda c, dist, atoms: measure_table_from_atoms(c, 2, atoms),
+        lambda c, dist, atoms: solve_concept(2, c, {}, {bits: 0.0 for bits in range(4)}),
+    ],
+    ids=[
+        "atom_selector", "canonicalize_collections", "concept_lattice", "domain_for_concept",
+        "reference_measure", "selection_mask", "summate", "MeasureAssignment", "decompose",
+        "measure_table_from_atoms", "solve_concept",
+    ],
+)
+def test_a_concept_tag_is_not_a_concept(call, xor_dist):
+    atoms = helpers.random_atom_vector(2, 0)
+    with pytest.raises(DomainError, match="unknown concept 'redundancy'"):
+        call("redundancy", xor_dist, atoms)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -325,6 +420,22 @@ def test_concept_lattice_nodes_are_the_domain():
             continue
         lat = concept_lattice(concept, 3)
         assert lat.nodes == domain_for_concept(concept, 3)
+
+
+# With positive atoms each nested concept's values move one way along every
+# cover of its lattice; the directions are the paper's figure convention.
+RISING = {C.REDUNDANCY, C.RESTRICTED, C.VULNERABLE, C.UNION, C.UNION_PARTNER}
+
+
+@pytest.mark.parametrize("concept", NESTED)
+def test_values_rise_or_fall_along_every_cover(concept):
+    lat = concept_lattice(concept, 3)
+    table = measure_table_from_atoms(concept, 3, helpers.random_atom_vector(3, 7))
+    values = list(table.values.values())  # domain order, which is the node order
+    steps = [values[j] - values[i] for i, ups in enumerate(lat.covers) for j in ups]
+    assert len(steps) >= 28
+    sign = 1 if concept in RISING else -1
+    assert all(sign * step > 0 for step in steps), concept
 
 
 def test_concept_lattice_order_kinds():

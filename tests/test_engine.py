@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -239,6 +240,32 @@ def test_incomplete_mi_table_is_a_completeness_error(xor_dist, caller):
             PidResult.build(2, result.atoms, result.meta, mi)
         else:
             export_result(PidResult(n=2, atoms=result.atoms, meta=result.meta, mi=mi))
+
+
+@pytest.mark.parametrize(
+    "value", ["x", None, True, 10**400], ids=["str", "None", "bool", "huge-int"]
+)
+def test_mi_values_must_be_real_numbers(xor_dist, value):
+    result = decompose(xor_dist, BaseConcept.REDUNDANCY)
+    measure = reference_measure(xor_dist, BaseConcept.REDUNDANCY)
+    mi = {**result.mi, 1: value}
+    message = r"MI value (at \{1\} is not a number|exceeds the float range)"
+    with pytest.raises(ValidationError, match=message):
+        solve_concept(2, BaseConcept.REDUNDANCY, measure.values, mi)
+    with pytest.raises(ValidationError, match=message):
+        PidResult.build(2, result.atoms, result.meta, mi)
+
+
+@pytest.mark.parametrize("key", [7, 4, -1, "x", 2.5, True])
+def test_mi_keys_must_be_collections(xor_dist, key):
+    result = decompose(xor_dist, BaseConcept.REDUNDANCY)
+    if key is True:  # True equals 1, so it takes key 1's place
+        mi = {(True if bits == 1 else bits): v for bits, v in result.mi.items()}
+    else:
+        mi = {**result.mi, key: 0.5}
+    outside = f"MI values outside the domain: {re.escape(repr(key))}$"
+    with pytest.raises(CompletenessError, match=outside):
+        PidResult.build(2, result.atoms, result.meta, mi)
 
 
 # ------------------------------------------------------------- verification

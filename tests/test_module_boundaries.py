@@ -4,13 +4,17 @@
 independent reference only while it imports nothing from the package, and
 the package must not come to depend on it.  And the conversion from atom
 and measure mappings to index-order vectors has one home,
-``concepts.index_vector``: no other module opens a view.
+``concepts.index_vector``: no other module opens a view.  Likewise the
+concept algebra has one home, ``concepts.py``: no other module picks a
+route by comparing against a concept member; it asks
+``concepts.concept_facts``.
 """
 
 import ast
 from pathlib import Path
 
 import pidlattice
+from pidlattice import BaseConcept
 
 PACKAGE = Path(pidlattice.__file__).parent
 ORACLE = PACKAGE / "oracle.py"
@@ -69,3 +73,35 @@ def test_only_concepts_opens_a_view():
         if path != CONCEPTS:
             found = view_internals_used(path)
             assert not found, f"{path.name} reads {sorted(found)}; use concepts.index_vector"
+
+
+def is_concept_member(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "BaseConcept"
+        and node.attr in BaseConcept.__members__
+    )
+
+
+def concept_comparisons(source: str) -> list[str]:
+    """Each ``BaseConcept.<MEMBER>`` the source compares against, directly or in a
+    tuple, list or set operand (``c is BaseConcept.UNION``, ``c in (BaseConcept.UNIQUE, d)``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            for operand in [node.left, *node.comparators]:
+                seq = isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+                for item in operand.elts if seq else [operand]:
+                    if is_concept_member(item):
+                        found.append(f"line {node.lineno}: BaseConcept.{item.attr}")
+    return found
+
+
+def test_only_concepts_compares_against_concept_members():
+    assert len(concept_comparisons("c in (BaseConcept.UNIQUE, d) or BaseConcept.UNION == c")) == 2
+    assert not concept_comparisons("a in members(BaseConcept.UNION)")  # not a comparison against it
+    for path in PRODUCTION:
+        if path != CONCEPTS:
+            found = concept_comparisons(path.read_text(encoding="utf-8"))
+            assert not found, f"{path.name} compares against {found}; use concepts.concept_facts"
