@@ -37,7 +37,6 @@ from .distributions import (
 )
 from .engine import (
     ENGINE_TOL,
-    PREFLIGHT_TOL,
     ConsistencyReport,
     InclusionExclusionReport,
     PidMeta,

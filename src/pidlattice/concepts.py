@@ -47,6 +47,7 @@ from .lattices import (
     ParthoodDistribution,
     SourceSet,
     build_lattice,
+    collection_label,
     enumerate_antichains,
     enumerate_parthood_distributions,
     lattice_index,
@@ -261,7 +262,24 @@ def derive_tables(
     return tables
 
 
-@functools.lru_cache(maxsize=None)
+MI_KEYS = int  # the key set of an MI table: the collection bitmasks 0 .. 2^n - 1
+
+
+def _checked_cache(fn):
+    """An lru cache over (key set, n) that looks a concept up before hashing it."""
+    cached = functools.lru_cache(maxsize=None)(fn)
+
+    @functools.wraps(fn)
+    def lookup(concept, n: int):
+        if concept is not None and concept is not MI_KEYS:
+            concept_facts(concept)
+        return cached(concept, n)
+
+    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
+    return lookup
+
+
+@_checked_cache
 def domain_for_concept(concept: BaseConcept, n: int) -> tuple[Antichain, ...]:
     """The antichains on which the concept's measure is defined, in canonical order.
 
@@ -271,21 +289,16 @@ def domain_for_concept(concept: BaseConcept, n: int) -> tuple[Antichain, ...]:
     return tuple(antichains[i] for i in domain_positions(concept, n).tolist())
 
 
-@functools.lru_cache(maxsize=None)
-def domain_members(concept: BaseConcept, n: int) -> frozenset[Antichain]:
-    """The concept's domain as a set, for membership tests."""
-    return frozenset(domain_for_concept(concept, n))
-
-
 class _IndexView(Mapping):
     """A read-only mapping from index-ordered keys to one float vector.
 
     The keys are the atoms, :func:`enumerate_parthood_distributions` in atom
-    order, when ``concept`` is None, and otherwise the concept's
-    :func:`domain_for_concept` in domain order; ``vector[i]`` is the value
-    at key i.  Both key tuples are cached, so making a view is O(1).  It
-    iterates in key order, yields Python floats and equals any mapping with
-    the same items.  The vector is made read-only, as views share it.
+    order, when ``concept`` is None, the collection bitmasks when it is
+    :data:`MI_KEYS`, and otherwise the concept's :func:`domain_for_concept`
+    in domain order; ``vector[i]`` is the value at key i.  The keys are
+    cached, so making a view is O(1).  It iterates in key order, yields
+    Python floats and equals any mapping with the same items.  The vector
+    is made read-only, as views share it.
     """
 
     __slots__ = ("concept", "n", "vector")
@@ -298,7 +311,7 @@ class _IndexView(Mapping):
         return float(self.vector[_view_places(self.concept, self.n)[key]])
 
     def __iter__(self):
-        return iter(_view_keys(self.concept, self.n))
+        return iter(_view_places(self.concept, self.n))
 
     def __len__(self) -> int:
         return len(self.vector)
@@ -316,7 +329,7 @@ class _IndexView(Mapping):
 class _ViewItems(ItemsView):
     def __iter__(self):
         view = self._mapping
-        return zip(_view_keys(view.concept, view.n), view.vector.tolist())
+        return zip(_view_places(view.concept, view.n), view.vector.tolist())
 
 
 class _ViewValues(ValuesView):
@@ -324,21 +337,22 @@ class _ViewValues(ValuesView):
         return iter(self._mapping.vector.tolist())
 
 
-def _view_keys(concept: BaseConcept | None, n: int) -> tuple:
-    if concept is None:
-        return enumerate_parthood_distributions(n)
-    return domain_for_concept(concept, n)
-
-
-@functools.lru_cache(maxsize=None)
+@_checked_cache
 def _view_places(concept: BaseConcept | None, n: int) -> dict:
-    """Key -> place in a view's key tuple; built on a view's first lookup."""
-    return {key: i for i, key in enumerate(_view_keys(concept, n))}
+    """Key -> place of a view's keys, in key order; built on a view's first use."""
+    if concept is None:
+        keys = enumerate_parthood_distributions(n)
+    else:
+        keys = range(1 << n) if concept is MI_KEYS else domain_for_concept(concept, n)
+    return {key: i for i, key in enumerate(keys)}
 
 
-def atom_view(n: int, vector: np.ndarray) -> Mapping[ParthoodDistribution, float]:
-    """The atoms of n sources as a mapping onto ``vector``, in atom order."""
-    return _IndexView(None, n, vector)
+domain_members = _view_places  # a concept's domain, for membership tests
+
+
+def index_view(concept: BaseConcept | None, n: int, vector: np.ndarray) -> Mapping:
+    """A read-only mapping onto ``vector`` over the key set of :func:`index_vector`."""
+    return _IndexView(concept, n, vector)
 
 
 def index_vector(
@@ -346,34 +360,37 @@ def index_vector(
 ) -> np.ndarray:
     """The index-order float vector of a mapping over a view's keys.
 
-    The keys are the atoms when ``concept`` is None and the concept's domain
-    otherwise, as for :class:`_IndexView`.  A view over the same keys hands
-    back its vector.  Any other mapping is checked once: every key must be
-    one of those keys and every value a finite real number, not a bool.
-    With ``complete`` every key must be present; otherwise absent keys
-    count as 0, which is how readers of atom mappings take a partial table.
+    The keys are those of :class:`_IndexView`.  A view over the same keys
+    hands back its vector.  Any other mapping is checked once: every key
+    must be one of those keys, of their exact type (``True`` is no MI key),
+    and every value a finite real number, not a bool; NaN and infinity
+    pass in an MI table, for the consistency report to flag.  With
+    ``complete`` every key must be present; otherwise absent keys count as
+    0, which is how readers of atom mappings take a partial table.
     """
     if isinstance(mapping, _IndexView) and (mapping.concept, mapping.n) == (concept, n):
         return mapping.vector
     places = _view_places(concept, n)
-    what = "atom" if concept is None else concept.tag
+    key_type = type(next(iter(places)))
+    what = "atom" if concept is None else "MI" if concept is MI_KEYS else concept.tag
 
-    def at_label(place: int) -> str:
-        return f"{what} value at {domain_labels(concept, n)[place]!r}"
+    def label(place: int) -> str:
+        return domain_labels(concept, n)[place]
 
     at, values, extra = [], [], []
     for key, value in mapping.items():
-        place = places.get(key)
+        place = places.get(key) if type(key) is key_type else None
         if place is None:
             extra.append(_key_label(key))
             continue
         if type(value) is not float:  # the exact test spares floats the slow ABC check
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValidationError(f"{at_label(place)} is not a number: {value!r}")
+                raise ValidationError(f"{what} value at {label(place)} is not a number: {value!r}")
             try:
                 value = float(value)
             except OverflowError:  # an int beyond float range
-                raise ValidationError(f"{at_label(place)} exceeds the float range") from None
+                message = f"{what} value exceeds the float range at {label(place)}"
+                raise ValidationError(message) from None
         at.append(place)
         values.append(value)
     if extra:
@@ -382,13 +399,12 @@ def index_vector(
     vector[np.array(at, dtype=np.intp)] = values
     if complete and len(at) < len(places):
         missing = sorted(set(range(len(places))).difference(at))
-        labels = domain_labels(concept, n)
-        shown = ", ".join(labels[i] for i in missing[:5])
+        shown = ", ".join(label(i) for i in missing[:5])
         more = " ..." if len(missing) > 5 else ""
         raise CompletenessError(f"{what} values missing for: {shown}{more}")
     bad = np.flatnonzero(~np.isfinite(vector))
-    if bad.size:
-        raise ValidationError(f"non-finite {at_label(bad[0])}")
+    if bad.size and concept is not MI_KEYS:
+        raise ValidationError(f"non-finite {what} value at {label(bad[0])}")
     return vector
 
 
@@ -397,8 +413,10 @@ def _key_label(key) -> str:
 
 
 def domain_labels(concept: BaseConcept | None, n: int) -> list[str]:
-    """Canonical labels of a view's keys, in key order: the concept's domain,
-    or the atoms by their access antichains when ``concept`` is None."""
+    """Canonical labels of a view's keys in key order; atoms are labelled by
+    their access antichains, MI collections by :func:`collection_label`."""
+    if concept is MI_KEYS:
+        return [collection_label(bits) for bits in range(1 << n)]
     index = lattice_index(n)
     at = index.access_antichain if concept is None else domain_positions(concept, n)
     return [index.labels[i] for i in at.tolist()]
@@ -518,6 +536,7 @@ class MeasureAssignment:
     values: Mapping[Antichain, float]
 
     def __post_init__(self):
+        concept_facts(self.concept)  # DomainError for None, MI_KEYS or any other non-concept
         vector = index_vector(self.concept, self.n, self.values)
         object.__setattr__(self, "values", _IndexView(self.concept, self.n, vector))
 
@@ -558,15 +577,9 @@ def patch_singleton_synergies(
     if dist.n != n:
         raise ValidationError("distribution and measure disagree on source count")
     full = source_mask(n)
-    out = {}
+    out = dict(values)  # checked with the rest by MeasureAssignment
     for alpha in domain_for_concept(BaseConcept.WEAK_SYNERGY, n):
         if len(alpha.collections) == 1:
             a = alpha.collections[0].bits
             out[alpha] = conditional_mi(dist, full & ~a, a)
-        else:
-            if alpha not in values:
-                raise CompletenessError(
-                    f"synergy value missing for multi-collection antichain {alpha.label()!r}"
-                )
-            out[alpha] = float(values[alpha])
     return MeasureAssignment(BaseConcept.WEAK_SYNERGY, n, out)

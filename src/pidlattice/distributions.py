@@ -43,6 +43,7 @@ from .lattices import MAX_SOURCES, SourceSet, source_mask
 
 MASS_EPS = 1e-15
 MASS_SUM_TOL = 1e-9
+MI_CLAMP = 1e-12  # entropy rounding can take an information this far below zero
 MAX_CELLS = 1 << 24
 
 
@@ -195,10 +196,7 @@ def mutual_information(dist: JointDistribution, a) -> float:
     """I(a : target) in bits; the empty collection carries none."""
     bits = _as_bits(dist, a)
     h = dist._entropies
-    value = h[(bits, False)] + h[(0, True)] - h[(bits, True)]
-    if value < 0:
-        value = 0.0 if value > -1e-12 else value
-    return value
+    return _clamped(h[(bits, False)] + h[(0, True)] - h[(bits, True)])
 
 
 def conditional_mi(dist: JointDistribution, a, given) -> float:
@@ -206,15 +204,13 @@ def conditional_mi(dist: JointDistribution, a, given) -> float:
     abits = _as_bits(dist, a)
     gbits = _as_bits(dist, given)
     h = dist._entropies
-    value = (
-        h[(abits | gbits, False)]
-        + h[(gbits, True)]
-        - h[(abits | gbits, True)]
-        - h[(gbits, False)]
-    )
-    if value < 0:
-        value = 0.0 if value > -1e-12 else value
-    return value
+    joint = abits | gbits
+    return _clamped(h[(joint, False)] + h[(gbits, True)] - h[(joint, True)] - h[(gbits, False)])
+
+
+def _clamped(value: float) -> float:
+    """``value``, or 0 for a rounding residue in (-MI_CLAMP, 0); a larger loss shows."""
+    return 0.0 if -MI_CLAMP < value < 0 else value
 
 
 def mi_table(dist: JointDistribution) -> dict[int, float]:

@@ -12,31 +12,29 @@ sums the atoms above its distribution, a subset cell (weak synergy) those
 below.  Unique information reads single atoms.  :func:`solve_concept`
 runs the route backward; every measure table comes out of it run forward.
 
-Atoms and measure values travel as float vectors in index order: atom
-order for atoms, domain order for a concept's values.  Results, measure
-assignments and :func:`solve_concept` expose them as read-only mappings
-onto those vectors.  Every function here takes its vector from one
-checked conversion, :func:`~pidlattice.concepts.index_vector`, which
-hands back a view's vector and checks any other mapping once.  Readers
-count atoms absent from a mapping as 0; building a result or a measure
-assignment, solving and exporting require every key.
+Atoms, measure values and MI tables travel as float vectors in index
+order: atom order for atoms, domain order for a concept's values and
+collection bitmask for MI.  Results, measure assignments and
+:func:`solve_concept` expose them as read-only mappings onto those
+vectors.  Every function here takes its vector from one checked
+conversion, :func:`~pidlattice.concepts.index_vector`, which hands back a
+view's vector and checks any other mapping once.  Readers count atoms
+absent from a mapping as 0; building a result or a measure assignment,
+solving and exporting require every key.
 
-Externally supplied measures are screened first: the single-collection
-boundary identities (self-redundancy and friends) must hold to 1e-7 or the
-engine refuses to invert.  A passing preflight does not certify the
-summation identities: :meth:`PidResult.build` then refuses any atom table
-that misses a mutual-information value by more than 1e-9.  Measures that
-are internally consistent (the reference family, or tables generated from
-an atom vector) reproduce exactly; a file whose single-collection values
-are off by more than 1e-9 but less than 1e-7 passes the preflight and is
-refused at build.
+One absolute tolerance, ``ENGINE_TOL``, holds atoms to the mutual
+information.  :func:`solve_concept` first checks a supplied measure's
+single-collection identities (self-redundancy and its counterparts):
+only this check sees union at the full collection and vulnerable at
+``{}``, which the complement sends to the one antichain its base domain
+lacks and the inversion drops.  :meth:`PidResult.build` then refuses
+atoms that miss an MI value by more.  README "Tolerances" lists the rest.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from typing import Mapping
@@ -46,12 +44,13 @@ import numpy as np
 from .concepts import (
     REFERENCE_MEASURE_NAME,
     BaseConcept,
+    MI_KEYS,
     MeasureAssignment,
-    atom_view,
     concept_facts,
     derive_tables,
     domain_positions,
     index_vector,
+    index_view,
     load_measure,
     reference_measure,
     summate,
@@ -77,7 +76,6 @@ from .lattices import (
 )
 
 ENGINE_TOL = 1e-9
-PREFLIGHT_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -93,8 +91,9 @@ class PidResult:
 
     :meth:`build`, :func:`decompose` and :func:`load_result` store the atoms
     as a read-only mapping onto one float vector in atom order, iterating in
-    :func:`~pidlattice.lattices.enumerate_parthood_distributions` order.  A
-    result constructed directly keeps the mapping it is given.
+    :func:`~pidlattice.lattices.enumerate_parthood_distributions` order, and
+    the MI table as one onto a vector by collection bitmask.  A result
+    constructed directly keeps the mappings it is given.
     """
 
     n: int
@@ -111,7 +110,8 @@ class PidResult:
         mi: Mapping[int, float],
     ) -> "PidResult":
         """Construct after checking the atoms reproduce every MI value."""
-        result = cls(n=n, atoms=atom_view(n, index_vector(None, n, atoms)), meta=meta, mi=dict(mi))
+        atoms, mi = index_vector(None, n, atoms), index_vector(MI_KEYS, n, mi)  # atoms check n
+        result = cls(n, index_view(None, n, atoms), meta, index_view(MI_KEYS, n, mi))
         report = verify_consistency(result)
         if not report.passed:
             raise MeasureInconsistencyError(
@@ -139,7 +139,8 @@ def verify_consistency(result: PidResult, dist: JointDistribution | None = None)
     """
     if dist is not None and dist.n != result.n:
         raise ValidationError("distribution and result disagree on source count")
-    expected = _mi_vector(result.n, result.mi if dist is None else mi_table(dist)).tolist()
+    mi = result.mi if dist is None else mi_table(dist)
+    expected = index_vector(MI_KEYS, result.n, mi).tolist()
     values = index_vector(None, result.n, result.atoms, complete=False)
     marks = _atom_marks(result.n)
     errors = {}
@@ -159,26 +160,6 @@ def verify_consistency(result: PidResult, dist: JointDistribution | None = None)
         errors=errors,
         passed=worst <= ENGINE_TOL,
     )
-
-
-def _mi_vector(n: int, mi: Mapping[int, float]) -> np.ndarray:
-    """The MI value of every collection, by bitmask, checked as :func:`index_vector`
-    checks a mapping, except that NaN and infinity pass for the report to flag."""
-    extra = [repr(b) for b in mi if type(b) is not int or not 0 <= b < 1 << n]  # bools too
-    if extra:
-        raise CompletenessError(f"MI values outside the domain: {', '.join(extra[:5])}")
-    missing = [collection_label(bits) for bits in range(1 << n) if bits not in mi]
-    if missing:
-        more = " ..." if len(missing) > 5 else ""
-        raise CompletenessError(f"MI values missing for: {', '.join(missing[:5])}{more}")
-    values = [mi[bits] for bits in range(1 << n)]
-    for bits, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise ValidationError(f"MI value at {collection_label(bits)} is not a number: {v!r}")
-    try:
-        return np.array(values, dtype=np.float64)
-    except OverflowError:  # an int beyond float range
-        raise ValidationError("an MI value exceeds the float range") from None
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,15 +190,15 @@ def solve_concept(
 
     ``mi`` must give the mutual information for every collection bitmask;
     only the total enters the union/vulnerable complements, the rest feeds
-    the preflight identities.  A partner's values move to its base, an
-    insufficient cell's are complemented, and the base transform of the
-    relation inverts them (unique information reads its atoms directly).
-    The atoms come back as a read-only mapping onto one vector in atom
-    order, like :attr:`PidResult.atoms`.
+    the single-collection identities, held to ``ENGINE_TOL``.  A partner's
+    values move to its base, an insufficient cell's are complemented, and
+    the base transform of the relation inverts them (unique information
+    reads its atoms directly).  The atoms come back as a read-only mapping
+    onto one vector in atom order, like :attr:`PidResult.atoms`.
     """
     vector = index_vector(concept, n, values)
     index = lattice_index(n)
-    infos = _mi_vector(n, mi)
+    infos = index_vector(MI_KEYS, n, mi)
     positions = domain_positions(concept, n)
     facts = concept_facts(concept)
     if facts.base is not None:
@@ -230,25 +211,26 @@ def solve_concept(
     at = np.zeros(len(index.antichains))
     at[positions] = vector
     if facts.nested:
-        # The preflight: on the access domain a single collection's value is
-        # its information, on the blockage domain the rest of the total.
+        # The single-collection identities: on the access domain a single
+        # collection's value is its information, on the blockage domain the rest.
         want = infos if facts.access else infos[-1] - infos
         domain = domain_positions(concept, n)
         singles = domain[(index.members[domain] != 1 << n).sum(axis=1) == 1]
         got, expected = at[singles], want[index.members[singles, 0]]
-        bad = np.flatnonzero(np.abs(got - expected) > PREFLIGHT_TOL)
+        bad = np.flatnonzero(np.abs(got - expected) > ENGINE_TOL)
         if bad.size:
             k = bad[0]
             raise MeasureInconsistencyError(
+                "atoms do not reproduce mutual information: "
                 f"self-{concept.tag} identity violated at {index.labels[singles[k]]}: "
                 f"value {float(got[k])!r} vs expected {float(expected[k])!r} "
-                f"(tolerance {PREFLIGHT_TOL})"
+                f"(tolerance {ENGINE_TOL})"
             )
     if facts.mode == "insufficient":
         at = infos[-1] - at
     labels, _, invert = _base_transform(index, facts.relation)
     atoms = invert(at[labels]) if facts.nested else at[labels]
-    return atom_view(n, atoms)
+    return index_view(None, n, atoms)
 
 
 def decompose(
@@ -467,14 +449,18 @@ def proper_synergy_rank_analysis(n: int) -> RankAnalysis:
 
 def export_result(result: PidResult) -> dict:
     """JSON-ready form: atoms carry both antichain labelings, sorted by the
-    access label; the MI table rides along so files can be re-verified."""
-    _mi_vector(result.n, result.mi)  # a file missing an MI value would not load back
+    access label; the MI table rides along so files can be re-verified.
+    A NaN or infinite value is refused, as JSON has no such number."""
+    mi = index_vector(MI_KEYS, result.n, result.mi)
+    values = index_vector(None, result.n, result.atoms)
+    if not (np.isfinite(mi).all() and np.isfinite(values).all()):
+        raise ValidationError("a non-finite atom or MI value cannot be exported")
+    mi, values = mi.tolist(), values.tolist()
     mi_obj = {
-        collection_label(bits): result.mi[bits]
-        for bits in sorted(result.mi, key=lambda b: (b.bit_count(), b))
+        collection_label(bits): mi[bits]
+        for bits in sorted(range(1 << result.n), key=lambda b: (b.bit_count(), b))
     }
     index = lattice_index(result.n)
-    values = index_vector(None, result.n, result.atoms).tolist()
     order = np.argsort(index.export_rank).tolist()
     labels = index.labels
     access = index.access_antichain.tolist()
@@ -510,11 +496,11 @@ def load_result(path) -> PidResult:
         raise ParseError("field 'mi' must be an object of collection labels to numbers")
     if not isinstance(doc["atoms"], list):
         raise ParseError("field 'atoms' must be a list of atom rows")
-    mi = {}
-    for label, v in doc["mi"].items():
-        mi[parse_collection_label(label, n)] = number(v, f"MI at {label!r}")
-    if set(mi) != set(range(1 << n)):
-        raise ParseError("result file's MI table does not cover all collections")
+    mi = {parse_collection_label(k, n): number(v, f"MI at {k!r}") for k, v in doc["mi"].items()}
+    try:
+        mi = index_view(MI_KEYS, n, index_vector(MI_KEYS, n, mi))
+    except CompletenessError as exc:  # a gap in a file is a parse error
+        raise ParseError(f"result file's MI table: {exc}") from None
     index = lattice_index(n)
     values = np.zeros(len(index.atom_tables))
     seen = np.zeros(len(values), dtype=bool)
@@ -543,5 +529,5 @@ def load_result(path) -> PidResult:
     )
     if not seen.all():
         raise ParseError("result file does not cover all atoms")
-    return PidResult(n=n, atoms=atom_view(n, values), meta=meta, mi=mi)
+    return PidResult(n=n, atoms=index_view(None, n, values), meta=meta, mi=mi)
 

@@ -21,6 +21,8 @@ antichain off an up-set as its minimal collections.
 from __future__ import annotations
 
 import functools
+import numbers
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Literal, Mapping, Sequence
@@ -759,7 +761,10 @@ def moebius_invert(
     extra = len(values) - len(lattice.nodes)
     if extra > 0:
         raise CompletenessError(f"values carry {extra} entries outside the lattice")
-    vals = [float(values[a]) for a in lattice.nodes]
+    vals = [values[a] for a in lattice.nodes]
+    for a, v in zip(lattice.nodes, vals):  # abs(v) <= max refuses NaN, infinity and big ints
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not abs(v) <= sys.float_info.max:
+            raise ValidationError(f"value at {a.label()} is not a finite number: {v!r}")
     # Natural table order: larger table = lower node; a "down" lattice flips it.
     supersets = (direction == "down-sum") == (lattice.direction == "up")
     pi = _invert_cumulative(lattice.tables, vals, supersets)

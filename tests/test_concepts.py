@@ -45,7 +45,7 @@ from pidlattice import (
     solve_concept,
     summate,
 )
-from pidlattice.concepts import concept_facts, domain_labels
+from pidlattice.concepts import concept_facts, domain_labels, domain_members
 from pidlattice.lattices import source_mask
 from pidlattice.oracle import oracle_selector
 
@@ -163,6 +163,31 @@ def test_a_concept_tag_is_not_a_concept(call, xor_dist):
     atoms = helpers.random_atom_vector(2, 0)
     with pytest.raises(DomainError, match="unknown concept 'redundancy'"):
         call("redundancy", xor_dist, atoms)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: domain_for_concept(c, 2),
+        lambda c: domain_members(c, 2),
+        lambda c: MeasureAssignment(c, 2, {}),
+        lambda c: atom_selector(c, Antichain.of(2, [0b01])),
+    ],
+    ids=["domain_for_concept", "domain_members", "MeasureAssignment", "atom_selector"],
+)
+def test_an_unhashable_concept_is_a_domain_error(call):
+    # the cached entry points look the concept up before the cache hashes it
+    with pytest.raises(DomainError, match=r"unknown concept \[1\]"):
+        call([1])
+
+
+@pytest.mark.parametrize("concept", [None, int], ids=["atom-keys", "mi-keys"])
+def test_a_measure_assignment_needs_a_concept(concept, xor_dist):
+    # None and int name index_vector's atom and MI key sets, not concepts
+    result = decompose(xor_dist, BaseConcept.REDUNDANCY)
+    values = result.atoms if concept is None else result.mi
+    with pytest.raises(DomainError, match="unknown concept"):
+        MeasureAssignment(concept, 2, dict(values))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -671,6 +696,13 @@ def test_patch_singleton_synergies(xor_dist):
         conditional_mi(xor_dist, 0b10, 0b01), abs=1e-12
     )
     assert patched2[Antichain.of(n, [0b01])] != 123.0
+
+
+@pytest.mark.parametrize("value", ["0.5", "x", None], ids=["numeric-str", "str", "None"])
+def test_patch_singleton_synergies_checks_the_supplied_values(xor_dist, value):
+    alpha = Antichain.of(2, [0b01, 0b10])
+    with pytest.raises(ValidationError, match=r"weak-synergy value at \{1\}\{2\} is not a number"):
+        patch_singleton_synergies(2, {alpha: value}, xor_dist)
 
 
 def test_patch_singleton_synergies_requires_multi_entries(xor_dist):

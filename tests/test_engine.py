@@ -7,6 +7,7 @@ import re
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import helpers
@@ -160,6 +161,21 @@ def test_build_catches_sub_preflight_noise(xor_dist):
     assert "atoms do not reproduce mutual information" in str(err.value)
 
 
+@pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
+@pytest.mark.parametrize("concept", [BaseConcept.UNION, BaseConcept.VULNERABLE])
+def test_single_collection_identities_see_what_the_inversion_drops(concept, n, seed):
+    # The complement sends union at the full collection and vulnerable at {}
+    # to the one antichain the base domain lacks, so no atom carries an error
+    # there; only the single-collection identity check can refuse it.
+    dist = random_joint(n, seed)
+    values = dict(reference_measure(dist, concept).values)
+    alpha = Antichain.of(n, [source_mask(n) if concept is BaseConcept.UNION else 0])
+    values[alpha] += 5e-8
+    message = f"self-{concept.tag} identity violated at {re.escape(alpha.label())}:"
+    with pytest.raises(MeasureInconsistencyError, match=message):
+        decompose(dist, concept, MeasureAssignment(concept, n, values))
+
+
 def test_consistent_perturbations_yield_alternative_decompositions(xor_dist):
     # moving a multi-collection value keeps every summation identity intact,
     # so the engine accepts it and reproduces the supplied table
@@ -256,11 +272,11 @@ def test_mi_values_must_be_real_numbers(xor_dist, value):
         PidResult.build(2, result.atoms, result.meta, mi)
 
 
-@pytest.mark.parametrize("key", [7, 4, -1, "x", 2.5, True])
+@pytest.mark.parametrize("key", [7, 4, -1, "x", 2.5, True, 1.0, np.int64(1)])
 def test_mi_keys_must_be_collections(xor_dist, key):
     result = decompose(xor_dist, BaseConcept.REDUNDANCY)
-    if key is True:  # True equals 1, so it takes key 1's place
-        mi = {(True if bits == 1 else bits): v for bits, v in result.mi.items()}
+    if key == 1:  # True, 1.0 and np.int64(1) equal 1, so each takes key 1's place
+        mi = {(key if bits == 1 else bits): v for bits, v in result.mi.items()}
     else:
         mi = {**result.mi, key: 0.5}
     outside = f"MI values outside the domain: {re.escape(repr(key))}$"
@@ -593,6 +609,25 @@ def test_loaders_close_their_files(tmp_path, xor_dist):
         load_result(tmp_path / "result.json")
         gc.collect()
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("slot", ["loaded-atom", "loaded-mi", "built-mi"])
+def test_non_finite_results_do_not_export(tmp_path, xor_dist, slot):
+    result = decompose(xor_dist, BaseConcept.REDUNDANCY)
+    if slot == "built-mi":
+        result = PidResult(n=2, atoms=result.atoms, meta=result.meta, mi={**result.mi, 1: math.nan})
+    else:
+        doc = export_result(result)
+        if slot == "loaded-atom":
+            doc["atoms"][0]["value"] = math.nan
+        else:
+            doc["mi"]["{2}"] = math.inf
+        (tmp_path / "in.json").write_text(json.dumps(doc))
+        result = load_result(tmp_path / "in.json")
+    path = tmp_path / "out.json"
+    with pytest.raises(ValidationError, match="non-finite atom or MI value"):
+        save_result(result, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("concept", [BaseConcept.REDUNDANCY, BaseConcept.VULNERABLE_PARTNER])

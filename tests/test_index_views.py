@@ -1,16 +1,18 @@
 """Results and measures as read-only mappings onto one index-order vector.
 
-``PidResult.atoms``, ``MeasureAssignment.values`` and ``solve_concept``'s
-return are views: a cached key tuple plus a float vector in atom or domain
-order.  The functions that accept them hand a view's vector to their one
-vector path and convert any other mapping to that vector once.  The first
-test diffs view and plain-dict inputs bit for bit, for every concept, on
-every source count up to 4 and on a seeded n = 5 input; the rest pin the
-views' Mapping contract.
+``PidResult.atoms``, ``PidResult.mi``, ``MeasureAssignment.values`` and
+``solve_concept``'s return are views: cached keys plus a float vector in
+atom, collection-bitmask or domain order.  The functions that accept them
+hand a view's vector to their one vector path and convert any other
+mapping to that vector once.  The first test diffs view and plain-dict
+inputs bit for bit, for every concept, on every source count up to 4 and
+on a seeded n = 5 input; the rest pin the views' Mapping contract.
 """
 
+import copy
 import dataclasses
 import json
+import pickle
 from collections.abc import Mapping
 
 import pytest
@@ -100,7 +102,7 @@ def case():
 def views(case):
     dist, result, measure = case
     solved = solve_concept(3, measure.concept, measure.values, mi_table(dist))
-    return {"atoms": result.atoms, "values": measure.values, "solved": solved}
+    return {"atoms": result.atoms, "mi": result.mi, "values": measure.values, "solved": solved}
 
 
 def test_views_equal_plain_dicts_both_ways_and_keep_their_order(case):
@@ -147,3 +149,19 @@ def test_results_still_take_plain_dicts_and_new_mi_tables(case):
     assert lying.atoms is result.atoms
     assert not verify_consistency(lying).passed
     assert verify_consistency(lying, dist).passed
+
+
+def test_the_mi_view_iterates_the_collections_and_takes_plain_dicts(case, tmp_path):
+    dist, result, _ = case
+    assert list(result.mi) == list(range(1 << 3))
+    assert all(type(bits) is int for bits in result.mi)
+    assert result.mi == mi_table(dist)
+    swapped = dataclasses.replace(result, mi=dict(result.mi))
+    assert type(swapped.mi) is dict
+    assert swapped == result and verify_consistency(swapped).passed
+    assert verify_consistency(swapped) == verify_consistency(result)
+    path = tmp_path / "result.json"
+    save_result(result, path)
+    assert hexes(load_result(path).mi) == hexes(result.mi)
+    for copied in (copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
+        assert hexes(copied.mi) == hexes(result.mi) and verify_consistency(copied).passed

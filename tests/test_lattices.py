@@ -1,5 +1,7 @@
 """Antichain enumeration, labelings, orders, lattices, Moebius inversion."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -560,6 +562,18 @@ def test_moebius_input_validation():
     extra[Antichain(2, ())] = 1.0
     with pytest.raises(CompletenessError):
         moebius_invert(lat, extra, "down-sum")
+
+
+@pytest.mark.parametrize(
+    "value", ["x", "0.5", None, True, float("nan"), float("inf"), 10**400],
+    ids=["str", "numeric-str", "None", "bool", "nan", "inf", "huge-int"],
+)
+def test_moebius_refuses_values_that_are_not_finite_numbers(value):
+    lat = concept_lattice(BaseConcept.REDUNDANCY, 2)
+    values = {a: 1.0 for a in lat.nodes}
+    values[lat.nodes[1]] = value
+    with pytest.raises(ValidationError, match=rf"value at {re.escape(lat.nodes[1].label())} is not"):
+        moebius_invert(lat, values, "down-sum")
 
 
 # --------------------------------------------------------------------- dot

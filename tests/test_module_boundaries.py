@@ -7,7 +7,9 @@ and measure mappings to index-order vectors has one home,
 ``concepts.index_vector``: no other module opens a view.  Likewise the
 concept algebra has one home, ``concepts.py``: no other module picks a
 route by comparing against a concept member; it asks
-``concepts.concept_facts``.
+``concepts.concept_facts``.  And every tolerance is a named module
+constant, listed in README "Tolerances": no tiny float literal hides in
+the code.
 """
 
 import ast
@@ -105,3 +107,31 @@ def test_only_concepts_compares_against_concept_members():
         if path != CONCEPTS:
             found = concept_comparisons(path.read_text(encoding="utf-8"))
             assert not found, f"{path.name} compares against {found}; use concepts.concept_facts"
+
+
+def unnamed_tiny_floats(source: str) -> list[str]:
+    """Each float literal with ``0 < |x| < 1e-6`` that is not the value of a
+    module-level UPPER_CASE constant."""
+    tree = ast.parse(source)
+    named = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if all(isinstance(t, ast.Name) and t.id.isupper() for t in targets):
+                named |= {id(sub) for sub in ast.walk(node.value)}
+    return [
+        f"line {node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and type(node.value) is float
+        and 0 < abs(node.value) < 1e-6
+        and id(node) not in named
+    ]
+
+
+def test_tolerances_are_named_constants():
+    assert unnamed_tiny_floats("TOL = 1e-9\nCLAMP: float = -1e-12\nx = 1e-3") == []
+    assert len(unnamed_tiny_floats("tol = 1e-9\ndef f(v):\n    return v > -1e-12")) == 2
+    for path in PRODUCTION:  # oracle.py is exempt: it must not import the package's names
+        found = unnamed_tiny_floats(path.read_text(encoding="utf-8"))
+        assert not found, f"{path.name} holds unnamed tolerances {found}; name them"
