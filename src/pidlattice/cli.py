@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from .concepts import BaseConcept, concept_facts, concept_lattice, domain_for_concept, domain_labels
@@ -144,18 +145,17 @@ def _cmd_check(args) -> int:
     }
     failed = not report.passed
     if result.n <= 3:
-        worst = 0.0
-        ie_passed = True
-        count = 0
-        for alpha in domain_for_concept(BaseConcept.UNION, result.n):
-            ie = inclusion_exclusion_check(result, alpha)
-            count += 1
-            worst = max(worst, ie.error)
-            ie_passed = ie_passed and ie.passed
+        checks = [
+            inclusion_exclusion_check(result, alpha)
+            for alpha in domain_for_concept(BaseConcept.UNION, result.n)
+        ]
+        ie_passed = all(ie.passed for ie in checks)
+        errors = [ie.error for ie in checks]
         doc["inclusion_exclusion"] = {
-            "checked": count,
+            "checked": len(checks),
             "passed": ie_passed,
-            "worst_error": worst,
+            # max() would skip a NaN error; it is shown, as the consistency block shows it
+            "worst_error": math.nan if any(map(math.isnan, errors)) else max(errors),
         }
         failed = failed or not ie_passed
     else:

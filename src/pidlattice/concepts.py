@@ -576,6 +576,9 @@ def patch_singleton_synergies(
     """
     if dist.n != n:
         raise ValidationError("distribution and measure disagree on source count")
+    if not isinstance(values, Mapping):
+        message = f"synergy values must map antichains to numbers, got {type(values).__name__}"
+        raise ValidationError(message)
     full = source_mask(n)
     out = dict(values)  # checked with the rest by MeasureAssignment
     for alpha in domain_for_concept(BaseConcept.WEAK_SYNERGY, n):

@@ -1,14 +1,20 @@
 """Discrete joint distributions of several sources and one target.
 
-Outcomes are tuples of 0-based symbols (s1, ..., sn, t).  ``pmf`` is
-the public, validated view: a dict from outcome to mass.  Entropies and
-mutual informations, in bits, come from two arrays over the support built
-on the first request: each outcome's row-major cell index (int64) and its
-mass (float64).  Marginals are formed by sorting and grouping those
-arrays, so memory grows with the number of outcomes, not with the number
-of cells in the outcome table (up to ``MAX_CELLS``).  Probability masses
-at or below 1e-15 are treated as exact zeros so that noisy inputs cannot
-contribute 0*log(0) artifacts.
+Outcomes are tuples of 0-based symbols (s1, ..., sn, t).  A distribution
+holds them as columns: an int64 state matrix and a float64 mass vector in
+insertion order, and the order that sorts them by row-major cell index.
+A mapping, a file's rows and :func:`random_joint`'s table all reach those
+columns through one set of bulk checks; a per-outcome walk runs only to
+name the first bad outcome once a bulk check has failed.  ``pmf`` is a
+read-only ``Mapping`` view over the columns (``dict(dist.pmf)`` for a
+mutable copy): its length needs no dict, and the dict of outcome tuples
+is built on the first lookup or iteration.  ``digest`` is written from
+the sorted columns.  Entropies and mutual informations, in bits, come
+from each outcome's cell index and mass in that order.  Marginals are
+formed by sorting and grouping those arrays, so memory grows with the
+number of outcomes, not with the number of cells in the outcome table
+(up to ``MAX_CELLS``).  Probability masses at or below 1e-15 are treated
+as exact zeros so that noisy inputs cannot contribute 0*log(0) artifacts.
 
 File formats
 ------------
@@ -32,12 +38,14 @@ import itertools
 import json
 import math
 import numbers
+import operator
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ParseError, ValidationError
+from .errors import CapacityError, ParseError, PidError, ValidationError
 from .fileio import read_object, read_text, render, write_text
 from .lattices import MAX_SOURCES, SourceSet, source_mask
 
@@ -54,76 +62,161 @@ def _shown(value) -> str:
         return f"<{type(value).__name__} too long to print>"
 
 
+def _table_sizes(source_alphabets, target_alphabet) -> tuple[int, ...]:
+    """The axis sizes of an outcome table, sources then target, once they are checked."""
+    n = len(source_alphabets)
+    if not 1 <= n <= MAX_SOURCES:
+        raise CapacityError(f"need 1..{MAX_SOURCES} sources, got {n}")
+    sizes = (*source_alphabets, target_alphabet)
+    if any(not isinstance(k, int) or k < 1 for k in sizes):
+        raise ValidationError("alphabet sizes must be positive ints")
+    cells = math.prod(sizes)
+    if cells > MAX_CELLS:
+        raise CapacityError(f"outcome table has {cells} cells, cap is {MAX_CELLS}")
+    return sizes
+
+
+class _Columns(NamedTuple):
+    """Outcomes as columns, in insertion order, before their range, sign and sum are checked."""
+
+    states: np.ndarray  # int64, one row of symbols per outcome
+    masses: np.ndarray  # float64
+    nonneg: np.ndarray  # bool: the mass is >= 0 (so not NaN)
+    kept: np.ndarray  # bool: the mass is > MASS_EPS
+    total: float  # the masses summed one by one from 0.0, in insertion order
+
+
+class _PmfView(Mapping):
+    """A read-only mapping from outcome tuple to mass over a distribution's columns.
+
+    ``states`` (int64, one row per outcome) and ``masses`` (float64) hold
+    the kept outcomes in insertion order.  ``len`` reads the columns; the
+    dict of outcome tuples behind lookups and iteration is built on first
+    use.  It iterates in insertion order, yields Python floats and equals
+    any mapping with the same items.  The columns are made read-only, as
+    views share them.
+    """
+
+    __slots__ = ("states", "masses", "_table")
+
+    def __init__(self, states: np.ndarray, masses: np.ndarray):
+        states.flags.writeable = masses.flags.writeable = False
+        self.states, self.masses = states, masses
+
+    def _dict(self) -> dict:
+        try:
+            return self._table
+        except AttributeError:
+            self._table = dict(zip(map(tuple, self.states.tolist()), self.masses.tolist()))
+            return self._table
+
+    def __getitem__(self, outcome) -> float:
+        return self._dict()[outcome]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        return len(self.masses)
+
+    def __reduce__(self):
+        return type(self), (self.states, self.masses)  # the dict is rebuilt on demand
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._dict()!r})"
+
+
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
-    """A joint pmf over n source variables and one target variable."""
+    """A joint pmf over n source variables and one target variable.
+
+    ``pmf`` may be any mapping from outcome to mass.  It is checked and
+    kept as columns, and ``dist.pmf`` is a read-only view over them.
+    """
 
     source_alphabets: tuple[int, ...]
     target_alphabet: int
     pmf: Mapping[tuple[int, ...], float]
 
     def __post_init__(self):
-        n = len(self.source_alphabets)
-        if not 1 <= n <= MAX_SOURCES:
-            raise CapacityError(f"need 1..{MAX_SOURCES} sources, got {n}")
-        sizes = (*self.source_alphabets, self.target_alphabet)
-        if any(not isinstance(k, int) or k < 1 for k in sizes):
-            raise ValidationError("alphabet sizes must be positive ints")
-        cells = math.prod(sizes)
-        if cells > MAX_CELLS:
-            raise CapacityError(f"outcome table has {cells} cells, cap is {MAX_CELLS}")
-        total = 0.0
-        cleaned = {}
-        for state, p in self.pmf.items():
-            if len(state) != n + 1:
-                raise ValidationError(f"outcome {_shown(state)} has wrong arity")
-            for sym, size in zip(state, sizes):
-                # exact type test: rejects bool, and costs no more than isinstance
-                if type(sym) is not int or not 0 <= sym < size:
-                    raise ValidationError(
-                        f"symbol {_shown(sym)} out of range in outcome {_shown(state)}"
-                    )
-            if type(p) is not float and (isinstance(p, bool) or not isinstance(p, numbers.Real)):
-                raise ValidationError(f"mass {_shown(p)} at outcome {state!r} is not a number")
-            if not p >= 0:  # also refuses NaN, which every comparison fails
-                raise ValidationError(f"negative or NaN mass {_shown(p)} at outcome {state!r}")
-            try:
-                total += p
-            except OverflowError:  # an int beyond float range; its repr can fail, so leave it out
-                raise ValidationError(f"mass at outcome {state!r} exceeds the float range") from None
-            if p > MASS_EPS:
-                cleaned[tuple(state)] = float(p)
+        sizes = _table_sizes(self.source_alphabets, self.target_alphabet)
+        pmf = self.pmf
+        if isinstance(pmf, _PmfView):  # columns already: random_joint's, or another distribution's
+            self._keep(sizes, _Columns(pmf.states, *_float_masses(pmf.masses)))
+        elif isinstance(pmf, Mapping):
+            rows = (list(pmf), list(pmf.values()))
+            self._keep(sizes, _columns(sizes, *rows), rows)
+        else:
+            raise ValidationError(f"pmf must map outcomes to masses, got {type(pmf).__name__}")
+
+    @classmethod
+    def _from_rows(cls, source_alphabets, target_alphabet, states: list, masses: list):
+        """A distribution from a file's parallel lists of states and masses, with no dict."""
+        dist = cls.__new__(cls)
+        object.__setattr__(dist, "source_alphabets", source_alphabets)
+        object.__setattr__(dist, "target_alphabet", target_alphabet)
+        sizes = _table_sizes(source_alphabets, target_alphabet)
+        dist._keep(sizes, _columns(sizes, states, masses), (states, masses))
+        return dist
+
+    def _keep(self, sizes: tuple[int, ...], columns: _Columns, rows: tuple | None = None):
+        """Check the columns, drop masses at or below MASS_EPS and store the rest.
+
+        ``rows`` are the outcomes and masses the columns were made from, for
+        naming a bad one; columns given directly are named from themselves.
+        """
+        states, masses, nonneg, kept, total = columns
+        fine = ((states >= 0) & (states < np.array(sizes))).all(axis=1) & nonneg
+        if not fine.all():
+            raise _first_bad(sizes, *(rows or (states.tolist(), masses.tolist())))
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise ValidationError(f"masses sum to {total!r}, not 1")
-        object.__setattr__(self, "pmf", cleaned)
+        flat = states @ np.array(_strides(sizes), dtype=np.int64)
+        order = np.argsort(flat, kind="stable")
+        cells = flat[order]
+        twins = np.flatnonzero(cells[1:] == cells[:-1])
+        if twins.size:
+            raise ValidationError(f"duplicate outcome {tuple(states[order[twins[0]]].tolist())!r}")
+        if not kept.all():
+            in_order = kept[order]
+            cells = cells[in_order]
+            order = (np.cumsum(kept) - 1)[order[in_order]]  # places among the kept rows
+            states, masses = states[kept], masses[kept]
+        cells.flags.writeable = order.flags.writeable = False
+        object.__setattr__(self, "pmf", _PmfView(states, masses))
+        object.__setattr__(self, "_order", order)  # rows in row-major cell order
+        object.__setattr__(self, "_cells", cells)  # their cell indices, ascending
 
     @property
     def n(self) -> int:
         return len(self.source_alphabets)
 
     def digest(self) -> str:
-        payload = {
-            "source_alphabets": list(self.source_alphabets),
-            "target_alphabet": self.target_alphabet,
-            "pmf": sorted([list(k), v] for k, v in self.pmf.items()),
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        """SHA-256 of the alphabets and the kept outcomes as canonical JSON.
+
+        The text is ``json.dumps(payload, sort_keys=True)`` of ``{"pmf":
+        [[[s1, ..., t], p], ...], "source_alphabets": [...],
+        "target_alphabet": t}`` with the outcomes in ascending order; it is
+        written one row at a time from the sorted columns.
+        """
+        row = "[[" + ", ".join(["%d"] * (self.n + 1)) + "], %r]"
+        states, masses = self._by_cell()
+        rows = ", ".join(map(row.__mod__, zip(*states.T.tolist(), masses.tolist())))
+        sizes = {"source_alphabets": list(self.source_alphabets), "target_alphabet": self.target_alphabet}
+        rest = json.dumps(sizes, sort_keys=True)
+        blob = '{"pmf": [' + rows + "], " + rest[1:]
+        return hashlib.sha256(blob.encode()).hexdigest()
+
+    def _by_cell(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kept states and masses in row-major cell order, which is their sorted order."""
+        return self.pmf.states[self._order], self.pmf.masses[self._order]
 
     def _coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """Each outcome's row-major cell index (int64) and mass (float64), by index.
 
         Sorted by index, so that no entropy depends on insertion order.
         """
-        sizes = (*self.source_alphabets, self.target_alphabet)
-        count = len(self.pmf)
-        states = np.fromiter(
-            itertools.chain.from_iterable(self.pmf), dtype=np.int64, count=count * len(sizes)
-        ).reshape(count, len(sizes))
-        flat = states @ np.array(_strides(sizes), dtype=np.int64)
-        masses = np.fromiter(self.pmf.values(), dtype=np.float64, count=count)
-        order = np.argsort(flat, kind="stable")
-        return flat[order], masses[order]
+        return self._cells, self.pmf.masses[self._order]
 
     @functools.cached_property
     def _entropies(self) -> dict[tuple[int, bool], float]:
@@ -156,6 +249,87 @@ class JointDistribution:
             entropies[(bits, False)] = _shannon(_group_sums(cells // self.target_alphabet, probs)[1])
             pending += [(bits & ~(1 << i), i, cells, probs) for i in range(dropped) if (bits >> i) & 1]
         return entropies
+
+
+def _columns(sizes: tuple[int, ...], keys: list, values: list) -> _Columns:
+    """Outcomes and masses given as Python objects, as columns.
+
+    Bulk checks stand in for the per-outcome ones: every key is a sequence
+    of ``len(sizes)`` exact ints within int64, every mass a real number
+    that is not a bool and within float range.  When one fails, the first
+    bad outcome is named by :func:`_first_bad`.
+    """
+    arity = len(sizes)
+    symbols = itertools.chain.from_iterable
+    try:
+        if set(map(len, keys)) - {arity} or set(map(type, symbols(keys))) - {int}:
+            raise _first_bad(sizes, keys, values)
+        states = np.fromiter(symbols(keys), np.int64, len(keys) * arity).reshape(len(keys), arity)
+        kinds = set(map(type, values))
+        if not all(map(_is_number_type, kinds)):
+            raise _first_bad(sizes, keys, values)
+        masses = np.fromiter(values, np.float64, len(values))
+        if kinds <= {float, int}:
+            return _Columns(states, *_float_masses(masses))
+        # Other numbers compare and add as themselves, as they did one by one:
+        # a Fraction below zero is refused, a float32 total stays float32.
+        total = functools.reduce(operator.add, values, 0.0)
+    except (TypeError, OverflowError):  # a key with no length; a number beyond int64 or float range
+        raise _first_bad(sizes, keys, values) from None
+    nonneg, kept = _each(operator.ge, values, 0), _each(operator.gt, values, MASS_EPS)
+    return _Columns(states, masses, nonneg, kept, total)
+
+
+def _float_masses(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Float64 masses with their sign and keep tests and their one-by-one sum.
+
+    ``np.add.accumulate`` adds in order, as a loop does (``np.sum`` pairs
+    terms up); adding 0.0 makes the sum of -0.0 masses the loop's 0.0.
+    """
+    with np.errstate(over="ignore"):  # a loop's float sum overflows to inf silently
+        total = float(np.add.accumulate(masses)[-1]) + 0.0 if len(masses) else 0.0
+    return masses, masses >= 0, masses > MASS_EPS, total
+
+
+def _each(compare, values: list, bound) -> np.ndarray:
+    return np.fromiter(map(compare, values, itertools.repeat(bound)), bool, len(values))
+
+
+def _is_number_type(kind: type) -> bool:
+    """A mass of this type is a real number; bools are not masses."""
+    return kind is float or (not issubclass(kind, bool) and issubclass(kind, numbers.Real))
+
+
+def _first_bad(sizes: tuple[int, ...], keys: list, values: list) -> ValidationError:
+    """The error of the first outcome, in insertion order, that fails a check.
+
+    Runs only after a bulk check has failed, and checks each outcome in
+    the order the checks run: arity, symbols, mass type, sign, float range.
+    """
+    total = 0.0
+    for state, p in zip(keys, values):
+        if type(state) is list:  # a file's state, shown as the tuple it stands for
+            state = tuple(state)
+        try:
+            arity = len(state)
+        except TypeError:
+            return ValidationError(f"outcome {_shown(state)} is not a sequence of symbols")
+        if arity != len(sizes):
+            return ValidationError(f"outcome {_shown(state)} has wrong arity")
+        for sym, size in zip(state, sizes):
+            # exact type test: rejects bool
+            if type(sym) is not int or not 0 <= sym < size:
+                message = f"symbol {_shown(sym)} out of range in outcome {_shown(state)}"
+                return ValidationError(message)
+        if not _is_number_type(type(p)):
+            return ValidationError(f"mass {_shown(p)} at outcome {state!r} is not a number")
+        if not p >= 0:  # also refuses NaN, which every comparison fails
+            return ValidationError(f"negative or NaN mass {_shown(p)} at outcome {state!r}")
+        try:
+            total += p
+        except OverflowError:  # an int beyond float range; its repr can fail, so leave it out
+            return ValidationError(f"mass at outcome {state!r} exceeds the float range")
+    raise AssertionError("a bulk check failed that no outcome fails")
 
 
 def _strides(sizes) -> list[int]:
@@ -233,10 +407,23 @@ def _joint_from_json(doc: dict) -> JointDistribution:
     alphabets = doc["source_alphabets"]
     if not isinstance(alphabets, list) or len(alphabets) != n:
         raise ParseError("source_alphabets must list one size per source")
-    if not isinstance(doc["pmf"], list):
+    entries = doc["pmf"]
+    if not isinstance(entries, list):
         raise ParseError("pmf must be a list of entries")
-    pmf: dict[tuple[int, ...], float] = {}
-    for entry in doc["pmf"]:
+    try:
+        states = [entry["state"] for entry in entries]
+        masses = [entry["p"] for entry in entries]
+        target = doc["target_alphabet"]
+        return JointDistribution._from_rows(tuple(alphabets), target, states, masses)
+    except (TypeError, KeyError, PidError):  # an entry that is not an object, or a refused table
+        _check_entries(entries, n)  # a malformed entry is a ParseError, and comes first
+        raise
+
+
+def _check_entries(entries: list, n) -> None:
+    """Raise ParseError for the first malformed pmf entry, in file order, if there is one."""
+    seen = set()
+    for entry in entries:
         if not isinstance(entry, dict) or "state" not in entry or "p" not in entry:
             raise ParseError(f"bad pmf entry {entry!r}")
         state = entry["state"]
@@ -246,13 +433,12 @@ def _joint_from_json(doc: dict) -> JointDistribution:
         if len(state) != n + 1:
             raise ParseError(f"state {list(state)!r} has wrong arity")
         try:
-            duplicate = state in pmf
+            duplicate = state in seen
         except TypeError:  # a list or object among the symbols
             raise ParseError(f"state {list(state)!r} holds a non-symbol") from None
         if duplicate:
             raise ParseError(f"duplicate state {list(state)!r}")
-        pmf[state] = entry["p"]
-    return JointDistribution(tuple(alphabets), doc["target_alphabet"], pmf)
+        seen.add(state)
 
 
 def _joint_from_tsv(text: str) -> JointDistribution:
@@ -286,11 +472,12 @@ def _joint_from_tsv(text: str) -> JointDistribution:
 
 
 def save_joint(dist: JointDistribution, path) -> None:
+    states, masses = dist._by_cell()
     doc = {
         "n_sources": dist.n,
         "source_alphabets": list(dist.source_alphabets),
         "target_alphabet": dist.target_alphabet,
-        "pmf": [{"state": list(k), "p": v} for k, v in sorted(dist.pmf.items())],
+        "pmf": [{"state": s, "p": p} for s, p in zip(states.tolist(), masses.tolist())],
     }
     write_text(path, render(doc))
 
@@ -303,20 +490,23 @@ def random_joint(
 ) -> JointDistribution:
     """Seeded test distribution: masses are symmetric Dirichlet(1) over the full table.
 
-    Unspecified alphabet sizes are drawn uniformly from {2, 3}.
+    Unspecified alphabet sizes are drawn uniformly from {2, 3}.  The
+    arguments are checked, and the cell cap applied, before any draw.
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValidationError(f"source count must be an int, got {_shown(n)}")
+    if not 1 <= n <= MAX_SOURCES:
+        raise CapacityError(f"need 1..{MAX_SOURCES} sources, got {n}")
     rng = np.random.default_rng(seed)
     if source_alphabets is None:
         sizes = tuple(int(rng.integers(2, 4)) for _ in range(n))
     else:
-        sizes = tuple(source_alphabets)
+        sizes = tuple(source_alphabets) if isinstance(source_alphabets, Iterable) else ()
         if len(sizes) != n:
             raise ValidationError("source_alphabets must list one size per source")
     target = int(rng.integers(2, 4)) if target_alphabet is None else target_alphabet
-    shape = (*sizes, target)
+    shape = _table_sizes(sizes, target)
     cells = math.prod(shape)
-    masses = rng.dirichlet(np.ones(cells))
-    # row-major states as tuples of Python ints, one column per axis
-    columns = [axis.tolist() for axis in np.unravel_index(np.arange(cells), shape)]
-    pmf = dict(zip(zip(*columns), masses.tolist()))
+    states = np.column_stack(np.unravel_index(np.arange(cells), shape)).astype(np.int64, copy=False)
+    pmf = _PmfView(states, rng.dirichlet(np.ones(cells)))
     return JointDistribution(sizes, target, pmf)

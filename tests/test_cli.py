@@ -1,6 +1,7 @@
 """CLI behavior: golden outputs, exit codes, error reporting."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -216,6 +217,19 @@ def test_check_fails_on_nan_exit_1(tmp_path, capsys, slot):
     captured = capsys.readouterr()
     assert "error: result file fails its summation identities" in captured.err
     assert json.loads(captured.out)["consistency"]["passed"] is False
+
+
+def test_check_shows_a_nan_inclusion_exclusion_error(tmp_path, capsys):
+    result_path = tmp_path / "result.json"
+    argv = ["--input", "random", "--n", "3", "--seed", "3", "--concept", "redundancy"]
+    assert main(["decompose", *argv, "--out", str(result_path)]) == 0
+    doc = json.loads(result_path.read_text())
+    doc["atoms"][5]["value"] = float("nan")
+    result_path.write_text(json.dumps(doc))
+    assert main(["check", "--input", str(result_path)]) == 1
+    block = json.loads(capsys.readouterr().out)["inclusion_exclusion"]
+    assert block["passed"] is False
+    assert math.isnan(block["worst_error"])
 
 
 @pytest.mark.parametrize(

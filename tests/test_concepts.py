@@ -705,6 +705,12 @@ def test_patch_singleton_synergies_checks_the_supplied_values(xor_dist, value):
         patch_singleton_synergies(2, {alpha: value}, xor_dist)
 
 
+@pytest.mark.parametrize("values", [[1, 2], (), None], ids=["list", "tuple", "None"])
+def test_patch_singleton_synergies_requires_a_mapping(xor_dist, values):
+    with pytest.raises(ValidationError, match="synergy values must map antichains to numbers"):
+        patch_singleton_synergies(2, values, xor_dist)
+
+
 def test_patch_singleton_synergies_requires_multi_entries(xor_dist):
     with pytest.raises(CompletenessError):
         patch_singleton_synergies(2, {}, xor_dist)
