@@ -20,7 +20,10 @@ File formats
 ------------
 JSON: an object with ``n_sources``, ``source_alphabets`` (list of sizes),
 ``target_alphabet`` (size), and ``pmf``: a list of ``{"state": [s1..sn, t],
-"p": mass}`` entries.  Zero-mass outcomes may be omitted.
+"p": mass}`` entries.  Zero-mass outcomes may be omitted.  The loader
+pauses the cyclic garbage collector while it parses the file and builds
+the columns, and then restores the collector's prior state: the parsed
+document is two containers per entry, which hold no cycles.
 
 TSV: a header line ``s1<TAB>...<TAB>sn<TAB>t<TAB>p`` followed by one row
 per outcome; alphabet sizes are inferred as (max symbol + 1).
@@ -33,6 +36,7 @@ format's one home; this module parses and builds the distribution's fields.
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -68,7 +72,7 @@ def _table_sizes(source_alphabets, target_alphabet) -> tuple[int, ...]:
     if not 1 <= n <= MAX_SOURCES:
         raise CapacityError(f"need 1..{MAX_SOURCES} sources, got {n}")
     sizes = (*source_alphabets, target_alphabet)
-    if any(not isinstance(k, int) or k < 1 for k in sizes):
+    if any(type(k) is not int or k < 1 for k in sizes):  # exact type test: rejects bool
         raise ValidationError("alphabet sizes must be positive ints")
     cells = math.prod(sizes)
     if cells > MAX_CELLS:
@@ -197,11 +201,13 @@ class JointDistribution:
         The text is ``json.dumps(payload, sort_keys=True)`` of ``{"pmf":
         [[[s1, ..., t], p], ...], "source_alphabets": [...],
         "target_alphabet": t}`` with the outcomes in ascending order; it is
-        written one row at a time from the sorted columns.
+        written from the sorted columns by one ``%`` call: a row template
+        per outcome, applied to the outcomes' symbols and masses in turn.
         """
         row = "[[" + ", ".join(["%d"] * (self.n + 1)) + "], %r]"
         states, masses = self._by_cell()
-        rows = ", ".join(map(row.__mod__, zip(*states.T.tolist(), masses.tolist())))
+        fields = tuple(itertools.chain.from_iterable(zip(*states.T.tolist(), masses.tolist())))
+        rows = ", ".join([row] * len(masses)) % fields
         sizes = {"source_alphabets": list(self.source_alphabets), "target_alphabet": self.target_alphabet}
         rest = json.dumps(sizes, sort_keys=True)
         blob = '{"pmf": [' + rows + "], " + rest[1:]
@@ -260,11 +266,13 @@ def _columns(sizes: tuple[int, ...], keys: list, values: list) -> _Columns:
     bad outcome is named by :func:`_first_bad`.
     """
     arity = len(sizes)
-    symbols = itertools.chain.from_iterable
     try:
-        if set(map(len, keys)) - {arity} or set(map(type, symbols(keys))) - {int}:
+        if set(map(len, keys)) - {arity}:
             raise _first_bad(sizes, keys, values)
-        states = np.fromiter(symbols(keys), np.int64, len(keys) * arity).reshape(len(keys), arity)
+        symbols = list(itertools.chain.from_iterable(keys))
+        if set(map(type, symbols)) - {int}:
+            raise _first_bad(sizes, keys, values)
+        states = np.fromiter(symbols, np.int64, len(symbols)).reshape(len(keys), arity)
         kinds = set(map(type, values))
         if not all(map(_is_number_type, kinds)):
             raise _first_bad(sizes, keys, values)
@@ -360,10 +368,11 @@ def _as_bits(dist: JointDistribution, a) -> int:
         if a.n != dist.n:
             raise ValidationError("collection source count differs from distribution's")
         return a.bits
-    bits = int(a)
-    if not 0 <= bits <= source_mask(dist.n):
+    if type(a) is not int:  # exact type test: rejects bool
+        raise ValidationError(f"collection must be a SourceSet or int bits, got {_shown(a)}")
+    if not 0 <= a <= source_mask(dist.n):
         raise ValidationError(f"collection bits {a!r} out of range for n={dist.n}")
-    return bits
+    return a
 
 
 def mutual_information(dist: JointDistribution, a) -> float:
@@ -395,8 +404,16 @@ def mi_table(dist: JointDistribution) -> dict[int, float]:
 def load_joint(path, fmt: str = "json") -> JointDistribution:
     """Read a joint distribution from a JSON or TSV file."""
     if fmt == "json":
+        # The collector would walk the document's containers again and again
+        # while they are built; they are freed when the call below returns.
         fields = ("n_sources", "source_alphabets", "target_alphabet", "pmf")
-        return _joint_from_json(read_object(path, "distribution file", fields))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return _joint_from_json(read_object(path, "distribution file", fields))
+        finally:
+            if enabled:
+                gc.enable()
     if fmt == "tsv":
         return _joint_from_tsv(read_text(path, "distribution file"))
     raise ParseError(f"unknown distribution format {fmt!r}")
@@ -404,6 +421,8 @@ def load_joint(path, fmt: str = "json") -> JointDistribution:
 
 def _joint_from_json(doc: dict) -> JointDistribution:
     n = doc["n_sources"]
+    if type(n) is not int:  # exact type test: rejects bool
+        raise ParseError(f"n_sources must be an int, got {_shown(n)}")
     alphabets = doc["source_alphabets"]
     if not isinstance(alphabets, list) or len(alphabets) != n:
         raise ParseError("source_alphabets must list one size per source")

@@ -6,22 +6,32 @@ newline, and the CLI prints its JSON documents the same way.  A file that
 cannot be read as such (bytes that are not UTF-8, malformed or too deeply
 nested JSON, an integer literal too long to convert, a document that is
 not an object or lacks a field) raises :class:`ParseError`; a missing or
-unreadable file raises the operating system's ``OSError``.  The loaders
-parse their own fields from the returned object, taking every number
-through :func:`number`.
+unreadable file raises the operating system's ``OSError``.  A path is a
+``str`` or an ``os.PathLike``; anything else, an int file descriptor
+above all, raises :class:`ValidationError` before any file is opened.
+The loaders parse their own fields from the returned object, taking
+every number through :func:`number`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from typing import Iterable
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
+
+
+def _checked_path(path):
+    """``path`` if it names a file; an int would be opened, and closed, as a descriptor."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValidationError(f"path must be a str or os.PathLike, got {type(path).__name__}")
+    return path
 
 
 def read_text(path, what: str) -> str:
     """The text of a UTF-8 file; ``what`` names the file in error messages."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(_checked_path(path), "r", encoding="utf-8") as fh:
         try:
             return fh.read()
         except ValueError as exc:
@@ -62,5 +72,5 @@ def render(doc) -> str:
 
 def write_text(path, text: str) -> None:
     """Write ``text`` as a UTF-8 file, replacing any file at ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_checked_path(path), "w", encoding="utf-8") as fh:
         fh.write(text)

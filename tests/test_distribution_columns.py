@@ -9,6 +9,7 @@ the same digest bytes.
 """
 
 import copy
+import gc
 import hashlib
 import itertools
 import json
@@ -166,6 +167,10 @@ REFUSALS = {
         (2, 2), 2, {(0, 0, 2): 1.0}, ValidationError, "symbol 2 out of range in outcome (0, 0, 2)",
     ),
     "empty-alphabet": ((2, 0), 2, {(0, 0, 0): 1.0}, ValidationError, "alphabet sizes must be positive ints"),
+    "bool-alphabet": (
+        (True, 2), 2, {(0, 0, 0): 1.0}, ValidationError, "alphabet sizes must be positive ints",
+    ),
+    "bool-target": ((2, 2), True, {(0, 0, 0): 1.0}, ValidationError, "alphabet sizes must be positive ints"),
     "too-many-sources": ((2,) * 6, 2, {(0,) * 7: 1.0}, CapacityError, "need 1..5 sources, got 6"),
     "cell-cap": (
         (4096, 4096), 2, {(0, 0, 0): 1.0}, CapacityError, "outcome table has 33554432 cells, cap is 16777216",
@@ -306,6 +311,17 @@ FILE_REFUSALS = {
         _doc([{"state": [0] * 7, "p": 1.0}], n=6, alphabets=(2,) * 6),
         CapacityError, "need 1..5 sources, got 6",
     ),
+    "float-n-sources": (
+        _doc([{"state": [0, 0, 0], "p": 1.0}], n=2.0, alphabets=(2, 2)), ParseError,
+        "n_sources must be an int, got 2.0",
+    ),
+    "bool-n-sources": (
+        _doc([{"state": [0, 0], "p": 1.0}], n=True), ParseError, "n_sources must be an int, got True",
+    ),
+    "bool-alphabet": (
+        _doc([{"state": [0, 0], "p": 1.0}], alphabets=(True,)), ValidationError,
+        "alphabet sizes must be positive ints",
+    ),
 }
 
 
@@ -318,6 +334,43 @@ def test_file_refusals_keep_their_messages(tmp_path, name):
         load_joint(path)
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+COLLECTOR_CASES = {
+    "loads": (_doc([{"state": [0, 0], "p": 0.5}, {"state": [1, 1], "p": 0.5}]), None),
+    "parse-error": (_doc([{"state": [0, 0], "p": 1.0}, [1, 1, 0.0]]), ParseError),
+    "validation-error": (_doc([{"state": [0, 0], "p": 0.5}, {"state": [1, 1], "p": "x"}]), ValidationError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("case", COLLECTOR_CASES)
+def test_json_load_pauses_the_collector_and_restores_its_state(tmp_path, monkeypatch, case, enabled):
+    doc, error = COLLECTOR_CASES[case]
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(doc))
+    seen = []  # the collector's state while the file is parsed and its rows are checked
+
+    def spy(real):
+        def call(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(distributions, "read_object", spy(distributions.read_object))
+    monkeypatch.setattr(distributions, "_columns", spy(distributions._columns))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            load_joint(path)
+        else:
+            with pytest.raises(error):
+                load_joint(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] * (1 if case == "parse-error" else 2)
 
 
 def test_a_file_loads_as_its_mapping_does(tmp_path):
@@ -427,11 +480,11 @@ def test_random_joint_applies_the_cell_cap_before_drawing(monkeypatch):
     "args",
     [
         ("3", 1), (3.0, 1), (True, 1), (2, 1, (2.0, 2)), (2, 1, (2, 2), "3"), (2, 1, (2, 2), 2.0),
-        (2, 1, 5), (2, 1, (2, 0)),
+        (2, 1, 5), (2, 1, (2, 0)), (2, 1, (True, 2)), (2, 1, (2, 2), True),
     ],
     ids=[
         "str-n", "float-n", "bool-n", "float-size", "str-target", "float-target", "int-alphabets",
-        "empty-alphabet",
+        "empty-alphabet", "bool-size", "bool-target",
     ],
 )
 def test_random_joint_refuses_bad_arguments(monkeypatch, args):

@@ -47,6 +47,18 @@ def test_mi_accepts_source_sets(xor_dist):
         mutual_information(xor_dist, 0b100)
 
 
+@pytest.mark.parametrize("bits", [1.5, True, "a", None, np.int64(1)], ids=repr)
+def test_mi_refuses_collections_that_are_not_source_sets_or_ints(xor_dist, bits):
+    # int() would read 1.5 and True as the collection {1}
+    for call in (
+        lambda: mutual_information(xor_dist, bits),
+        lambda: conditional_mi(xor_dist, bits, 0b10),
+        lambda: conditional_mi(xor_dist, 0b10, bits),
+    ):
+        with pytest.raises(ValidationError, match="collection must be a SourceSet or int bits"):
+            call()
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_mi_matches_oracle(n, seed):
@@ -351,6 +363,9 @@ RANDOM_JOINT_DIGESTS = [
         {"source_alphabets": (3, 5), "target_alphabet": 4},
         "a7e728cda07276628ba6f097c030fb2f12b4da7bc54e377d133567bfee635b69",
     ),
+    # a wide table, and symbols of two digits
+    ((3, 11, (16, 16, 16), 16), {}, "d07cdd8c6cb826700b1ac05bdec5e409c124c4863486ad94a17f3f4d748151b1"),
+    ((2, 5, (12, 11), 10), {}, "aabf64e9887f6f2e461b03225a10d5325ac6be448806441814e283c0e3e5db70"),
 ]
 
 

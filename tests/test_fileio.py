@@ -7,6 +7,7 @@ as a bare UnicodeDecodeError, RecursionError, ValueError or OverflowError.
 
 import functools
 import json
+import os
 
 import pytest
 
@@ -76,3 +77,28 @@ def test_savers_write_indented_json_with_a_final_newline(tmp_path, xor_dist):
     save_result(result, tmp_path / "result.json")
     doc = export_result(result)
     assert (tmp_path / "result.json").read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+SAVERS = {
+    "distribution": save_joint,
+    "measure": lambda dist, path: save_measure(reference_measure(dist, BaseConcept.REDUNDANCY), path),
+    "result": lambda dist, path: save_result(decompose(dist, BaseConcept.REDUNDANCY), path),
+}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [*LOADERS.values(), *(functools.partial(save, helpers.xor_distribution()) for save in SAVERS.values())],
+    ids=[*(f"load-{kind}" for kind in LOADERS), *(f"save-{kind}" for kind in SAVERS)],
+)
+def test_a_file_descriptor_is_refused_and_left_open(tmp_path, call):
+    # open() takes an int as a descriptor: it would read or write the caller's file and close it
+    fd = os.open(tmp_path / "held", os.O_RDWR | os.O_CREAT)
+    try:
+        with pytest.raises(ValidationError, match="^path must be a str or os.PathLike, got int$"):
+            call(fd)
+        assert os.fstat(fd).st_size == 0  # still open, and nothing written
+    finally:
+        os.close(fd)
+    with pytest.raises(ValidationError, match="got bytes"):
+        call(os.fsencode(tmp_path / "held"))
