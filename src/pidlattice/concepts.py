@@ -286,7 +286,7 @@ def domain_for_concept(concept: BaseConcept, n: int) -> tuple[Antichain, ...]:
     See :func:`domain_positions` for which antichains these are.
     """
     antichains = enumerate_antichains(n)
-    return tuple(antichains[i] for i in domain_positions(concept, n).tolist())
+    return tuple([antichains[i] for i in domain_positions(concept, n).tolist()])
 
 
 class _IndexView(Mapping):

@@ -144,6 +144,7 @@ class JointDistribution:
 
     def __post_init__(self):
         sizes = _table_sizes(self.source_alphabets, self.target_alphabet)
+        object.__setattr__(self, "source_alphabets", sizes[:-1])  # not the caller's list
         pmf = self.pmf
         if isinstance(pmf, _PmfView):  # columns already: random_joint's, or another distribution's
             self._keep(sizes, _Columns(pmf.states, *_float_masses(pmf.masses)))
@@ -157,9 +158,9 @@ class JointDistribution:
     def _from_rows(cls, source_alphabets, target_alphabet, states: list, masses: list):
         """A distribution from a file's parallel lists of states and masses, with no dict."""
         dist = cls.__new__(cls)
-        object.__setattr__(dist, "source_alphabets", source_alphabets)
-        object.__setattr__(dist, "target_alphabet", target_alphabet)
         sizes = _table_sizes(source_alphabets, target_alphabet)
+        object.__setattr__(dist, "source_alphabets", sizes[:-1])
+        object.__setattr__(dist, "target_alphabet", target_alphabet)
         dist._keep(sizes, _columns(sizes, states, masses), (states, masses))
         return dist
 
@@ -433,7 +434,7 @@ def _joint_from_json(doc: dict) -> JointDistribution:
         states = [entry["state"] for entry in entries]
         masses = [entry["p"] for entry in entries]
         target = doc["target_alphabet"]
-        return JointDistribution._from_rows(tuple(alphabets), target, states, masses)
+        return JointDistribution._from_rows(alphabets, target, states, masses)
     except (TypeError, KeyError, PidError):  # an entry that is not an object, or a refused table
         _check_entries(entries, n)  # a malformed entry is a ParseError, and comes first
         raise

@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -484,7 +485,11 @@ def save_result(result: PidResult, path) -> None:
 
 
 def load_result(path) -> PidResult:
-    """Read a result file back; the stored MI table is trusted as-is."""
+    """Read a result file back; the stored MI table is trusted as-is.
+
+    The file's concept must be a concept tag, its measure a string and its
+    distribution digest 64 lowercase hex digits, or ParseError.
+    """
     fields = ("n", "concept", "measure", "distribution_digest", "mi", "atoms")
     doc = read_object(path, "result file", fields)
     n = doc["n"]
@@ -524,10 +529,24 @@ def load_result(path) -> PidResult:
             raise ParseError(f"duplicate atom {row['alpha']!r}")
         seen[j] = True
         values[j] = number(row["value"], f"value of atom {row['alpha']!r}")
-    meta = PidMeta(
-        concept=doc["concept"], measure=doc["measure"], digest=doc["distribution_digest"]
-    )
     if not seen.all():
         raise ParseError("result file does not cover all atoms")
-    return PidResult(n=n, atoms=index_view(None, n, values), meta=meta, mi=mi)
+    return PidResult(n=n, atoms=index_view(None, n, values), meta=_file_meta(doc), mi=mi)
+
+
+def _file_meta(doc: dict) -> PidMeta:
+    """A result file's metadata: a concept tag, a measure name and a SHA-256 hex digest.
+
+    Checked here only: a :class:`PidMeta` built in code may hold any strings.
+    """
+    try:
+        BaseConcept.from_tag(doc["concept"])
+    except DomainError as exc:
+        raise ParseError(f"field 'concept': {exc}") from None
+    if not isinstance(doc["measure"], str):
+        raise ParseError(f"field 'measure' must be a string, got {type(doc['measure']).__name__}")
+    digest = doc["distribution_digest"]
+    if not isinstance(digest, str) or not re.fullmatch("[0-9a-f]{64}", digest):
+        raise ParseError("field 'distribution_digest' must be 64 lowercase hex digits")
+    return PidMeta(concept=doc["concept"], measure=doc["measure"], digest=digest)
 

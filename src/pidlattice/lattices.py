@@ -53,6 +53,12 @@ def check_source_count(n: int) -> None:
         raise CapacityError(f"source count must be an int in 1..{MAX_SOURCES}, got {n!r}")
 
 
+def _check_n(n) -> None:
+    """The boundary objects' source count: an exact int (not a bool or float), at least 1."""
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"source count must be a positive int, got {n!r}")
+
+
 def source_mask(n: int) -> int:
     """Bitmask selecting all n sources."""
     return (1 << n) - 1
@@ -97,9 +103,8 @@ class SourceSet:
     bits: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValidationError(f"source count must be a positive int, got {self.n!r}")
-        if not isinstance(self.bits, int) or not 0 <= self.bits <= source_mask(self.n):
+        _check_n(self.n)
+        if type(self.bits) is not int or not 0 <= self.bits <= source_mask(self.n):
             raise ValidationError(f"collection bits {self.bits!r} out of range for n={self.n}")
 
     @classmethod
@@ -145,26 +150,49 @@ class Antichain:
     collections: tuple[SourceSet, ...]
 
     def __post_init__(self):
+        _check_n(self.n)
+        if type(self.collections) is not tuple:
+            raise ValidationError(f"collections must be a tuple, got {type(self.collections).__name__}")
         prev = None
         for c in self.collections:
+            if type(c) is not SourceSet:
+                raise ValidationError(f"collections must be SourceSets, got {type(c).__name__}")
             if c.n != self.n:
                 raise ValidationError("collection source count differs from antichain's")
             if prev is not None and prev.sort_key() >= c.sort_key():
                 raise ValidationError("collections must be in strict canonical order")
             prev = c
-        masks = [c.bits for c in self.collections]
+        masks = self.masks
         for i, a in enumerate(masks):
             for b in masks[i + 1 :]:
                 if a & ~b == 0 or b & ~a == 0:
                     raise ValidationError(
                         f"collections {collection_label(a)} and {collection_label(b)} are comparable"
                     )
-        # Antichains key every measure table; hashing the nested tuple on
-        # each lookup would dominate a table's validation.
-        object.__setattr__(self, "_hash", hash((self.n, self.collections)))
+        # Antichains key every measure table, so the hash is taken once, over
+        # ints only: hashing the SourceSets on each lookup would dominate.
+        object.__setattr__(self, "_hash", hash((self.n, masks)))
 
     def __hash__(self) -> int:
         return self._hash
+
+    @classmethod
+    def _checked(
+        cls, n: int, rows: Iterable[tuple[int, ...]], sets: Sequence[SourceSet]
+    ) -> tuple["Antichain", ...]:
+        """The antichains of mask rows that :func:`_antichains_from_rows` has checked.
+
+        ``sets[s]`` is ``SourceSet(n, s)``, shared by all of them.
+        """
+        new, put = object.__new__, object.__setattr__
+        out = []
+        for masks in rows:
+            alpha = new(cls)
+            put(alpha, "n", n)
+            put(alpha, "collections", tuple([sets[s] for s in masks]))
+            put(alpha, "_hash", hash((n, masks)))
+            out.append(alpha)
+        return tuple(out)
 
     @classmethod
     def of(cls, n: int, masks: Iterable[int | SourceSet]) -> "Antichain":
@@ -254,9 +282,8 @@ class ParthoodDistribution:
     table: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValidationError(f"source count must be a positive int, got {self.n!r}")
-        if not isinstance(self.table, int) or not 0 <= self.table <= table_mask(self.n):
+        _check_n(self.n)
+        if type(self.table) is not int or not 0 <= self.table <= table_mask(self.n):
             raise ValidationError("truth table out of range")
         if self.table & 1:
             raise ValidationError("value at the empty collection must be 0")
@@ -265,6 +292,18 @@ class ParthoodDistribution:
         for step, pat in _monotone_violation_masks(self.n):
             if (self.table & pat) & ~(self.table >> step):
                 raise ValidationError("parthood distribution must be monotone")
+
+    @classmethod
+    def _checked(cls, n: int, tables: Iterable[int]) -> tuple["ParthoodDistribution", ...]:
+        """The distributions of tables that :func:`_parthood_from_tables` has checked."""
+        new, put = object.__new__, object.__setattr__
+        out = []
+        for table in tables:
+            f = new(cls)
+            put(f, "n", n)
+            put(f, "table", table)
+            out.append(f)
+        return tuple(out)
 
     def value(self, collection: int | SourceSet) -> int:
         bits = collection.bits if isinstance(collection, SourceSet) else collection
@@ -374,7 +413,12 @@ class LatticeIndex:
     uint64 truth table), whose downward closure is ``down[i]``.  Row
     ``members[i]`` lists them in canonical order, padded with ``1 << n``;
     ``antichains[i]`` is built from that row and labeled ``labels[i]``, and
-    ``position[alpha]`` gives i back.  The rows are in the canonical order
+    ``position[alpha]`` gives i back.  The objects are not built one
+    constructor call each: one numpy pass checks every row against the
+    ``Antichain`` constructor's rules (:func:`_antichains_from_rows`), as
+    :func:`enumerate_parthood_distributions` checks the atom tables against
+    ``ParthoodDistribution``'s, and the first bad row raises the
+    constructor's ValidationError.  The rows are in the canonical order
     of :func:`enumerate_antichains`.  ``partner[minimal_non_subsets]`` and
     ``partner[maximal_non_supersets]`` are those two maps as permutations of
     the antichain positions.
@@ -494,11 +538,9 @@ def lattice_index(n: int) -> LatticeIndex:
     up, down = up[order], minimal[order]
     for step, lacking in _monotone_violation_masks(n):  # down-closure: drop one source at a time
         down |= (down & ~np.uint64(lacking)) >> np.uint64(step)
-    rows = members.tolist()
-    sets = [SourceSet(n, s) for s in range(pad)]
-    antichains = tuple(Antichain(n, tuple(sets[s] for s in row if s < pad)) for row in rows)
+    antichains = _antichains_from_rows(n, members)
     names = [collection_label(s) for s in range(pad)] + [""]
-    labels = tuple("".join(names[s] for s in row) or EMPTY_CHAIN_LABEL for row in rows)
+    labels = tuple(["".join([names[s] for s in row]) or EMPTY_CHAIN_LABEL for row in members.tolist()])
 
     # Up-sets and down-sets each label the antichains one to one, so a
     # partner map is a lookup of the complementary closure.
@@ -517,15 +559,20 @@ def lattice_index(n: int) -> LatticeIndex:
     steps = []
     for s in canonical:
         bit = np.uint64(1 << s)
-        lacking = np.flatnonzero((atom_tables & bit) == 0)
-        grown = atom_tables[lacking] | bit
+        # Adding a bit that all of them lack keeps sorted tables sorted, and
+        # searchsorted runs several times faster on ascending needles.
+        lacking = np.flatnonzero((sorted_tables & bit) == 0)
+        grown = sorted_tables[lacking] | bit
         at = np.minimum(np.searchsorted(sorted_tables, grown), len(sorted_tables) - 1)
         hit = sorted_tables[at] == grown
         if hit.any():
+            dst, src = table_order[lacking[hit]], table_order[at[hit]]
+            by_dst = np.argsort(dst)
             # int32 halves the largest array of the index (35,510 pairs at n = 5)
-            steps.append((lacking[hit].astype(np.int32), table_order[at[hit]].astype(np.int32)))
+            steps.append((dst[by_dst].astype(np.int32), src[by_dst].astype(np.int32)))
 
-    export_rank = np.argsort(np.argsort(np.array(labels)[access_antichain]))
+    atom_labels = [labels[i] for i in access_antichain.tolist()]
+    export_rank = np.argsort(sorted(range(len(atom_labels)), key=atom_labels.__getitem__))
     index = LatticeIndex(
         n=n,
         antichains=antichains,
@@ -551,10 +598,55 @@ def lattice_index(n: int) -> LatticeIndex:
     return index
 
 
+def _antichains_from_rows(n: int, members: np.ndarray) -> tuple[Antichain, ...]:
+    """The antichains of member rows, checked by the constructor's rules in one pass.
+
+    A row lists collection bitmasks in strictly increasing canonical rank,
+    padded after them with ``1 << n``, and no two of them are comparable.
+    The first row that breaks a rule goes through the public constructor,
+    which raises its ValidationError.
+    """
+    pad = 1 << n
+    rank = np.full(pad + 1, pad)
+    rank[sorted(range(pad), key=lambda s: (s.bit_count(), s))] = np.arange(pad)
+    known = (members >= 0) & (members <= pad)
+    real = known & (members != pad)
+    ranks = rank[np.where(known, members, pad)]  # a pad ranks above every collection
+    ordered = ~real[:, 1:] | (ranks[:, :-1] < ranks[:, 1:])
+    a, b = members[:, :, None], members[:, None, :]
+    pairs = np.triu(np.ones(members.shape[1:] * 2, dtype=bool), 1) & real[:, :, None] & real[:, None, :]
+    comparable = ((a & ~b == 0) | (b & ~a == 0)) & pairs
+    bad = ~known.all(axis=1) | ~ordered.all(axis=1) | comparable.any(axis=(1, 2))
+    rows = members.tolist()
+    if bad.any():
+        row = rows[int(bad.argmax())]
+        while row and row[-1] == pad:
+            row.pop()
+        Antichain(n, tuple(SourceSet(n, s) for s in row))  # raises: a pad left inside is out of range
+    sets = [SourceSet(n, s) for s in range(pad)]
+    widths = real.sum(axis=1).tolist()
+    return Antichain._checked(n, (tuple(row[:k]) for row, k in zip(rows, widths)), sets)
+
+
 @functools.lru_cache(maxsize=None)
 def enumerate_parthood_distributions(n: int) -> tuple[ParthoodDistribution, ...]:
     """All parthood distributions over n sources (Dedekind number minus two)."""
-    return tuple(ParthoodDistribution(n, int(t)) for t in lattice_index(n).atom_tables)
+    return _parthood_from_tables(n, lattice_index(n).atom_tables)
+
+
+def _parthood_from_tables(n: int, tables: np.ndarray) -> tuple[ParthoodDistribution, ...]:
+    """The distributions of uint64 truth tables, checked by the constructor's rules in one pass.
+
+    The first table that breaks a rule goes through the public constructor,
+    which raises its ValidationError.
+    """
+    bad = (tables > table_mask(n)) | (tables & 1 == 1) | (tables >> source_mask(n) & 1 == 0)
+    for step, pat in _monotone_violation_masks(n):
+        bad |= tables & pat & ~(tables >> step) != 0
+    values = tables.tolist()
+    if bad.any():
+        ParthoodDistribution(n, values[int(bad.argmax())])  # raises that table's fault
+    return ParthoodDistribution._checked(n, values)
 
 
 def _order_table(kind: OrderKind, alpha: Antichain) -> int:

@@ -318,3 +318,18 @@ def test_unreadable_file_exits_1(tmp_path, capsys, kind, data):
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("concept", 5), ("measure", [1]), ("distribution_digest", {"a": 1})],
+)
+def test_check_rejects_unchecked_metadata_exit_1(tmp_path, capsys, field, value):
+    result_path = tmp_path / "result.json"
+    main(["decompose", "--input", XOR_JSON, "--concept", "redundancy", "--out", str(result_path)])
+    doc = json.loads(result_path.read_text())
+    doc[field] = value
+    result_path.write_text(json.dumps(doc))
+    assert main(["check", "--input", str(result_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err

@@ -390,3 +390,15 @@ def test_random_joint_default_alphabets_are_small():
     dist = random_joint(4, 7)
     assert all(2 <= k <= 3 for k in dist.source_alphabets)
     assert 2 <= dist.target_alphabet <= 3
+
+
+def test_a_distribution_keeps_its_own_alphabet_tuple(tmp_path):
+    sizes = [2, 2]
+    dist = JointDistribution(sizes, 2, {(0, 0, 0): 0.5, (1, 1, 1): 0.5})
+    sizes.append(2)
+    assert dist.source_alphabets == (2, 2) and type(dist.source_alphabets) is tuple
+    assert dist.n == 2 and len(mi_table(dist)) == 4
+    path = tmp_path / "d.json"
+    save_joint(dist, path)
+    assert type(load_joint(path).source_alphabets) is tuple
+    assert random_joint(2, 0, source_alphabets=[3, 2]).source_alphabets == (3, 2)

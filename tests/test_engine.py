@@ -718,3 +718,38 @@ def test_loaded_corruption_is_detectable(tmp_path, xor_dist):
     path.write_text(json.dumps(doc))
     back = load_result(path)
     assert not verify_consistency(back).passed
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("concept", 5, "field 'concept': unknown concept 5"),
+        ("concept", "mystery", "field 'concept': unknown concept 'mystery'"),
+        ("concept", ["redundancy"], "field 'concept': unknown concept"),
+        ("measure", [1], "field 'measure' must be a string, got list"),
+        ("measure", None, "field 'measure' must be a string, got NoneType"),
+        ("distribution_digest", {"a": 1}, "'distribution_digest' must be 64 lowercase hex digits"),
+        ("distribution_digest", "ab" * 31, "'distribution_digest' must be 64 lowercase hex digits"),
+        ("distribution_digest", "AB" * 32, "'distribution_digest' must be 64 lowercase hex digits"),
+        ("distribution_digest", "ab" * 31 + "g1", "'distribution_digest' must be 64 lowercase hex"),
+        ("distribution_digest", "ab" * 32 + "\n", "'distribution_digest' must be 64 lowercase hex"),
+    ],
+)
+def test_load_result_checks_its_metadata(tmp_path, xor_dist, field, value, message):
+    path = tmp_path / "result.json"
+    save_result(decompose(xor_dist, BaseConcept.REDUNDANCY), path)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_result(path)
+
+
+def test_file_metadata_round_trips_and_code_built_metadata_stays_free(tmp_path, xor_dist):
+    path = tmp_path / "result.json"
+    for concept in BaseConcept:
+        result = decompose(xor_dist, concept)
+        save_result(result, path)
+        assert load_result(path).meta == result.meta
+    free = PidMeta(concept="synthetic", measure="anything", digest="none")
+    assert free.concept == "synthetic"
