@@ -8,13 +8,15 @@ columns through one set of bulk checks; a per-outcome walk runs only to
 name the first bad outcome once a bulk check has failed.  ``pmf`` is a
 read-only ``Mapping`` view over the columns (``dict(dist.pmf)`` for a
 mutable copy): its length needs no dict, and the dict of outcome tuples
-is built on the first lookup or iteration.  ``digest`` is written from
-the sorted columns.  Entropies and mutual informations, in bits, come
-from each outcome's cell index and mass in that order.  Marginals are
-formed by sorting and grouping those arrays, so memory grows with the
-number of outcomes, not with the number of cells in the outcome table
-(up to ``MAX_CELLS``).  Probability masses at or below 1e-15 are treated
-as exact zeros so that noisy inputs cannot contribute 0*log(0) artifacts.
+is built on the first lookup or iteration.  ``digest`` hashes the JSON
+text of the sorted columns, which the row writer of :mod:`pidlattice.fileio`
+writes without a Python object per outcome.  Entropies and mutual
+informations, in bits, come from each outcome's cell index and mass in
+that order.  Marginals are formed by sorting and grouping those arrays, so
+memory grows with the number of outcomes, not with the number of cells in
+the outcome table (up to ``MAX_CELLS``).  Probability masses at or below
+1e-15 are treated as exact zeros so that noisy inputs cannot contribute
+0*log(0) artifacts.
 
 File formats
 ------------
@@ -50,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, ParseError, PidError, ValidationError
-from .fileio import read_object, read_text, render, write_text
+from .fileio import json_rows, read_object, read_text, render, write_text
 from .lattices import MAX_SOURCES, SourceSet, source_mask
 
 MASS_EPS = 1e-15
@@ -68,7 +70,12 @@ def _shown(value) -> str:
 
 def _table_sizes(source_alphabets, target_alphabet) -> tuple[int, ...]:
     """The axis sizes of an outcome table, sources then target, once they are checked."""
-    n = len(source_alphabets)
+    try:
+        n = len(source_alphabets)
+    except TypeError:  # an int, or a generator, which has no length
+        raise ValidationError(
+            f"source alphabets must be a sequence of sizes, got {type(source_alphabets).__name__}"
+        ) from None
     if not 1 <= n <= MAX_SOURCES:
         raise CapacityError(f"need 1..{MAX_SOURCES} sources, got {n}")
     sizes = (*source_alphabets, target_alphabet)
@@ -201,18 +208,19 @@ class JointDistribution:
 
         The text is ``json.dumps(payload, sort_keys=True)`` of ``{"pmf":
         [[[s1, ..., t], p], ...], "source_alphabets": [...],
-        "target_alphabet": t}`` with the outcomes in ascending order; it is
-        written from the sorted columns by one ``%`` call: a row template
-        per outcome, applied to the outcomes' symbols and masses in turn.
+        "target_alphabet": t}`` with the outcomes in ascending order, each
+        mass as ``float.__repr__`` writes it.  The outcomes' text comes from
+        the sorted columns through :func:`pidlattice.fileio.json_rows` and
+        is hashed piece by piece, never held whole.
         """
-        row = "[[" + ", ".join(["%d"] * (self.n + 1)) + "], %r]"
         states, masses = self._by_cell()
-        fields = tuple(itertools.chain.from_iterable(zip(*states.T.tolist(), masses.tolist())))
-        rows = ", ".join([row] * len(masses)) % fields
+        assert masses.min() > MASS_EPS and masses.max() <= 1 + MASS_SUM_TOL  # as _keep left them
         sizes = {"source_alphabets": list(self.source_alphabets), "target_alphabet": self.target_alphabet}
-        rest = json.dumps(sizes, sort_keys=True)
-        blob = '{"pmf": [' + rows + "], " + rest[1:]
-        return hashlib.sha256(blob.encode()).hexdigest()
+        sha = hashlib.sha256(b'{"pmf": [')
+        for piece in json_rows(states, masses):
+            sha.update(piece)
+        sha.update(("], " + json.dumps(sizes, sort_keys=True)[1:]).encode())
+        return sha.hexdigest()
 
     def _by_cell(self) -> tuple[np.ndarray, np.ndarray]:
         """The kept states and masses in row-major cell order, which is their sorted order."""

@@ -11,13 +11,23 @@ unreadable file raises the operating system's ``OSError``.  A path is a
 above all, raises :class:`ValidationError` before any file is opened.
 The loaders parse their own fields from the returned object, taking
 every number through :func:`number`.
+
+Two numpy kernels write JSON text without a Python object per value:
+:func:`shortest_digits` finds the shortest round-trip decimal digits of a
+float64 column, and :func:`json_rows` writes a table of int symbols and
+float masses as the rows of a JSON list, byte for byte as ``json.dumps``
+writes them (a table of few rows goes through ``json.dumps`` itself).
+``JointDistribution.digest`` hashes those rows.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-from typing import Iterable
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import ParseError, ValidationError
 
@@ -74,3 +84,240 @@ def write_text(path, text: str) -> None:
     """Write ``text`` as a UTF-8 file, replacing any file at ``path``."""
     with open(_checked_path(path), "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+# ------------------------------------------------------------- JSON numbers
+
+_POW10 = 10 ** np.arange(19, dtype=np.int64)  # 10**0 .. 10**18
+_M32 = np.uint64(0xFFFFFFFF)
+_M63 = np.uint64((1 << 63) - 1)
+_K_MIN = -324  # the scales 10**k that Schubfach needs for the positive normal doubles
+_K_MAX = 292
+_EXPONENTS = range(-308, 309)  # the exponents of their repr in exponent form
+# Below this many rows json_rows leaves the text to json.dumps: each numpy call
+# costs microseconds whatever its length, and the two paths measured even at
+# about 320 rows on a 2-vCPU host.
+_KERNEL_ROWS = 320
+# json_rows writes this many rows at a time, which bounds its temporaries at a few MB.
+_CHUNK_ROWS = 8192
+
+
+def _flog2_pow10(e):
+    """floor(e * log2(10)), exact for |e| <= 1233."""
+    return (e * 913_124_641_741) >> 38
+
+
+@functools.cache
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
+    """The powers of ten as 126-bit multipliers, built from Python ints on first use.
+
+    Row ``k - _K_MIN`` holds g = floor(b) + 1 for 10**-k = b * 2**r with
+    2**125 <= b < 2**126, split into its high and low 63 bits.
+    """
+    g = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        r = _flog2_pow10(-k) - 125
+        if k <= 0:
+            b = 10**-k >> r if r >= 0 else 10**-k << -r
+        else:
+            b = (1 << -r) // 10**k
+        g.append(b + 1)
+    high = np.array([x >> 63 for x in g], dtype=np.uint64)
+    low = np.array([x & ((1 << 63) - 1) for x in g], dtype=np.uint64)
+    return high, low
+
+
+def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return x & _M32, x >> np.uint64(32)
+
+
+def _high_product(a: tuple, b: tuple) -> np.ndarray:
+    """The high 64 bits of each 128-bit product a * b, from the 32-bit halves of a and b."""
+    (a0, a1), (b0, b1) = a, b
+    middle = a1 * b0
+    cross = (a0 * b0 >> np.uint64(32)) + (middle & _M32) + a0 * b1
+    return a1 * b1 + (middle >> np.uint64(32)) + (cross >> np.uint64(32))
+
+
+def _round_to_odd(g1: np.ndarray, g: tuple, cp: np.ndarray) -> np.ndarray:
+    """floor(g * cp / 2**127) for g = g1 * 2**63 + g0, made odd when bits below it are not 0.
+
+    ``g`` holds the 32-bit halves of g1 and g0.  The low 64 bits of g0 * cp
+    and the lowest bit of g1 * cp are not formed, as in Schubfach.
+    """
+    halves = _halves(cp)
+    z = (g1 * cp >> np.uint64(1)) + _high_product(g[1], halves)
+    upper = _high_product(g[0], halves) + (z >> np.uint64(63))
+    return upper | ((z & _M63) + _M63 >> np.uint64(63))
+
+
+def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shortest decimal digits that read back as each of ``values``.
+
+    ``values`` are positive normal float64s.  Returns int64 ``digits``,
+    their ``count`` and the ``point``: value = 0.d1d2...d<count> * 10**point
+    reads back to the value as the nearest double, with ``digits`` as short
+    as that allows, free of trailing zeros and, among the shortest, the
+    closest to the value (an even last digit on a tie).  These are the
+    digits of ``float.__repr__``.  The method is Schubfach (R. Giulietti,
+    "The Schubfach way to render doubles", 2020) on uint64 arrays: each
+    value and the ends of its rounding interval are scaled by one 126-bit
+    power of ten and rounded to odd, and the candidates at that scale and
+    at ten times it are tested against the interval.  The 128-bit
+    products are formed from 32-bit halves, which wrap as arrays do.
+    """
+    g1_table, g0_table = _powers_of_ten()
+    bits = values.view(np.uint64)
+    fraction = bits & np.uint64((1 << 52) - 1)
+    biased = (bits >> np.uint64(52)).astype(np.int64)
+    c = fraction | np.uint64(1 << 52)
+    q = biased - 1075
+    # The interval reaches half as far below a power of two as above it.
+    closer = (fraction == 0) & (biased > 1)
+    k = (q * 661_971_961_083 - closer * 274_743_187_321) >> 41  # floor(log10 of 2**q or 3/4 of it)
+    h = (q + _flog2_pow10(-k) + 2).astype(np.uint64)
+    g1, g0 = g1_table.take(k - _K_MIN), g0_table.take(k - _K_MIN)
+    cb = c << np.uint64(2)
+    ends = np.stack([cb - np.uint64(2) + closer, cb, cb + np.uint64(2)]) << h
+    vbl, vb, vbr = _round_to_odd(g1, (_halves(g1), _halves(g0)), ends)
+    odd = c & np.uint64(1)  # an odd value's interval leaves out its ends
+    lower, upper = vbl + odd, vbr - odd
+    s = vb >> np.uint64(2)
+    # One multiple of ten times the scale in the interval is the shortest.
+    s10 = s // np.uint64(10) * np.uint64(10)
+    below_in = lower <= s10 << np.uint64(2)
+    above_in = s10 + np.uint64(10) << np.uint64(2) <= upper
+    # Else one of s and s + 1 if only one is inside, else the nearer, even on a tie.
+    s_in = lower <= s << np.uint64(2)
+    next_in = s + np.uint64(1) << np.uint64(2) <= upper
+    middle = (s << np.uint64(2)) + np.uint64(2)
+    up = np.where(s_in != next_in, next_in, (vb > middle) | ((vb == middle) & (s & np.uint64(1) == 1)))
+    digits = np.where(below_in != above_in, s10 + above_in * np.uint64(10), s + up).astype(np.int64)
+    # s lies in [2**52, 10 * 2**53), so the candidates have 16 or 17 digits.
+    count = 16 + (digits >= _POW10[16])
+    point = k + count
+    for step in (16, 8, 4, 2, 1):  # strip up to 31 trailing zeros in five steps
+        quotient = digits // _POW10[step]
+        bare = quotient * _POW10[step] == digits
+        digits = np.where(bare, quotient, digits)
+        count -= bare * step
+    return digits, count, point
+
+
+@functools.cache
+def _word_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Text as 4-byte words, 0 bytes standing for no text, built on first use.
+
+    Region r of the digit table (entries ``10_000 * r`` on) holds each
+    four-digit group 0000..9999: for r = 0..4 its last r digits, for
+    r = 5..8 a point and its last r - 5 digits.  Row ``e - _EXPONENTS.start``
+    of the exponent table holds the two words of ``e-05`` (for e = -5),
+    and the last row two blank words.
+    """
+    digits = (np.arange(10_000)[:, None] // _POW10[3::-1] % 10 + ord("0")).astype(np.uint8)
+    place = np.arange(4)
+    regions = [np.where(place >= 4 - r, digits, 0) for r in range(5)]
+    regions += [np.where(place == 3 - r, ord("."), regions[r]) for r in range(4)]
+    words = np.concatenate(regions).astype(np.uint8).view(np.uint32).ravel()
+    texts = [f"e{e:+03d}".encode().rjust(8, b"\0") for e in _EXPONENTS]
+    exponents = np.frombuffer(b"".join(texts) + bytes(8), np.uint32).reshape(-1, 2)
+    return words, exponents
+
+
+def _word(text: bytes) -> np.uint32:
+    """Up to four bytes as one word, right-aligned over 0 bytes."""
+    return np.frombuffer(text.rjust(4, b"\0"), np.uint32)[0]
+
+
+def _digit_count(values: np.ndarray, most: int) -> np.ndarray:
+    """The number of decimal digits of each int64 value below 10**most, 1 for 0."""
+    count = np.ones(values.shape, np.int64)
+    for power in _POW10[1:most]:
+        count += values >= power
+    return count
+
+
+def _put_digits(out: np.ndarray, values: np.ndarray, shown: np.ndarray, point=None) -> None:
+    """Write each value's last ``shown`` digits, zero-padded, right-aligned into the words of ``out``.
+
+    ``out``'s last axis holds the words, the others match ``values``.
+    With ``point``, a "." goes before the digits where it is true.  Each
+    word is one lookup in the digit table; the rest of ``out`` is 0 bytes.
+    """
+    words = _word_tables()[0]
+    count = out.shape[-1]
+    for i in range(count):
+        place = 4 * (count - 1 - i)  # digits right of this word
+        rest = shown - place
+        region = np.clip(rest, 0, 4)
+        if point is not None:
+            region += 5 * (point & (rest >= 0) & (rest <= 3))
+        group = values // _POW10[min(place, 18)] % 10_000  # the values are below 10**18
+        out[..., i] = words.take(group + 10_000 * region)
+
+
+def _mass_parts(masses: np.ndarray) -> tuple:
+    """Each mass's ``repr`` text in parts, as int64 columns.
+
+    The whole number before the point; the digits after it and their
+    count, 0 for a single digit in exponent form; and each exponent's row
+    in the exponent table, the blank row where there is none.  Exponent
+    form is used when the point would sit 4 or more places left of the
+    first digit or more than 16 right of it (``1.5e-05``, ``1e+22``);
+    otherwise the text is ``0.000ddd``, ``ddd.ddd`` or ``ddd.0``.
+    """
+    digits, count, point = shortest_digits(masses)
+    scientific = (point <= -4) | (point > 16)
+    after = np.where(scientific, count - 1, count - point)
+    whole, fraction = np.divmod(digits, _POW10[np.clip(after, 0, 18)])
+    whole *= _POW10[np.clip(-after, 0, 18)]
+    after = np.where(scientific, after, np.maximum(after, 1))
+    return whole, fraction, after, np.where(scientific, point - 1 - _EXPONENTS.start, len(_EXPONENTS))
+
+
+def json_rows(states: np.ndarray, masses: np.ndarray) -> Iterator[bytes]:
+    """Outcomes as the items of a JSON list, as ``json.dumps`` writes them.
+
+    ``states`` is an int64 matrix of symbols (0 or more), one row per
+    outcome, and ``masses`` the outcomes' float64 masses, each a positive
+    normal double.  Yields the text ``[[s1, ..., t], p], [[...], p]`` in
+    pieces of up to ``_CHUNK_ROWS`` rows: symbols in decimal, masses as
+    ``float.__repr__`` writes them.  ``b"".join`` of the pieces is the text.
+    """
+    for start in range(0, len(masses), _CHUNK_ROWS):
+        if start:
+            yield b", "
+        yield _rows(states[start : start + _CHUNK_ROWS], masses[start : start + _CHUNK_ROWS])
+
+
+def _rows(states: np.ndarray, masses: np.ndarray) -> bytes:
+    """The text of :func:`json_rows` for one piece.
+
+    From ``_KERNEL_ROWS`` rows on, each outcome is laid out in a row of
+    4-byte words, every symbol and part of the mass right-aligned in a
+    fixed number of them over 0 bytes, and dropping the 0 bytes joins the
+    rows into the text; fewer rows go through ``json.dumps`` itself.
+    """
+    rows, arity = states.shape
+    if rows < _KERNEL_ROWS:
+        return json.dumps(list(zip(states.tolist(), masses.tolist())))[1:-1].encode()
+    whole, fraction, after, exponent = _mass_parts(masses)
+    most, whole_most = len(str(int(states.max()))), len(str(int(whole.max())))
+    per_symbol = -(-most // 4) + 1  # its digits, then ", " or "], "
+    widths = [1 + arity * per_symbol, -(-whole_most // 4), int(after.max()) // 4 + 1]
+    widths += [2 if (exponent < len(_EXPONENTS)).any() else 0, 1]
+    out = np.empty((rows, sum(widths)), np.uint32)
+    opening, whole_words, fraction_words, exponent_words, closing = np.split(out, np.cumsum(widths)[:-1], axis=1)
+    opening[:, 0] = _word(b"[[")
+    symbols = opening[:, 1:].reshape(rows, arity, per_symbol)  # a view: the words are adjacent
+    _put_digits(symbols[..., :-1], states, _digit_count(states, most))
+    symbols[:, :-1, -1] = _word(b", ")
+    symbols[:, -1, -1] = _word(b"], ")
+    _put_digits(whole_words, whole, _digit_count(whole, whole_most))
+    _put_digits(fraction_words, fraction, after, point=after > 0)
+    if exponent_words.size:
+        exponent_words[:] = _word_tables()[1].take(exponent, axis=0)
+    closing[:] = _word(b"], ")
+    closing[-1] = _word(b"]")  # no separator after the last outcome
+    text = out.view(np.uint8).ravel()
+    return np.compress(text != 0, text).tobytes()

@@ -59,6 +59,14 @@ def _check_n(n) -> None:
         raise ValidationError(f"source count must be a positive int, got {n!r}")
 
 
+def _iterate(items, what: str):
+    """An iterator over ``items``; an int or other non-iterable is a ValidationError."""
+    try:
+        return iter(items)
+    except TypeError:
+        raise ValidationError(f"{what} must be an iterable, got {type(items).__name__}") from None
+
+
 def source_mask(n: int) -> int:
     """Bitmask selecting all n sources."""
     return (1 << n) - 1
@@ -109,10 +117,11 @@ class SourceSet:
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "SourceSet":
+        _check_n(n)
         bits = 0
-        for idx in indices:
-            if not 1 <= idx <= n:
-                raise ValidationError(f"source index {idx} out of range 1..{n}")
+        for idx in _iterate(indices, "source indices"):
+            if type(idx) is not int or not 1 <= idx <= n:  # exact type test: rejects bool
+                raise ValidationError(f"source index {idx!r} out of range 1..{n}")
             bits |= 1 << (idx - 1)
         return cls(n, bits)
 
@@ -198,7 +207,7 @@ class Antichain:
     def of(cls, n: int, masks: Iterable[int | SourceSet]) -> "Antichain":
         """Build from collection bitmasks (or SourceSets), sorting into canonical order."""
         sets = []
-        for m in masks:
+        for m in _iterate(masks, "antichain members"):
             sets.append(m if isinstance(m, SourceSet) else SourceSet(n, m))
         sets.sort(key=SourceSet.sort_key)
         return cls(n, tuple(sets))

@@ -233,6 +233,11 @@ def test_domains_are_unchanged(n):
         lambda: ParthoodDistribution(2, 8.0),
         lambda: ParthoodDistribution(2, np.int64(8)),
         lambda: ParthoodDistribution(None, 8),
+        lambda: SourceSet.from_indices(2, ["a"]),
+        lambda: SourceSet.from_indices(2, 5),
+        lambda: SourceSet.from_indices(2, [True]),
+        lambda: SourceSet.from_indices(2.0, [1]),
+        lambda: Antichain.of(2, 5),
     ],
 )
 def test_boundary_constructors_take_exact_types(make):
@@ -241,6 +246,12 @@ def test_boundary_constructors_take_exact_types(make):
 
 
 def test_typed_constructor_messages():
+    with pytest.raises(ValidationError, match="^source indices must be an iterable, got int$"):
+        SourceSet.from_indices(2, 5)
+    with pytest.raises(ValidationError, match="^source index 'a' out of range 1..2$"):
+        SourceSet.from_indices(2, ["a"])
+    with pytest.raises(ValidationError, match="^antichain members must be an iterable, got int$"):
+        Antichain.of(2, 5)
     with pytest.raises(ValidationError, match="source count must be a positive int, got 2.0"):
         Antichain(2.0, ())
     with pytest.raises(ValidationError, match="collections must be a tuple, got list"):

@@ -34,8 +34,8 @@ from pidlattice import (
     random_joint,
     save_joint,
 )
-from pidlattice import distributions
-from pidlattice.distributions import MASS_EPS, MASS_SUM_TOL
+from pidlattice import distributions, fileio
+from pidlattice.distributions import MASS_EPS, MASS_SUM_TOL, MAX_CELLS
 
 
 def _shown(value) -> str:
@@ -129,25 +129,47 @@ def _dyadic(count: int, splits: list[int]) -> list[float]:
 @given(st.data())
 def test_digest_matches_the_sorted_json_formula(data):
     n = data.draw(st.integers(1, 5), label="n")
-    sizes = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n + 1, max_size=n + 1), label="sizes"))
-    cells = list(itertools.product(*map(range, sizes)))
-    support = data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=32, unique=True))
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=n + 1, max_size=n + 1), label="sizes")
+    # one wide axis, for symbols of 3, 7 and 8 digits (the cell cap allows no other axis
+    # beside 2**23 or 2**24)
+    wide = data.draw(st.sampled_from([None, 1000, 2**23, 2**24]), label="wide")
+    if wide is not None:
+        axis = data.draw(st.integers(0, n), label="axis")
+        sizes = [wide if i == axis else (k if wide == 1000 else 1) for i, k in enumerate(sizes)]
+    sizes = tuple(sizes)
+    cells = math.prod(sizes)
+    # a few outcomes are written by json.dumps, fileio._KERNEL_ROWS or more by the numpy kernel;
+    # so many are drawn from a seeded generator
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="many"):
+        count = fileio._KERNEL_ROWS + 4 + int(rng.integers(100))
+    else:
+        count = data.draw(st.integers(1, 36), label="count")
+    cells_picked = rng.choice(cells, min(cells, count), replace=False)
+    picked = [tuple(map(int, np.unravel_index(c, sizes))) for c in cells_picked]
     kind = data.draw(st.sampled_from(["float", "float32", "int"]), label="kind")
+    if kind == "float32":
+        picked = picked[:32]  # _dyadic splits 1.0 at most 31 times
+    support = picked[: max(1, len(picked) - data.draw(st.integers(0, 4)))]
     if kind == "int":
         masses = [1] + [0] * (len(support) - 1)
     elif kind == "float32":
         splits = data.draw(st.lists(st.integers(0, 63), min_size=31, max_size=31))
         masses = list(map(np.float32, _dyadic(len(support), splits)))
     else:
-        weights = data.draw(st.lists(st.floats(0.01, 10.0), min_size=len(support), max_size=len(support)))
+        # masses from about 1e-10 up, in exponent and in fixed notation
+        if len(support) <= 36:
+            weights = data.draw(st.lists(st.floats(1e-6, 10.0), min_size=len(support), max_size=len(support)))
+        else:
+            weights = np.exp(rng.uniform(math.log(1e-6), math.log(10.0), len(support))).tolist()
         masses = [w / math.fsum(weights) for w in weights]
-    dust = [c for c in cells if c not in support][: data.draw(st.integers(0, 4))]
+    dust = picked[len(support) :]
     # float32 masses add up in float32, where dust can move the total by an ulp (6e-8), and a
     # float32 among float64 masses makes the total float32: the loop refused both, so avoid them
     zeros = [0, 0.0, np.float32(0.0)] if kind == "float32" else [0, 0.0, 1e-16, MASS_EPS]
     dust_masses = data.draw(st.lists(st.sampled_from(zeros), min_size=len(dust), max_size=len(dust)))
-    items = data.draw(st.permutations(list(zip(support, masses)) + list(zip(dust, dust_masses))))
-    pmf = dict(items)
+    items = list(zip(support, masses)) + list(zip(dust, dust_masses))
+    pmf = dict(items[i] for i in rng.permutation(len(items)))
 
     dist = JointDistribution(sizes[:-1], sizes[-1], pmf)
     assert dist.digest() == reference_digest(sizes, pmf)
@@ -171,6 +193,11 @@ REFUSALS = {
         (True, 2), 2, {(0, 0, 0): 1.0}, ValidationError, "alphabet sizes must be positive ints",
     ),
     "bool-target": ((2, 2), True, {(0, 0, 0): 1.0}, ValidationError, "alphabet sizes must be positive ints"),
+    "int-alphabets": (5, 2, {}, ValidationError, "source alphabets must be a sequence of sizes, got int"),
+    "generator-alphabets": (
+        (k for k in (2, 2)), 2, {(0, 0, 0): 1.0}, ValidationError,
+        "source alphabets must be a sequence of sizes, got generator",
+    ),
     "too-many-sources": ((2,) * 6, 2, {(0,) * 7: 1.0}, CapacityError, "need 1..5 sources, got 6"),
     "cell-cap": (
         (4096, 4096), 2, {(0, 0, 0): 1.0}, CapacityError, "outcome table has 33554432 cells, cap is 16777216",

@@ -366,15 +366,26 @@ RANDOM_JOINT_DIGESTS = [
     # a wide table, and symbols of two digits
     ((3, 11, (16, 16, 16), 16), {}, "d07cdd8c6cb826700b1ac05bdec5e409c124c4863486ad94a17f3f4d748151b1"),
     ((2, 5, (12, 11), 10), {}, "aabf64e9887f6f2e461b03225a10d5325ac6be448806441814e283c0e3e5db70"),
+    # symbols of three and four digits; 300 outcomes, and 3000 and 20,000 written by the kernel
+    ((1, 19, (300,), 1), {}, "63a0b7b7b7e9fe231a4e8949df1eb039e620e47e1ebe2c9bf6545b2561c0e6d0"),
+    ((1, 13, (1000,), 3), {}, "ce9fa31cf6f50e22379f31f99f127020d971e2ab468f8f59dcff6f4af63d07cd"),
+    ((2, 17, (4, 2500), 2), {}, "b318d5de23331a8f692923e4040e25014067dc8fa345f04c990d6d7b200d99df"),
 ]
 
 
 @pytest.mark.parametrize("args, kwargs, digest", RANDOM_JOINT_DIGESTS)
-def test_random_joint_digest_is_pinned(args, kwargs, digest):
+def test_random_joint_digest_is_pinned(tmp_path, args, kwargs, digest):
     dist = random_joint(*args, **kwargs)
     assert dist.digest() == digest
     shape = (*dist.source_alphabets, dist.target_alphabet)
     assert list(dist.pmf) == [tuple(s) for s in np.ndindex(*shape)]
+    # the same table read back from a saved JSON file, and from a TSV file in reverse order
+    save_joint(dist, tmp_path / "d.json")
+    assert load_joint(tmp_path / "d.json").digest() == digest
+    header = "\t".join([*(f"s{i + 1}" for i in range(dist.n)), "t", "p"])
+    rows = ["\t".join([*map(str, s), repr(p)]) for s, p in list(dist.pmf.items())[::-1]]
+    (tmp_path / "d.tsv").write_text("\n".join([header, *rows]) + "\n")
+    assert load_joint(tmp_path / "d.tsv", fmt="tsv").digest() == digest
 
 
 def test_random_joint_respects_requested_alphabets():

@@ -3,12 +3,16 @@
 Each defect class below is tried on every loader whose format can carry
 it.  Before the loaders shared one reader, each of these inputs escaped
 as a bare UnicodeDecodeError, RecursionError, ValueError or OverflowError.
+The numpy kernels that write JSON numbers are checked against
+``float.__repr__`` over the masses a distribution keeps.
 """
 
+import decimal
 import functools
 import json
 import os
 
+import numpy as np
 import pytest
 
 import helpers
@@ -26,6 +30,8 @@ from pidlattice import (
     save_measure,
     save_result,
 )
+from pidlattice import fileio
+from pidlattice.distributions import MASS_EPS, MASS_SUM_TOL
 
 LOADERS = {
     "distribution": load_joint,
@@ -102,3 +108,93 @@ def test_a_file_descriptor_is_refused_and_left_open(tmp_path, call):
         os.close(fd)
     with pytest.raises(ValidationError, match="got bytes"):
         call(os.fsencode(tmp_path / "held"))
+
+
+# ----------------------------------------------------------- JSON numbers
+
+def _with_neighbours(values) -> list[float]:
+    """Each value and the doubles just below and just above it."""
+    values = np.asarray(values, dtype=np.float64)
+    return [*np.nextafter(values, 0.0), *values, *np.nextafter(values, 2.0)]
+
+
+def _mass_edges() -> np.ndarray:
+    """The hard cases of the mass domain (MASS_EPS, 1 + MASS_SUM_TOL]."""
+    rng = np.random.default_rng(17)
+    # decimals of 1 to 17 significant digits in [1e-14, 1), read from their text
+    decimals = [
+        float(f"0.{rng.integers(10 ** (d - 1), 10**d)}e-{rng.integers(0, 14)}")
+        for d in range(1, 18)
+        for _ in range(40)
+    ]
+    values = [
+        # powers of two; significand 2**52, where the gap below halves
+        *_with_neighbours(2.0 ** np.arange(-49, 1)),
+        *_with_neighbours([float(f"1e{e}") for e in range(-15, 1)]),  # 1e-15 itself is dropped
+        *_with_neighbours([1e-4, 1e-3, 0.1, 0.5]),  # 1e-4: fixed notation from here up
+        *decimals,
+        1.0,
+        1 + 1e-9,
+        2e-15,
+    ]
+    values = np.array(values)
+    return values[(values > MASS_EPS) & (values <= 1 + MASS_SUM_TOL)]
+
+
+def _mass_draws() -> list[np.ndarray]:
+    """Over 10**6 seeded masses: Dirichlet, uniform and log-uniform over (1e-15, 1]."""
+    rng = np.random.default_rng(2018)
+    return [
+        rng.dirichlet(np.ones(350_000)),
+        rng.uniform(MASS_EPS, 1.0, 350_000),
+        10.0 ** rng.uniform(-15.0, 0.0, 350_000),
+    ]
+
+
+def _normal_doubles() -> np.ndarray:
+    """Seeded positive normal doubles of every exponent, beyond the mass domain."""
+    bits = np.random.default_rng(3).integers(1 << 52, 0x7FF0 << 48, 20_000, dtype=np.int64)
+    return bits.view(np.float64)
+
+
+def _reference_rows(states: np.ndarray, masses: np.ndarray) -> bytes:
+    """What ``json.dumps`` writes for the rows of a two-column table, one repr per mass."""
+    rows = [f"[[{a}, {b}], {p!r}]" for (a, b), p in zip(states.tolist(), masses.tolist())]
+    return ", ".join(rows).encode()
+
+
+def test_rows_match_float_repr_over_the_mass_domain(monkeypatch):
+    draws = _mass_draws()
+    assert sum(map(len, draws)) >= 10**6
+    for masses in [*draws, _normal_doubles()]:  # the last also in exponent form above 1e16
+        masses = masses[masses > MASS_EPS]
+        expected = "[[0], " + "], [[0], ".join(map(repr, masses.tolist())) + "]"
+        assert b"".join(fileio.json_rows(np.zeros((len(masses), 1), np.int64), masses)) == expected.encode()
+
+    # symbols of 1 to 8 digits; json.dumps below _KERNEL_ROWS and the kernel write the same rows
+    edges = _mass_edges()
+    rng = np.random.default_rng(5)
+    symbols = rng.integers(0, 2**24, len(edges)) // 10 ** rng.integers(0, 8, len(edges))
+    states = np.column_stack([symbols, np.arange(len(edges))])
+    for rows in (1, 2, 7, len(edges)):
+        expected = _reference_rows(states[:rows], edges[:rows])
+        for kernel_rows in (0, 10**9):
+            monkeypatch.setattr(fileio, "_KERNEL_ROWS", kernel_rows)
+            assert b"".join(fileio.json_rows(states[:rows], edges[:rows])) == expected
+
+
+def _repr_digits(value: float) -> tuple[int, int, int]:
+    """(digits, count, point) of ``repr(value)``: value = 0.<digits> * 10**point."""
+    _, digits, exponent = decimal.Decimal(repr(float(value))).normalize().as_tuple()
+    return int("".join(map(str, digits))), len(digits), len(digits) + exponent
+
+
+def test_shortest_digits_are_the_digits_of_repr():
+    edges = _mass_edges()
+    got = np.column_stack(fileio.shortest_digits(edges)).tolist()
+    assert got == [list(_repr_digits(v)) for v in edges.tolist()]
+    for value in edges[:: len(edges) // 20]:  # arrays of one value
+        assert [int(a[0]) for a in fileio.shortest_digits(np.array([value]))] == list(_repr_digits(value))
+    values = _normal_doubles()
+    got = np.column_stack(fileio.shortest_digits(values)).tolist()
+    assert got == [list(_repr_digits(v)) for v in values.tolist()]
