@@ -23,7 +23,9 @@ drawn in.  The rest of the algebra is read off the cells once, at import,
 into :class:`ConceptFacts`: the complement (negated mode), the partner base
 and map (dual mode, relation and polarity flipped), the domain, the order
 kind (the relation) and whether the concept is nested.  Other modules ask
-:func:`concept_facts` and name no concept to pick a route.
+:func:`concept_facts` and name no concept to pick a route;
+:func:`concept_table` runs one concept's route forward, from the sufficient
+cells its caller holds.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .distributions import JointDistribution, conditional_mi, mutual_information
-from .errors import CompletenessError, DomainError, ValidationError
+from .errors import CompletenessError, DomainError, ValidationError, shown
 from .fileio import number, read_object, render, write_text
 from .lattices import (
     Antichain,
@@ -47,6 +49,9 @@ from .lattices import (
     ParthoodDistribution,
     SourceSet,
     build_lattice,
+    check_source_count,
+    checked_iter,
+    collection_bits,
     collection_label,
     enumerate_antichains,
     enumerate_parthood_distributions,
@@ -80,7 +85,7 @@ class BaseConcept(enum.Enum):
             if member.value == tag:
                 return member
         valid = ", ".join(m.value for m in cls)
-        raise DomainError(f"unknown concept {tag!r}; valid tags: {valid}")
+        raise DomainError(f"unknown concept {shown(tag)}; valid tags: {valid}")
 
 
 MODES = ("sufficient", "necessary", "insufficient", "unnecessary")  # index ^ 1: dual, ^ 2: negation
@@ -122,7 +127,7 @@ _NESTED_BY_CELL = {cell: c for c, cell in CONDITION_FOR_CONCEPT.items()}
 def _cell(condition_id: str) -> tuple[str, str, str]:
     """Split a grid cell id into its mode, relation and polarity."""
     if condition_id not in CONDITION_IDS:
-        raise DomainError(f"unknown condition {condition_id!r}")
+        raise DomainError(f"unknown condition {shown(condition_id)}")
     return tuple(condition_id.split("-"))
 
 
@@ -170,7 +175,7 @@ def concept_facts(concept: BaseConcept) -> ConceptFacts:
     try:
         return _FACTS[concept]
     except (KeyError, TypeError):  # TypeError: an unhashable argument
-        raise DomainError(f"unknown concept {concept!r}") from None
+        raise DomainError(f"unknown concept {shown(concept)}") from None
 
 
 def _cell_holds(condition_id: str, alpha: Antichain, tables: int | np.ndarray) -> np.ndarray:
@@ -243,23 +248,20 @@ def domain_positions(concept: BaseConcept, n: int) -> np.ndarray:
     return np.flatnonzero(index.blockage_atom >= 0)
 
 
-def derive_tables(
-    index: LatticeIndex, total: float, known: Mapping[BaseConcept, np.ndarray]
-) -> dict[BaseConcept, np.ndarray]:
-    """Every concept's values at every antichain position, from the known ones.
+def concept_table(concept: BaseConcept, index: LatticeIndex, total: float, known: Callable) -> np.ndarray:
+    """One concept's values at every antichain position, along its route.
 
-    ``known`` holds one of each complement pair of concepts that are not
-    partners (and may hold unique information); the other is the complement
-    against the total, and a partner reads its base through the partner
-    permutation.  Positions outside a domain hold meaningless values."""
-    tables = dict(known)
-    for concept, facts in _FACTS.items():
-        if facts.nested and facts.base is None and concept not in tables:
-            tables[concept] = total - tables[facts.complement]
-    for concept, facts in _FACTS.items():
-        if facts.base is not None:
-            tables[concept] = tables[facts.base][index.partner[facts.mapper]]
-    return tables
+    A partner reads its base through the partner permutation.  ``known(c)``
+    is the table the caller holds for concept c (a sufficient cell's at
+    least), or None; a concept with none is the total minus its complement.
+    Positions outside the concept's domain hold meaningless values."""
+    facts = _FACTS[concept]
+    if facts.base is not None:
+        return concept_table(facts.base, index, total, known)[index.partner[facts.mapper]]
+    table = known(concept)
+    if table is None:
+        return total - concept_table(facts.complement, index, total, known)
+    return table
 
 
 MI_KEYS = int  # the key set of an MI table: the collection bitmasks 0 .. 2^n - 1
@@ -361,18 +363,21 @@ def index_vector(
     """The index-order float vector of a mapping over a view's keys.
 
     The keys are those of :class:`_IndexView`.  A view over the same keys
-    hands back its vector.  Any other mapping is checked once: every key
-    must be one of those keys, of their exact type (``True`` is no MI key),
-    and every value a finite real number, not a bool; NaN and infinity
-    pass in an MI table, for the consistency report to flag.  With
-    ``complete`` every key must be present; otherwise absent keys count as
-    0, which is how readers of atom mappings take a partial table.
+    hands back its vector, anything but a mapping is a ValidationError, and
+    any other mapping is checked once: every key must be one of those keys,
+    of their exact type (``True`` is no MI key), and every value a finite
+    real number, not a bool; NaN and infinity pass in an MI table, for the
+    consistency report to flag.  With ``complete`` every key must be
+    present; otherwise absent keys count as 0, which is how readers of atom
+    mappings take a partial table.
     """
     if isinstance(mapping, _IndexView) and (mapping.concept, mapping.n) == (concept, n):
         return mapping.vector
     places = _view_places(concept, n)
-    key_type = type(next(iter(places)))
     what = "atom" if concept is None else "MI" if concept is MI_KEYS else concept.tag
+    if not isinstance(mapping, Mapping):
+        raise ValidationError(f"{what} values must be a mapping, got {type(mapping).__name__}")
+    key_type = type(next(iter(places)))
 
     def label(place: int) -> str:
         return domain_labels(concept, n)[place]
@@ -385,7 +390,8 @@ def index_vector(
             continue
         if type(value) is not float:  # the exact test spares floats the slow ABC check
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValidationError(f"{what} value at {label(place)} is not a number: {value!r}")
+                message = f"{what} value at {label(place)} is not a number: {shown(value)}"
+                raise ValidationError(message)
             try:
                 value = float(value)
             except OverflowError:  # an int beyond float range
@@ -399,9 +405,9 @@ def index_vector(
     vector[np.array(at, dtype=np.intp)] = values
     if complete and len(at) < len(places):
         missing = sorted(set(range(len(places))).difference(at))
-        shown = ", ".join(label(i) for i in missing[:5])
+        listed = ", ".join(label(i) for i in missing[:5])
         more = " ..." if len(missing) > 5 else ""
-        raise CompletenessError(f"{what} values missing for: {shown}{more}")
+        raise CompletenessError(f"{what} values missing for: {listed}{more}")
     bad = np.flatnonzero(~np.isfinite(vector))
     if bad.size and concept is not MI_KEYS:
         raise ValidationError(f"non-finite {what} value at {label(bad[0])}")
@@ -409,7 +415,7 @@ def index_vector(
 
 
 def _key_label(key) -> str:
-    return key.label() if isinstance(key, Antichain) else repr(key)
+    return key.label() if isinstance(key, Antichain) else shown(key)
 
 
 def domain_labels(concept: BaseConcept | None, n: int) -> list[str]:
@@ -447,20 +453,16 @@ def canonicalize_collections(
     A superset cell sees only the antichain's up-closure, so superset-relation
     concepts drop collections containing another listed collection; a subset
     cell sees only the down-closure, so subset-relation concepts drop
-    collections contained in one.  An Antichain passes through unchanged.
+    collections contained in one.  An Antichain passes through unchanged;
+    any other member must be a SourceSet over the n sources or exact int bits.
     """
     relation = concept_facts(concept).relation
     if isinstance(collections, Antichain):
         return collections
-    masks = []
-    for c in collections:
-        masks.append(c.bits if isinstance(c, SourceSet) else int(c))
     if n is None:
         raise ValidationError("source count required to canonicalize a raw collection list")
-    masks = sorted(set(masks))
-    for m in masks:
-        if not 0 <= m <= source_mask(n):
-            raise ValidationError(f"collection bits {m!r} out of range for n={n}")
+    check_source_count(n)
+    masks = sorted({collection_bits(n, c) for c in checked_iter(collections, "collections")})
     if relation == "superset":
         keep = [m for m in masks if not any(o != m and m & o == o for o in masks)]
     else:
@@ -480,6 +482,8 @@ def summate(
     derived symmetry and invariance laws hold by construction.
     """
     mapping = getattr(atoms, "atoms", atoms)
+    if not isinstance(mapping, Mapping):
+        raise ValidationError(f"atoms must be a PidResult or a mapping, got {type(mapping).__name__}")
     if not mapping:
         raise ValidationError("no atoms supplied")
     first = next(iter(mapping))
@@ -518,8 +522,8 @@ def reference_measure(dist: JointDistribution, concept: BaseConcept) -> "Measure
     smallest = np.append(infos, np.inf)[index.members].min(axis=1)
     largest = np.append(infos, -np.inf)[index.members].max(axis=1)
     known = {BaseConcept.REDUNDANCY: smallest, BaseConcept.UNION: largest}
-    tables = derive_tables(index, total, known)
-    return MeasureAssignment(concept, n, values_on_domain(concept, n, tables[concept]))
+    values = concept_table(concept, index, total, known.get)
+    return MeasureAssignment(concept, n, values_on_domain(concept, n, values))
 
 
 @dataclass(frozen=True)

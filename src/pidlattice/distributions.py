@@ -51,21 +51,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ParseError, PidError, ValidationError
+from .errors import CapacityError, ParseError, PidError, ValidationError, shown
 from .fileio import json_rows, read_object, read_text, render, write_text
-from .lattices import MAX_SOURCES, SourceSet, source_mask
+from .lattices import MAX_SOURCES, collection_bits, source_mask
 
 MASS_EPS = 1e-15
 MASS_SUM_TOL = 1e-9
 MI_CLAMP = 1e-12  # entropy rounding can take an information this far below zero
 MAX_CELLS = 1 << 24
-
-
-def _shown(value) -> str:
-    try:
-        return repr(value)
-    except ValueError:  # an int past the interpreter's limit on str digits
-        return f"<{type(value).__name__} too long to print>"
 
 
 def _table_sizes(source_alphabets, target_alphabet) -> tuple[int, ...]:
@@ -330,22 +323,22 @@ def _first_bad(sizes: tuple[int, ...], keys: list, values: list) -> ValidationEr
         try:
             arity = len(state)
         except TypeError:
-            return ValidationError(f"outcome {_shown(state)} is not a sequence of symbols")
+            return ValidationError(f"outcome {shown(state)} is not a sequence of symbols")
         if arity != len(sizes):
-            return ValidationError(f"outcome {_shown(state)} has wrong arity")
+            return ValidationError(f"outcome {shown(state)} has wrong arity")
         for sym, size in zip(state, sizes):
             # exact type test: rejects bool
             if type(sym) is not int or not 0 <= sym < size:
-                message = f"symbol {_shown(sym)} out of range in outcome {_shown(state)}"
+                message = f"symbol {shown(sym)} out of range in outcome {shown(state)}"
                 return ValidationError(message)
         if not _is_number_type(type(p)):
-            return ValidationError(f"mass {_shown(p)} at outcome {state!r} is not a number")
+            return ValidationError(f"mass {shown(p)} at outcome {shown(state)} is not a number")
         if not p >= 0:  # also refuses NaN, which every comparison fails
-            return ValidationError(f"negative or NaN mass {_shown(p)} at outcome {state!r}")
+            return ValidationError(f"negative or NaN mass {shown(p)} at outcome {shown(state)}")
         try:
             total += p
         except OverflowError:  # an int beyond float range; its repr can fail, so leave it out
-            return ValidationError(f"mass at outcome {state!r} exceeds the float range")
+            return ValidationError(f"mass at outcome {shown(state)} exceeds the float range")
     raise AssertionError("a bulk check failed that no outcome fails")
 
 
@@ -372,29 +365,17 @@ def _shannon(probs: np.ndarray) -> float:
     return -float((probs * np.log2(probs)).sum())
 
 
-def _as_bits(dist: JointDistribution, a) -> int:
-    if isinstance(a, SourceSet):
-        if a.n != dist.n:
-            raise ValidationError("collection source count differs from distribution's")
-        return a.bits
-    if type(a) is not int:  # exact type test: rejects bool
-        raise ValidationError(f"collection must be a SourceSet or int bits, got {_shown(a)}")
-    if not 0 <= a <= source_mask(dist.n):
-        raise ValidationError(f"collection bits {a!r} out of range for n={dist.n}")
-    return a
-
-
 def mutual_information(dist: JointDistribution, a) -> float:
     """I(a : target) in bits; the empty collection carries none."""
-    bits = _as_bits(dist, a)
+    bits = collection_bits(dist.n, a)
     h = dist._entropies
     return _clamped(h[(bits, False)] + h[(0, True)] - h[(bits, True)])
 
 
 def conditional_mi(dist: JointDistribution, a, given) -> float:
     """I(a : target | given) in bits; overlapping collections are fine."""
-    abits = _as_bits(dist, a)
-    gbits = _as_bits(dist, given)
+    abits = collection_bits(dist.n, a)
+    gbits = collection_bits(dist.n, given)
     h = dist._entropies
     joint = abits | gbits
     return _clamped(h[(joint, False)] + h[(gbits, True)] - h[(joint, True)] - h[(gbits, False)])
@@ -425,13 +406,13 @@ def load_joint(path, fmt: str = "json") -> JointDistribution:
                 gc.enable()
     if fmt == "tsv":
         return _joint_from_tsv(read_text(path, "distribution file"))
-    raise ParseError(f"unknown distribution format {fmt!r}")
+    raise ParseError(f"unknown distribution format {shown(fmt)}")
 
 
 def _joint_from_json(doc: dict) -> JointDistribution:
     n = doc["n_sources"]
     if type(n) is not int:  # exact type test: rejects bool
-        raise ParseError(f"n_sources must be an int, got {_shown(n)}")
+        raise ParseError(f"n_sources must be an int, got {shown(n)}")
     alphabets = doc["source_alphabets"]
     if not isinstance(alphabets, list) or len(alphabets) != n:
         raise ParseError("source_alphabets must list one size per source")
@@ -522,9 +503,9 @@ def random_joint(
     arguments are checked, and the cell cap applied, before any draw.
     """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValidationError(f"source count must be an int, got {_shown(n)}")
+        raise ValidationError(f"source count must be an int, got {shown(n)}")
     if not 1 <= n <= MAX_SOURCES:
-        raise CapacityError(f"need 1..{MAX_SOURCES} sources, got {n}")
+        raise CapacityError(f"need 1..{MAX_SOURCES} sources, got {shown(int(n))}")
     rng = np.random.default_rng(seed)
     if source_alphabets is None:
         sizes = tuple(int(rng.integers(2, 4)) for _ in range(n))

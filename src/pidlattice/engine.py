@@ -9,8 +9,9 @@ the total information; and a sufficient cell is a zeta sum over the
 lattice of parthood distributions, computed and inverted by
 single-collection steps along its covers: a superset cell (redundancy)
 sums the atoms above its distribution, a subset cell (weak synergy) those
-below.  Unique information reads single atoms.  :func:`solve_concept`
-runs the route backward; every measure table comes out of it run forward.
+below.  Unique information reads single atoms.  :func:`solve_concept` runs
+one concept's route backward, :func:`~pidlattice.concepts.concept_table`
+forward, so a measure table costs only the base transform it reaches.
 
 Atoms, measure values and MI tables travel as float vectors in index
 order: atom order for atoms, domain order for a concept's values and
@@ -48,7 +49,7 @@ from .concepts import (
     MI_KEYS,
     MeasureAssignment,
     concept_facts,
-    derive_tables,
+    concept_table,
     domain_positions,
     index_vector,
     index_view,
@@ -276,22 +277,25 @@ def decompose(
     return PidResult.build(dist.n, atoms, meta, mi)
 
 
-def _forward_tables(index: LatticeIndex, atoms: np.ndarray) -> dict[BaseConcept, np.ndarray]:
-    """Every concept's value at every antichain position of its domain.
+def _forward(n: int, atoms: Mapping[ParthoodDistribution, float]):
+    """Concept -> its values on its domain from an atom mapping, along its
+    route (:func:`~pidlattice.concepts.concept_table`).  A sufficient cell is
+    its relation's base transform of the atoms, or the atoms themselves when
+    not nested, and each runs on first use only."""
+    index, values = lattice_index(n), index_vector(None, n, atoms, complete=False)
+    total = values.sum()
 
-    The sufficient cells (redundancy, weak synergy and unique information)
-    are the base transforms of the atoms, or the atoms themselves when not
-    nested; :func:`~pidlattice.concepts.derive_tables` gives the rest.
-    Positions outside a concept's domain hold meaningless values.
-    """
-    known = {}
-    for concept in BaseConcept:
+    @functools.cache
+    def known(concept: BaseConcept) -> np.ndarray | None:
         facts = concept_facts(concept)
-        if facts.mode == "sufficient":
-            labels, zeta, _ = _base_transform(index, facts.relation)
-            known[concept] = np.zeros(len(index.antichains))
-            known[concept][labels] = zeta(atoms) if facts.nested else atoms
-    return derive_tables(index, atoms.sum(), known)
+        if facts.mode != "sufficient":
+            return None
+        labels, zeta, _ = _base_transform(index, facts.relation)
+        table = np.zeros(len(index.antichains))
+        table[labels] = zeta(values) if facts.nested else values
+        return table
+
+    return lambda concept: values_on_domain(concept, n, concept_table(concept, index, total, known))
 
 
 def measure_table_from_atoms(
@@ -299,19 +303,13 @@ def measure_table_from_atoms(
 ) -> MeasureAssignment:
     """Evaluate a concept over its whole domain from an atom mapping; absent atoms count as 0."""
     concept_facts(concept)  # DomainError before any work
-    values = _forward_tables(lattice_index(n), index_vector(None, n, atoms, complete=False))[concept]
-    return MeasureAssignment(concept, n, values_on_domain(concept, n, values))
+    return MeasureAssignment(concept, n, _forward(n, atoms)(concept))
 
 
 def derived_measure_table(result: PidResult) -> dict[tuple[BaseConcept, Antichain], float]:
-    """All ten concepts evaluated over their domains from the result's atoms."""
-    values = index_vector(None, result.n, result.atoms, complete=False)
-    tables = _forward_tables(lattice_index(result.n), values)
-    out = {}
-    for concept in BaseConcept:
-        for alpha, v in values_on_domain(concept, result.n, tables[concept]).items():
-            out[(concept, alpha)] = v
-    return out
+    """All ten concepts over their domains from the result's atoms, converted once."""
+    table = _forward(result.n, result.atoms)
+    return {(concept, alpha): v for concept in BaseConcept for alpha, v in table(concept).items()}
 
 
 @dataclass(frozen=True)
@@ -328,6 +326,8 @@ def inclusion_exclusion_check(result: PidResult, alpha: Antichain) -> InclusionE
     """Union information vs the alternating redundancy sum over subsets of alpha.
 
     :func:`~pidlattice.concepts.summate` refuses an alpha outside the union domain."""
+    if not isinstance(alpha, Antichain):
+        raise ValidationError(f"alpha must be an Antichain, got {type(alpha).__name__}")
     union_value = summate(BaseConcept.UNION, alpha, result)
     members = alpha.collections
     acc = 0.0

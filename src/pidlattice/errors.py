@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages show values."""
 
 
 class PidError(Exception):
@@ -31,3 +31,12 @@ class UnsupportedStructureError(PidError):
 
 class MeasureInconsistencyError(PidError):
     """Supplied measure values violate an identity they must satisfy."""
+
+
+def shown(value) -> str:
+    """``repr(value)`` for an error message; an int past the interpreter's
+    limit on str digits, whose ``repr`` raises, is named by its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"

@@ -36,6 +36,7 @@ from .errors import (
     ParseError,
     UnsupportedStructureError,
     ValidationError,
+    shown,
 )
 
 MAX_SOURCES = 5
@@ -50,16 +51,16 @@ MEET_SEMI_LATTICE = "meet-semi-lattice"
 
 def check_source_count(n: int) -> None:
     if not isinstance(n, int) or not 1 <= n <= MAX_SOURCES:
-        raise CapacityError(f"source count must be an int in 1..{MAX_SOURCES}, got {n!r}")
+        raise CapacityError(f"source count must be an int in 1..{MAX_SOURCES}, got {shown(n)}")
 
 
 def _check_n(n) -> None:
     """The boundary objects' source count: an exact int (not a bool or float), at least 1."""
     if type(n) is not int or n < 1:
-        raise ValidationError(f"source count must be a positive int, got {n!r}")
+        raise ValidationError(f"source count must be a positive int, got {shown(n)}")
 
 
-def _iterate(items, what: str):
+def checked_iter(items, what: str):
     """An iterator over ``items``; an int or other non-iterable is a ValidationError."""
     try:
         return iter(items)
@@ -112,16 +113,18 @@ class SourceSet:
 
     def __post_init__(self):
         _check_n(self.n)
-        if type(self.bits) is not int or not 0 <= self.bits <= source_mask(self.n):
-            raise ValidationError(f"collection bits {self.bits!r} out of range for n={self.n}")
+        # bit_length, not source_mask: n may be too large to shift by
+        if type(self.bits) is not int or self.bits < 0 or self.bits.bit_length() > self.n:
+            message = f"collection bits {shown(self.bits)} out of range for n={shown(self.n)}"
+            raise ValidationError(message)
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "SourceSet":
         _check_n(n)
         bits = 0
-        for idx in _iterate(indices, "source indices"):
+        for idx in checked_iter(indices, "source indices"):
             if type(idx) is not int or not 1 <= idx <= n:  # exact type test: rejects bool
-                raise ValidationError(f"source index {idx!r} out of range 1..{n}")
+                raise ValidationError(f"source index {shown(idx)} out of range 1..{shown(n)}")
             bits |= 1 << (idx - 1)
         return cls(n, bits)
 
@@ -141,6 +144,19 @@ class SourceSet:
 
     def __str__(self) -> str:
         return collection_label(self.bits)
+
+
+def collection_bits(n: int, collection) -> int:
+    """The bitmask of a collection given as a SourceSet over n sources or as exact int bits."""
+    if isinstance(collection, SourceSet):
+        if collection.n != n:
+            raise ValidationError(f"collection over {collection.n} sources, expected {n}")
+        return collection.bits
+    if type(collection) is not int:  # exact type test: rejects bool
+        raise ValidationError(f"collection must be a SourceSet or int bits, got {shown(collection)}")
+    if not 0 <= collection <= source_mask(n):
+        raise ValidationError(f"collection bits {shown(collection)} out of range for n={n}")
+    return collection
 
 
 EMPTY_CHAIN_LABEL = "∅-chain"
@@ -207,7 +223,7 @@ class Antichain:
     def of(cls, n: int, masks: Iterable[int | SourceSet]) -> "Antichain":
         """Build from collection bitmasks (or SourceSets), sorting into canonical order."""
         sets = []
-        for m in _iterate(masks, "antichain members"):
+        for m in checked_iter(masks, "antichain members"):
             sets.append(m if isinstance(m, SourceSet) else SourceSet(n, m))
         sets.sort(key=SourceSet.sort_key)
         return cls(n, tuple(sets))
@@ -665,7 +681,7 @@ def _order_table(kind: OrderKind, alpha: Antichain) -> int:
     down-closure for synergy.
     """
     if kind not in ("redundancy", "synergy"):
-        raise DomainError(f"unknown order kind {kind!r}")
+        raise DomainError(f"unknown order kind {shown(kind)}")
     index = lattice_index(alpha.n)
     at = index.position[alpha]
     if kind == "redundancy":
@@ -792,9 +808,9 @@ def build_lattice(
     if len(set(node_list)) != len(node_list):
         raise ValidationError("duplicate lattice nodes")
     if kind not in ("redundancy", "synergy"):
-        raise DomainError(f"unknown order kind {kind!r}")
+        raise DomainError(f"unknown order kind {shown(kind)}")
     if direction not in ("up", "down"):
-        raise DomainError(f"unknown direction {direction!r}")
+        raise DomainError(f"unknown direction {shown(direction)}")
 
     tables = tuple(_order_table(kind, a) for a in node_list)
     # Going up shrinks the tables, or for "down" their complements.
@@ -855,7 +871,7 @@ def moebius_invert(
             f"Moebius inversion needs a full lattice, got {lattice.kind}"
         )
     if direction not in ("down-sum", "up-sum"):
-        raise DomainError(f"unknown inversion direction {direction!r}")
+        raise DomainError(f"unknown inversion direction {shown(direction)}")
     missing = [a.label() for a in lattice.nodes if a not in values]
     if missing:
         raise CompletenessError(f"values missing for nodes: {', '.join(missing[:5])}")
@@ -865,7 +881,7 @@ def moebius_invert(
     vals = [values[a] for a in lattice.nodes]
     for a, v in zip(lattice.nodes, vals):  # abs(v) <= max refuses NaN, infinity and big ints
         if isinstance(v, bool) or not isinstance(v, numbers.Real) or not abs(v) <= sys.float_info.max:
-            raise ValidationError(f"value at {a.label()} is not a finite number: {v!r}")
+            raise ValidationError(f"value at {a.label()} is not a finite number: {shown(v)}")
     # Natural table order: larger table = lower node; a "down" lattice flips it.
     supersets = (direction == "down-sum") == (lattice.direction == "up")
     pi = _invert_cumulative(lattice.tables, vals, supersets)

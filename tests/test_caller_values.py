@@ -1,0 +1,202 @@
+"""Values a caller passes in are checked, and refused with a PidError subclass.
+
+Three rules, each pinned by the calls that broke it:
+
+- an error message shows the caller's value through ``errors.shown``, so an
+  int past the interpreter's 4300-digit ``str`` limit raises the error a
+  small out-of-range value raises, not a bare ``ValueError``;
+- a raw collection list holds SourceSets over the same n or exact int bits,
+  the rule of ``mutual_information`` and ``SourceSet.from_indices``;
+- values, atoms and MI tables are mappings.
+
+A hypothesis test then drives the same entry points with arbitrary values.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pidlattice import (
+    Antichain,
+    BaseConcept,
+    CapacityError,
+    CompletenessError,
+    MeasureAssignment,
+    PidError,
+    PidResult,
+    SourceSet,
+    ValidationError,
+    canonicalize_collections,
+    concept_lattice,
+    decompose,
+    domain_for_concept,
+    inclusion_exclusion_check,
+    measure_table_from_atoms,
+    moebius_invert,
+    mutual_information,
+    random_joint,
+    reference_measure,
+    solve_concept,
+    summate,
+)
+
+import helpers
+
+R = BaseConcept.REDUNDANCY
+HUGE = 10**5000
+
+
+@functools.cache
+def case():
+    """An n = 2 distribution, its reference redundancy values and result, and its lattice."""
+    dist = helpers.xor_distribution()
+    result = decompose(dist, R)
+    return dist, reference_measure(dist, R).values, result, concept_lattice(R, 2)
+
+
+def moebius_with(value):
+    lattice = case()[3]
+    values = {node: 0.0 for node in lattice.nodes}
+    values[lattice.nodes[0]] = value
+    return moebius_invert(lattice, values, "down-sum")
+
+
+def build_with_mi_key(key):
+    result = case()[2]
+    return PidResult.build(2, result.atoms, result.meta, {**result.mi, key: 0.0})
+
+
+# (call of one value, a small value it refuses, the error both must raise)
+OUT_OF_RANGE = {
+    "SourceSet": (lambda v: SourceSet(2, v), 4, ValidationError),
+    "SourceSet.from_indices": (lambda v: SourceSet.from_indices(2, [v]), 3, ValidationError),
+    "SourceSet n": (lambda v: SourceSet(v, -1), 0, ValidationError),
+    "SourceSet.from_indices n": (lambda v: SourceSet.from_indices(v, [0]), 0, ValidationError),
+    "Antichain.of": (lambda v: Antichain.of(2, [v]), 4, ValidationError),
+    "mutual_information": (lambda v: mutual_information(case()[0], v), 4, ValidationError),
+    "random_joint": (lambda v: random_joint(v, 1), 6, CapacityError),
+    "canonicalize_collections": (lambda v: canonicalize_collections(R, [v], 2), 4, ValidationError),
+    "summate": (lambda v: summate(R, [v], case()[2]), 4, ValidationError),
+    "moebius_invert": (moebius_with, 10**400, ValidationError),
+    "PidResult.build": (build_with_mi_key, 4, CompletenessError),
+    "domain_for_concept": (lambda v: domain_for_concept(v, 2), 4, PidError),
+}
+
+
+@pytest.mark.parametrize("name", OUT_OF_RANGE)
+def test_an_int_too_long_to_print_raises_the_small_values_error(name):
+    call, small, error = OUT_OF_RANGE[name]
+    with pytest.raises(error) as refused:
+        call(small)
+    with pytest.raises(refused.type, match="<int too long to print>"):
+        call(HUGE)
+
+
+@pytest.mark.parametrize(
+    "member", [2.7, "3", "a", True, None, np.int64(1), SourceSet(3, 1), SourceSet(1, 1)], ids=repr
+)
+def test_collection_lists_take_exact_members(member):
+    # int() read 2.7 as {2}, "3" as {1,2} and True as {1}; a SourceSet(3, 1) passed as {1}
+    result = case()[2]
+    for call in (
+        lambda: canonicalize_collections(R, [member], 2),
+        lambda: canonicalize_collections(BaseConcept.UNION, [0b01, member], 2),
+        lambda: summate(BaseConcept.UNION, [member], result),
+    ):
+        with pytest.raises(ValidationError, match="collection"):
+            call()
+
+
+def test_collection_lists_are_iterables_over_a_known_n():
+    result = case()[2]
+    with pytest.raises(ValidationError, match="must be an Antichain, got str"):
+        inclusion_exclusion_check(result, "x")
+    with pytest.raises(ValidationError, match="collections must be an iterable, got int"):
+        canonicalize_collections(R, 5, 2)
+    with pytest.raises(ValidationError, match="source count required"):
+        canonicalize_collections(R, iter([None]))  # n is checked before the members
+    with pytest.raises(CapacityError):
+        canonicalize_collections(R, [1], "x")
+    assert canonicalize_collections(R, [SourceSet(2, 1), 3], 2).label() == "{1}"
+
+
+@pytest.mark.parametrize("value", [[1, 2], 5, "ab", None], ids=repr)
+def test_values_atoms_and_mi_tables_must_be_mappings(value):
+    _, values, result, _ = case()
+    for call in (
+        lambda: MeasureAssignment(R, 2, value),
+        lambda: solve_concept(2, R, value, result.mi),
+        lambda: solve_concept(2, R, values, value),
+        lambda: PidResult.build(2, value, result.meta, result.mi),
+        lambda: PidResult.build(2, result.atoms, result.meta, value),
+        lambda: measure_table_from_atoms(R, 2, value),
+        lambda: summate(R, [1], value),
+    ):
+        with pytest.raises(ValidationError, match="mapping"):
+            call()
+
+
+# ------------------------------------------------------------------ fuzz
+
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 5)
+    | st.integers()
+    | st.integers(10**4300, 10**4400)  # past the str limit
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from([SourceSet(1, 1), SourceSet(2, 3), SourceSet(3, 5), Antichain.of(3, [1])])
+)
+HASHABLE = st.none() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4)
+VALUES = LEAVES | st.lists(LEAVES, max_size=3) | st.dictionaries(HASHABLE, LEAVES, max_size=3)
+
+
+def entry_points(v):
+    """Every entry point of the three rules, with ``v`` in one argument."""
+    dist, values, result, _ = case()
+    alpha = next(iter(values))
+    calls = [
+        lambda: SourceSet(2, v),
+        lambda: SourceSet(v, 1),
+        lambda: SourceSet.from_indices(v, ["a"]),
+        lambda: SourceSet.from_indices(2, v),
+        lambda: SourceSet.from_indices(2, [v]),
+        lambda: Antichain.of(2, v),
+        lambda: Antichain.of(2, [v]),
+        lambda: mutual_information(dist, v),
+        lambda: random_joint(v, 0),
+        lambda: domain_for_concept(v, 2),
+        lambda: canonicalize_collections(R, v, 2),
+        lambda: canonicalize_collections(R, [v], 2),
+        lambda: canonicalize_collections(R, [1], v),
+        lambda: summate(R, v, result),
+        lambda: summate(R, [1], v),
+        lambda: inclusion_exclusion_check(result, v),
+        lambda: moebius_with(v),
+        lambda: MeasureAssignment(R, 2, v),
+        lambda: MeasureAssignment(R, 2, {**values, alpha: v}),
+        lambda: solve_concept(2, R, v, result.mi),
+        lambda: solve_concept(2, R, values, v),
+        lambda: PidResult.build(2, v, result.meta, result.mi),
+        lambda: PidResult.build(2, result.atoms, result.meta, v),
+        lambda: measure_table_from_atoms(R, 2, v),
+    ]
+    try:
+        hash(v)
+    except TypeError:
+        return calls
+    return calls + [lambda: build_with_mi_key(v), lambda: MeasureAssignment(R, 2, {**values, v: 0.0})]
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=VALUES)
+def test_entry_points_succeed_or_raise_pid_errors(v):
+    for call in entry_points(v):
+        try:
+            call()
+        except PidError:
+            pass

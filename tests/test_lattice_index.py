@@ -142,6 +142,40 @@ def test_forward_tables_count_missing_atoms_as_zero():
     assert [part[a] for a in changed] == [0.0]
 
 
+# SHA-256 of forward tables as float hex, in their iteration order:
+# measure_table_from_atoms for all ten concepts and derived_measure_table
+# of the dense seeded atoms random_atom_vector(n, n), and reference_measure
+# of random_joint(n, n) for the eight nested concepts.  Recorded while every
+# forward table came out of one pass that built all ten.
+FORWARD_SHA256 = {
+    1: "e9d98fb739c1a516349c7737d9ed631c8b8eaf1209e1d594c26d420b9a596a24",
+    2: "3b1e984d15b59bb56e6aff5741ae59479da9640ad016ff46f1872c79aabdd8b1",
+    3: "636cfd548baf3582e8d82b02c31f43b05f6bb2257ac969d18c33ffab984e49a9",
+    4: "8120c171656059237c2df10860210685a8f81e133f6c6c1e67395edb6a0c76f2",
+    5: "e7040c37d6eec368569b908010c7124515c4ce7c383cbf48514368015df4bf37",
+}
+
+
+def forward_digest(n: int) -> str:
+    dist, atoms = random_joint(n, n), helpers.random_atom_vector(n, n)
+    position = lattice_index(n).position
+    doc = {}
+    for concept in BaseConcept:
+        values = measure_table_from_atoms(concept, n, atoms).values.values()
+        doc[f"forward {concept.tag}"] = [v.hex() for v in values]
+    for concept in NESTED:
+        values = reference_measure(dist, concept).values.values()
+        doc[f"reference {concept.tag}"] = [v.hex() for v in values]
+    derived = derived_measure_table(helpers.result_from_atoms(n, atoms)).items()
+    doc["derived"] = [[c.tag, position[alpha], v.hex()] for (c, alpha), v in derived]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", ALL_N)
+def test_forward_tables_match_recorded_digest(n):
+    assert forward_digest(n) == FORWARD_SHA256[n]
+
+
 # ------------------------------------------------------------- inversion
 
 @pytest.mark.parametrize("n", ALL_N)
