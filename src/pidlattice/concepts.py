@@ -40,7 +40,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .distributions import JointDistribution, conditional_mi, mutual_information
-from .errors import CompletenessError, DomainError, ValidationError, shown
+from .errors import CompletenessError, DomainError, ValidationError, expect, shown
 from .fileio import number, read_object, render, write_text
 from .lattices import (
     Antichain,
@@ -508,6 +508,7 @@ def reference_measure(dist: JointDistribution, concept: BaseConcept) -> "Measure
     complements against the total, and partner concepts read the value at
     the partner-mapped antichain.
     """
+    expect(dist, JointDistribution, "dist")
     if not concept_facts(concept).nested:
         raise DomainError(
             "the reference family defines unique information through the redundancy "
@@ -578,6 +579,7 @@ def patch_singleton_synergies(
     the target given that collection, which is what a synergy measure must
     assign there for the summation identities to close.
     """
+    expect(dist, JointDistribution, "dist")
     if dist.n != n:
         raise ValidationError("distribution and measure disagree on source count")
     if not isinstance(values, Mapping):

@@ -22,13 +22,18 @@ File formats
 ------------
 JSON: an object with ``n_sources``, ``source_alphabets`` (list of sizes),
 ``target_alphabet`` (size), and ``pmf``: a list of ``{"state": [s1..sn, t],
-"p": mass}`` entries.  Zero-mass outcomes may be omitted.  The loader
-pauses the cyclic garbage collector while it parses the file and builds
-the columns, and then restores the collector's prior state: the parsed
-document is two containers per entry, which hold no cycles.
+"p": mass}`` entries.  Zero-mass outcomes may be omitted.
 
 TSV: a header line ``s1<TAB>...<TAB>sn<TAB>t<TAB>p`` followed by one row
 per outcome; alphabet sizes are inferred as (max symbol + 1).
+
+Both loaders take one route: a file's parallel lists of states and masses
+reach the columns through ``JointDistribution._from_rows``, with no dict of
+outcomes.  :func:`load_joint` pauses the cyclic garbage collector while it
+reads either format and builds the columns, and then restores the
+collector's prior state: the parsed rows hold no cycles.  A malformed
+entry or row is a ``ParseError``, and comes before any ``ValidationError``
+of the table it would make.
 
 Both are UTF-8 text.  Reading, decoding and writing the files, for these
 and the package's other documents, live in :mod:`pidlattice.fileio`, the
@@ -51,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ParseError, PidError, ValidationError, shown
+from .errors import CapacityError, ParseError, PidError, ValidationError, expect, shown
 from .fileio import json_rows, read_object, read_text, render, write_text
 from .lattices import MAX_SOURCES, collection_bits, source_mask
 
@@ -367,6 +372,7 @@ def _shannon(probs: np.ndarray) -> float:
 
 def mutual_information(dist: JointDistribution, a) -> float:
     """I(a : target) in bits; the empty collection carries none."""
+    expect(dist, JointDistribution, "dist")
     bits = collection_bits(dist.n, a)
     h = dist._entropies
     return _clamped(h[(bits, False)] + h[(0, True)] - h[(bits, True)])
@@ -374,6 +380,7 @@ def mutual_information(dist: JointDistribution, a) -> float:
 
 def conditional_mi(dist: JointDistribution, a, given) -> float:
     """I(a : target | given) in bits; overlapping collections are fine."""
+    expect(dist, JointDistribution, "dist")
     abits = collection_bits(dist.n, a)
     gbits = collection_bits(dist.n, given)
     h = dist._entropies
@@ -388,25 +395,26 @@ def _clamped(value: float) -> float:
 
 def mi_table(dist: JointDistribution) -> dict[int, float]:
     """Mutual information with the target for every collection of sources."""
+    expect(dist, JointDistribution, "dist")
     return {bits: mutual_information(dist, bits) for bits in range(1 << dist.n)}
 
 
 def load_joint(path, fmt: str = "json") -> JointDistribution:
     """Read a joint distribution from a JSON or TSV file."""
-    if fmt == "json":
-        # The collector would walk the document's containers again and again
-        # while they are built; they are freed when the call below returns.
-        fields = ("n_sources", "source_alphabets", "target_alphabet", "pmf")
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
+    if fmt not in ("json", "tsv"):
+        raise ParseError(f"unknown distribution format {shown(fmt)}")
+    # The collector would walk the parsed rows again and again while they
+    # are built; they hold no cycles and are freed when the call returns.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if fmt == "json":
+            fields = ("n_sources", "source_alphabets", "target_alphabet", "pmf")
             return _joint_from_json(read_object(path, "distribution file", fields))
-        finally:
-            if enabled:
-                gc.enable()
-    if fmt == "tsv":
         return _joint_from_tsv(read_text(path, "distribution file"))
-    raise ParseError(f"unknown distribution format {shown(fmt)}")
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _joint_from_json(doc: dict) -> JointDistribution:
@@ -422,32 +430,25 @@ def _joint_from_json(doc: dict) -> JointDistribution:
     try:
         states = [entry["state"] for entry in entries]
         masses = [entry["p"] for entry in entries]
-        target = doc["target_alphabet"]
-        return JointDistribution._from_rows(alphabets, target, states, masses)
+        return JointDistribution._from_rows(alphabets, doc["target_alphabet"], states, masses)
     except (TypeError, KeyError, PidError):  # an entry that is not an object, or a refused table
-        _check_entries(entries, n)  # a malformed entry is a ParseError, and comes first
+        seen = set()  # a malformed entry is a ParseError, named before any refusal of the table
+        for entry in entries:
+            if not isinstance(entry, dict) or "state" not in entry or "p" not in entry:
+                raise ParseError(f"bad pmf entry {entry!r}")
+            state = entry["state"]
+            if not isinstance(state, list):
+                raise ParseError(f"state {state!r} is not a list of symbols")
+            if len(state) != n + 1:
+                raise ParseError(f"state {state!r} has wrong arity")
+            try:
+                duplicate = tuple(state) in seen
+            except TypeError:  # a list or object among the symbols
+                raise ParseError(f"state {state!r} holds a non-symbol") from None
+            if duplicate:
+                raise ParseError(f"duplicate state {state!r}")
+            seen.add(tuple(state))
         raise
-
-
-def _check_entries(entries: list, n) -> None:
-    """Raise ParseError for the first malformed pmf entry, in file order, if there is one."""
-    seen = set()
-    for entry in entries:
-        if not isinstance(entry, dict) or "state" not in entry or "p" not in entry:
-            raise ParseError(f"bad pmf entry {entry!r}")
-        state = entry["state"]
-        if not isinstance(state, list):
-            raise ParseError(f"state {state!r} is not a list of symbols")
-        state = tuple(state)
-        if len(state) != n + 1:
-            raise ParseError(f"state {list(state)!r} has wrong arity")
-        try:
-            duplicate = state in seen
-        except TypeError:  # a list or object among the symbols
-            raise ParseError(f"state {list(state)!r} holds a non-symbol") from None
-        if duplicate:
-            raise ParseError(f"duplicate state {list(state)!r}")
-        seen.add(state)
 
 
 def _joint_from_tsv(text: str) -> JointDistribution:
@@ -455,32 +456,31 @@ def _joint_from_tsv(text: str) -> JointDistribution:
     if not lines:
         raise ParseError("empty TSV file")
     header = lines[0].split("\t")
-    if len(header) < 3 or header[-1] != "p" or header[-2] != "t":
-        raise ParseError("TSV header must be s1 .. sn, t, p")
     n = len(header) - 2
-    if header[:n] != [f"s{i + 1}" for i in range(n)]:
+    if n < 1 or header != [*(f"s{i}" for i in range(1, n + 1)), "t", "p"]:
         raise ParseError("TSV header must be s1 .. sn, t, p")
-    pmf: dict[tuple[int, ...], float] = {}
+    states, masses, seen = [], [], set()
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split("\t")
         if len(parts) != n + 2:
             raise ParseError(f"line {lineno}: expected {n + 2} columns, got {len(parts)}")
         try:
-            state = tuple(int(x) for x in parts[:-1])
-            p = float(parts[-1])
+            state = tuple(map(int, parts[:-1]))
+            masses.append(float(parts[-1]))
         except ValueError:
             raise ParseError(f"line {lineno}: bad symbol or mass") from None
-        if state in pmf:
+        if state in seen:
             raise ParseError(f"line {lineno}: duplicate state {list(state)!r}")
-        pmf[state] = p
-    if not pmf:
+        seen.add(state)
+        states.append(state)
+    if not states:
         raise ParseError("TSV file has a header but no outcome rows")
-    alphabets = tuple(max(s[i] for s in pmf) + 1 for i in range(n))
-    target = max(s[-1] for s in pmf) + 1
-    return JointDistribution(alphabets, target, pmf)
+    *alphabets, target = (max(column) + 1 for column in zip(*states))
+    return JointDistribution._from_rows(alphabets, target, states, masses)
 
 
 def save_joint(dist: JointDistribution, path) -> None:
+    expect(dist, JointDistribution, "dist")
     states, masses = dist._by_cell()
     doc = {
         "n_sources": dist.n,
@@ -506,7 +506,10 @@ def random_joint(
         raise ValidationError(f"source count must be an int, got {shown(n)}")
     if not 1 <= n <= MAX_SOURCES:
         raise CapacityError(f"need 1..{MAX_SOURCES} sources, got {shown(int(n))}")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError):  # numpy's SeedSequence takes non-negative ints
+        raise ValidationError(f"seed must be a non-negative int, got {shown(seed)}") from None
     if source_alphabets is None:
         sizes = tuple(int(rng.integers(2, 4)) for _ in range(n))
     else:

@@ -65,6 +65,7 @@ from .errors import (
     MeasureInconsistencyError,
     ParseError,
     ValidationError,
+    expect,
 )
 from .fileio import number, read_object, render, write_text
 from .lattices import (
@@ -139,8 +140,11 @@ def verify_consistency(result: PidResult, dist: JointDistribution | None = None)
     With a distribution the MI values are recomputed from it; otherwise the
     table stored on the result is used.
     """
-    if dist is not None and dist.n != result.n:
-        raise ValidationError("distribution and result disagree on source count")
+    expect(result, PidResult, "result")
+    if dist is not None:
+        expect(dist, JointDistribution, "dist")
+        if dist.n != result.n:
+            raise ValidationError("distribution and result disagree on source count")
     mi = result.mi if dist is None else mi_table(dist)
     expected = index_vector(MI_KEYS, result.n, mi).tolist()
     values = index_vector(None, result.n, result.atoms, complete=False)
@@ -245,6 +249,7 @@ def decompose(
     ``measure`` is the string ``"reference"``, a MeasureAssignment, or a
     path (``str`` or ``os.PathLike``) to a measure file for the same concept.
     """
+    expect(dist, JointDistribution, "dist")
     if not isinstance(measure, (str, os.PathLike, MeasureAssignment)):
         raise ValidationError(
             "measure must be 'reference', a MeasureAssignment or a file path, "
@@ -308,6 +313,7 @@ def measure_table_from_atoms(
 
 def derived_measure_table(result: PidResult) -> dict[tuple[BaseConcept, Antichain], float]:
     """All ten concepts over their domains from the result's atoms, converted once."""
+    expect(result, PidResult, "result")
     table = _forward(result.n, result.atoms)
     return {(concept, alpha): v for concept in BaseConcept for alpha, v in table(concept).items()}
 
@@ -326,8 +332,7 @@ def inclusion_exclusion_check(result: PidResult, alpha: Antichain) -> InclusionE
     """Union information vs the alternating redundancy sum over subsets of alpha.
 
     :func:`~pidlattice.concepts.summate` refuses an alpha outside the union domain."""
-    if not isinstance(alpha, Antichain):
-        raise ValidationError(f"alpha must be an Antichain, got {type(alpha).__name__}")
+    expect(alpha, Antichain, "alpha")
     union_value = summate(BaseConcept.UNION, alpha, result)
     members = alpha.collections
     acc = 0.0
@@ -355,6 +360,8 @@ def proper_synergy_values(result: PidResult, alpha: Antichain) -> float:
     the value there is identically zero by the parthood axioms, so asking
     for it is almost surely a mistake.
     """
+    expect(result, PidResult, "result")
+    expect(alpha, Antichain, "alpha")
     if alpha.n != result.n:
         raise DomainError("antichain and result disagree on source count")
     union = 0
@@ -452,6 +459,7 @@ def export_result(result: PidResult) -> dict:
     """JSON-ready form: atoms carry both antichain labelings, sorted by the
     access label; the MI table rides along so files can be re-verified.
     A NaN or infinite value is refused, as JSON has no such number."""
+    expect(result, PidResult, "result")
     mi = index_vector(MI_KEYS, result.n, result.mi)
     values = index_vector(None, result.n, result.atoms)
     if not (np.isfinite(mi).all() and np.isfinite(values).all()):

@@ -40,3 +40,11 @@ def shown(value) -> str:
         return repr(value)
     except ValueError:
         return f"<{type(value).__name__} too long to print>"
+
+
+def expect(value, cls: type, what: str) -> None:
+    """Refuse an object argument that is not a ``cls`` with a ValidationError
+    naming its type, e.g. "alpha must be an Antichain, got NoneType"."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValidationError(f"{what} must be {article} {cls.__name__}, got {type(value).__name__}")

@@ -36,10 +36,16 @@ from .errors import (
     ParseError,
     UnsupportedStructureError,
     ValidationError,
+    expect,
     shown,
 )
 
 MAX_SOURCES = 5
+# The most sources a SourceSet, Antichain or ParthoodDistribution may have.
+# It lies above MAX_SOURCES, so that the per-antichain helpers are asked
+# about n = 6 and refuse it themselves, and it bounds what a boundary object
+# may size by n: a truth table of n sources has 2**n bits, 256 at the cap.
+MAX_BOUNDARY_SOURCES = 8
 
 OrderKind = Literal["redundancy", "synergy"]
 Direction = Literal["up", "down"]
@@ -55,9 +61,11 @@ def check_source_count(n: int) -> None:
 
 
 def _check_n(n) -> None:
-    """The boundary objects' source count: an exact int (not a bool or float), at least 1."""
+    """The boundary objects' source count: an exact int (not a bool or float), 1..MAX_BOUNDARY_SOURCES."""
     if type(n) is not int or n < 1:
         raise ValidationError(f"source count must be a positive int, got {shown(n)}")
+    if n > MAX_BOUNDARY_SOURCES:
+        raise ValidationError(f"source count {shown(n)} is above the cap of {MAX_BOUNDARY_SOURCES}")
 
 
 def checked_iter(items, what: str):
@@ -799,7 +807,9 @@ def build_lattice(
     node's strict up-set is a cover; dropping the cover's up-set and
     repeating yields the rest, one big-int operation per cover.
     """
-    node_list = tuple(nodes)
+    node_list = tuple(checked_iter(nodes, "lattice nodes"))
+    for a in node_list:
+        expect(a, Antichain, "a lattice node")
     if not node_list:
         raise ValidationError("lattice needs at least one node")
     n = node_list[0].n
@@ -866,6 +876,7 @@ def moebius_invert(
     below it; ``up-sum`` the sum at or above.  Semi-lattices are refused:
     without both extrema the cumulative map need not determine the atoms.
     """
+    expect(lattice, ConceptLattice, "lattice")
     if lattice.kind != FULL_LATTICE:
         raise UnsupportedStructureError(
             f"Moebius inversion needs a full lattice, got {lattice.kind}"
@@ -890,6 +901,7 @@ def moebius_invert(
 
 def lattice_to_dot(lattice: ConceptLattice) -> str:
     """Render the cover relation as Graphviz DOT, lower nodes drawn below."""
+    expect(lattice, ConceptLattice, "lattice")
     labels = [a.label() for a in lattice.nodes]
     lines = ["digraph lattice {", "  rankdir=BT;"]
     lines += [f'  "{label}";' for label in labels]

@@ -7,7 +7,10 @@ Three rules, each pinned by the calls that broke it:
   small out-of-range value raises, not a bare ``ValueError``;
 - a raw collection list holds SourceSets over the same n or exact int bits,
   the rule of ``mutual_information`` and ``SourceSet.from_indices``;
-- values, atoms and MI tables are mappings.
+- values, atoms and MI tables are mappings;
+- an object argument (distribution, result, antichain, lattice) is that
+  type, checked by one guard, ``errors.expect``, at the entry point; and a
+  boundary object's source count is at most ``MAX_BOUNDARY_SOURCES``.
 
 A hypothesis test then drives the same entry points with arbitrary values.
 """
@@ -25,23 +28,36 @@ from pidlattice import (
     CapacityError,
     CompletenessError,
     MeasureAssignment,
+    ParthoodDistribution,
     PidError,
     PidResult,
     SourceSet,
     ValidationError,
+    build_lattice,
     canonicalize_collections,
+    conditional_mi,
     concept_lattice,
     decompose,
+    derived_measure_table,
     domain_for_concept,
+    export_result,
     inclusion_exclusion_check,
+    lattice_to_dot,
     measure_table_from_atoms,
+    mi_table,
     moebius_invert,
     mutual_information,
+    patch_singleton_synergies,
+    proper_synergy_values,
     random_joint,
     reference_measure,
+    save_joint,
+    save_result,
     solve_concept,
     summate,
+    verify_consistency,
 )
+from pidlattice.lattices import MAX_BOUNDARY_SOURCES, table_mask
 
 import helpers
 
@@ -200,3 +216,98 @@ def test_entry_points_succeed_or_raise_pid_errors(v):
             call()
         except PidError:
             pass
+
+
+def _result():
+    return case()[2]
+
+
+def _alpha():
+    return Antichain.of(2, [0b01])
+
+
+# (call with a wrong-typed object argument, the ValidationError message it raises)
+OBJECT_ARGUMENTS = {
+    "decompose": (lambda: decompose(None, R), "dist must be a JointDistribution, got NoneType"),
+    "reference_measure": (lambda: reference_measure(None, R), "dist must be a JointDistribution, got NoneType"),
+    "mi_table": (lambda: mi_table(None), "dist must be a JointDistribution, got NoneType"),
+    "mutual_information": (lambda: mutual_information(None, 1), "dist must be a JointDistribution, got NoneType"),
+    "conditional_mi": (lambda: conditional_mi(None, 1, 2), "dist must be a JointDistribution, got NoneType"),
+    "save_joint": (lambda: save_joint(None, "unwritten.json"), "dist must be a JointDistribution, got NoneType"),
+    "patch_singleton_synergies": (
+        lambda: patch_singleton_synergies(2, {}, None), "dist must be a JointDistribution, got NoneType",
+    ),
+    "verify_consistency result": (lambda: verify_consistency(None), "result must be a PidResult, got NoneType"),
+    "verify_consistency dist": (
+        lambda: verify_consistency(_result(), 5), "dist must be a JointDistribution, got int",
+    ),
+    "verify_consistency dict": (
+        lambda: verify_consistency(_result(), {}), "dist must be a JointDistribution, got dict",
+    ),
+    "export_result": (lambda: export_result(None), "result must be a PidResult, got NoneType"),
+    "save_result": (lambda: save_result(None, "unwritten.json"), "result must be a PidResult, got NoneType"),
+    "derived_measure_table": (lambda: derived_measure_table(None), "result must be a PidResult, got NoneType"),
+    "proper_synergy_values result": (
+        lambda: proper_synergy_values(None, _alpha()), "result must be a PidResult, got NoneType",
+    ),
+    "proper_synergy_values alpha": (
+        lambda: proper_synergy_values(_result(), [1]), "alpha must be an Antichain, got list",
+    ),
+    "inclusion_exclusion_check": (
+        lambda: inclusion_exclusion_check(_result(), "x"), "alpha must be an Antichain, got str",
+    ),
+    "lattice_to_dot": (lambda: lattice_to_dot(1), "lattice must be a ConceptLattice, got int"),
+    "moebius_invert": (lambda: moebius_invert(1, {}, "down-sum"), "lattice must be a ConceptLattice, got int"),
+    "build_lattice node": (
+        lambda: build_lattice([1], "redundancy"), "a lattice node must be an Antichain, got int",
+    ),
+    "build_lattice nodes": (lambda: build_lattice(5, "redundancy"), "lattice nodes must be an iterable, got int"),
+    "random_joint seed": (lambda: random_joint(2, "x"), "seed must be a non-negative int, got 'x'"),
+    "random_joint negative seed": (lambda: random_joint(2, -1), "seed must be a non-negative int, got -1"),
+}
+
+
+@pytest.mark.parametrize("name", OBJECT_ARGUMENTS)
+def test_wrong_typed_object_arguments_raise_validation_errors(name):
+    call, message = OBJECT_ARGUMENTS[name]
+    with pytest.raises(ValidationError) as refused:
+        call()
+    assert type(refused.value) is ValidationError
+    assert str(refused.value) == message
+
+
+def test_a_valid_seed_draws_the_same_table():
+    seeds = [0, 7, 2**70, np.int64(3), [1, 2]]
+    digests = [random_joint(2, seed).digest() for seed in seeds]
+    assert digests == [random_joint(2, seed).digest() for seed in seeds]
+    assert len(set(digests)) == len(seeds)
+
+
+@pytest.mark.parametrize("n", [6, MAX_BOUNDARY_SOURCES])
+def test_boundary_objects_are_built_up_to_the_source_cap(n):
+    assert SourceSet(n, 1).n == n
+    assert Antichain(n, ()).n == n
+    assert ParthoodDistribution(n, table_mask(n) ^ 1).n == n  # every collection but the empty one
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: SourceSet(n, 1),
+        lambda n: SourceSet.from_indices(n, [1]),
+        lambda n: Antichain(n, ()),
+        lambda n: Antichain.of(n, []),
+        lambda n: ParthoodDistribution(n, 2),
+    ],
+    ids=["SourceSet", "from_indices", "Antichain", "Antichain.of", "ParthoodDistribution"],
+)
+@pytest.mark.parametrize("n", [MAX_BOUNDARY_SOURCES + 1, 10**20, HUGE], ids=["cap+1", "1e20", "huge"])
+def test_boundary_objects_refuse_source_counts_above_the_cap(make, n):
+    with pytest.raises(ValidationError, match=f"is above the cap of {MAX_BOUNDARY_SOURCES}$"):
+        make(n)
+
+
+def test_no_repr_of_a_refused_source_count_leaks():
+    for make in (lambda: repr(SourceSet(HUGE, 1)), lambda: repr(Antichain(HUGE, ()))):
+        with pytest.raises(ValidationError, match="<int too long to print>"):
+            make()

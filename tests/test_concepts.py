@@ -7,6 +7,7 @@ import pytest
 
 import helpers
 from pidlattice import (
+    CONDITION_IDS,
     Antichain,
     BaseConcept,
     CompletenessError,
@@ -716,3 +717,12 @@ def test_patch_singleton_synergies_requires_multi_entries(xor_dist):
         patch_singleton_synergies(2, {}, xor_dist)
     with pytest.raises(ValidationError):
         patch_singleton_synergies(3, {}, xor_dist)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_grid_condition_predicates_agree_with_condition_holds(n):
+    atoms = enumerate_parthood_distributions(n)
+    for cid in CONDITION_IDS:
+        for alpha in enumerate_antichains(n):
+            holds = grid_condition(cid, alpha)
+            assert [holds(f) for f in atoms] == [condition_holds(cid, alpha, f) for f in atoms]

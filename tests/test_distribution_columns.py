@@ -518,3 +518,9 @@ def test_random_joint_refuses_bad_arguments(monkeypatch, args):
     monkeypatch.setattr(np.random, "default_rng", _NoDraw)
     with pytest.raises(ValidationError):
         random_joint(*args)
+
+
+def test_the_pmf_view_shows_as_its_dict_under_the_class_name():
+    pmf = {(1, 0, 1): 0.5, (0, 0, 0): 0.25, (1, 1, 0): 0.25}
+    view = JointDistribution((2, 2), 2, pmf).pmf
+    assert repr(view) == f"_PmfView({pmf!r})"

@@ -165,3 +165,9 @@ def test_the_mi_view_iterates_the_collections_and_takes_plain_dicts(case, tmp_pa
     assert hexes(load_result(path).mi) == hexes(result.mi)
     for copied in (copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
         assert hexes(copied.mi) == hexes(result.mi) and verify_consistency(copied).passed
+
+
+def test_a_view_shows_as_its_dict_under_the_class_name(xor_dist):
+    result = decompose(xor_dist, BaseConcept.REDUNDANCY)
+    for view in (result.atoms, result.mi, reference_measure(xor_dist, BaseConcept.UNION).values):
+        assert repr(view) == f"_IndexView({dict(view)!r})"

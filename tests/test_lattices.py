@@ -600,3 +600,17 @@ def test_dot_counts_match_lattice():
     edge_lines = [ln for ln in dot.splitlines() if "->" in ln]
     assert len(node_lines) == len(lat.nodes)
     assert len(edge_lines) == sum(len(c) for c in lat.covers)
+
+
+def test_parthood_leq_refuses_different_source_counts():
+    f = enumerate_parthood_distributions(2)[0]
+    g = enumerate_parthood_distributions(3)[0]
+    with pytest.raises(DomainError, match="parthood distributions over different source counts"):
+        parthood_leq(f, g)
+
+
+@pytest.mark.parametrize("kind", ["union", "", None])
+def test_antichain_leq_refuses_an_unknown_order_kind(kind):
+    alpha = Antichain.of(2, [0b01])
+    with pytest.raises(DomainError, match="unknown order kind"):
+        antichain_leq(kind, alpha, alpha)
