@@ -203,6 +203,8 @@ def _cell_holds(condition_id: str, alpha: Antichain, tables: int | np.ndarray) -
 
 def condition_holds(condition_id: str, alpha: Antichain, f: ParthoodDistribution) -> bool:
     """Whether the parthood distribution satisfies one grid condition at alpha."""
+    expect(alpha, Antichain, "alpha")
+    expect(f, ParthoodDistribution, "f")
     if alpha.n != f.n:
         raise DomainError("antichain and parthood distribution disagree on source count")
     return bool(_cell_holds(condition_id, alpha, f.table))
@@ -220,6 +222,7 @@ def atom_selector(concept: BaseConcept, alpha: Antichain) -> Callable[[ParthoodD
     concept.  Unique information is the conjunction of the redundancy and
     restricted-information conditions and picks exactly one atom.
     """
+    expect(alpha, Antichain, "alpha")
     if alpha not in domain_members(concept, alpha.n):
         raise DomainError(f"antichain {alpha.label()!r} outside the {concept.tag} domain")
     cells = concept_facts(concept).cells
@@ -229,6 +232,10 @@ def atom_selector(concept: BaseConcept, alpha: Antichain) -> Callable[[ParthoodD
 def selection_mask(concept: BaseConcept, alpha: Antichain, tables: np.ndarray) -> np.ndarray:
     """Vectorized :func:`atom_selector` over packed truth tables."""
     cells = concept_facts(concept).cells
+    expect(alpha, Antichain, "alpha")
+    dtype = np.asarray(tables).dtype
+    if dtype.kind not in "ui":
+        raise ValidationError(f"tables must be integer truth tables, got dtype {dtype}")
     return np.logical_and.reduce([_cell_holds(cid, alpha, tables) for cid in cells])
 
 
@@ -268,13 +275,14 @@ MI_KEYS = int  # the key set of an MI table: the collection bitmasks 0 .. 2^n - 
 
 
 def _checked_cache(fn):
-    """An lru cache over (key set, n) that looks a concept up before hashing it."""
+    """An lru cache over (key set, n) that checks the concept and n before hashing them."""
     cached = functools.lru_cache(maxsize=None)(fn)
 
     @functools.wraps(fn)
     def lookup(concept, n: int):
         if concept is not None and concept is not MI_KEYS:
             concept_facts(concept)
+        check_source_count(n)  # before the cache, whose key (c, 2.0) equals (c, 2)
         return cached(concept, n)
 
     lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear

@@ -452,15 +452,17 @@ def _joint_from_json(doc: dict) -> JointDistribution:
 
 
 def _joint_from_tsv(text: str) -> JointDistribution:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    # (line number in the file, line) for the non-blank lines
+    lines = ((lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1) if ln.strip())
+    first = next(lines, None)
+    if first is None:
         raise ParseError("empty TSV file")
-    header = lines[0].split("\t")
+    header = first[1].split("\t")
     n = len(header) - 2
     if n < 1 or header != [*(f"s{i}" for i in range(1, n + 1)), "t", "p"]:
         raise ParseError("TSV header must be s1 .. sn, t, p")
     states, masses, seen = [], [], set()
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines:
         parts = ln.split("\t")
         if len(parts) != n + 2:
             raise ParseError(f"line {lineno}: expected {n + 2} columns, got {len(parts)}")

@@ -16,8 +16,8 @@ Two numpy kernels write JSON text without a Python object per value:
 :func:`shortest_digits` finds the shortest round-trip decimal digits of a
 float64 column, and :func:`json_rows` writes a table of int symbols and
 float masses as the rows of a JSON list, byte for byte as ``json.dumps``
-writes them (a table of few rows goes through ``json.dumps`` itself).
-``JointDistribution.digest`` hashes those rows.
+writes them, at every table size.  ``JointDistribution.digest`` hashes
+those rows.
 """
 
 from __future__ import annotations
@@ -94,10 +94,6 @@ _M63 = np.uint64((1 << 63) - 1)
 _K_MIN = -324  # the scales 10**k that Schubfach needs for the positive normal doubles
 _K_MAX = 292
 _EXPONENTS = range(-308, 309)  # the exponents of their repr in exponent form
-# Below this many rows json_rows leaves the text to json.dumps: each numpy call
-# costs microseconds whatever its length, and the two paths measured even at
-# about 320 rows on a 2-vCPU host.
-_KERNEL_ROWS = 320
 # json_rows writes this many rows at a time, which bounds its temporaries at a few MB.
 _CHUNK_ROWS = 8192
 
@@ -208,17 +204,15 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 def _word_tables() -> tuple[np.ndarray, np.ndarray]:
     """Text as 4-byte words, 0 bytes standing for no text, built on first use.
 
-    Region r of the digit table (entries ``10_000 * r`` on) holds each
-    four-digit group 0000..9999: for r = 0..4 its last r digits, for
-    r = 5..8 a point and its last r - 5 digits.  Row ``e - _EXPONENTS.start``
-    of the exponent table holds the two words of ``e-05`` (for e = -5),
-    and the last row two blank words.
+    Region r = 0..4 of the digit table (entries ``10_000 * r`` on) holds
+    the last r digits of each four-digit group 0000..9999.  Row
+    ``e - _EXPONENTS.start`` of the exponent table holds the two words of
+    ``e-05`` (for e = -5), and the last row two blank words.
     """
-    digits = (np.arange(10_000)[:, None] // _POW10[3::-1] % 10 + ord("0")).astype(np.uint8)
-    place = np.arange(4)
-    regions = [np.where(place >= 4 - r, digits, 0) for r in range(5)]
-    regions += [np.where(place == 3 - r, ord("."), regions[r]) for r in range(4)]
-    words = np.concatenate(regions).astype(np.uint8).view(np.uint32).ravel()
+    groups, regions = np.arange(10_000), np.zeros((5, 10_000, 4), np.uint8)
+    for place in range(4):  # the digit of 10**place goes in byte 3 - place of regions 1 + place on
+        regions[1 + place :, :, 3 - place] = groups // 10**place % 10 + ord("0")
+    words = regions.view(np.uint32).ravel()
     texts = [f"e{e:+03d}".encode().rjust(8, b"\0") for e in _EXPONENTS]
     exponents = np.frombuffer(b"".join(texts) + bytes(8), np.uint32).reshape(-1, 2)
     return words, exponents
@@ -229,31 +223,20 @@ def _word(text: bytes) -> np.uint32:
     return np.frombuffer(text.rjust(4, b"\0"), np.uint32)[0]
 
 
-def _digit_count(values: np.ndarray, most: int) -> np.ndarray:
-    """The number of decimal digits of each int64 value below 10**most, 1 for 0."""
-    count = np.ones(values.shape, np.int64)
-    for power in _POW10[1:most]:
-        count += values >= power
-    return count
+def _digit_count(values: np.ndarray) -> np.ndarray:
+    """The number of decimal digits of each int64 value, 1 for 0."""
+    return np.searchsorted(_POW10[1:], values, side="right") + 1
 
 
-def _put_digits(out: np.ndarray, values: np.ndarray, shown: np.ndarray, point=None) -> None:
+def _put_digits(out: np.ndarray, values: np.ndarray, shown: np.ndarray) -> None:
     """Write each value's last ``shown`` digits, zero-padded, right-aligned into the words of ``out``.
 
     ``out``'s last axis holds the words, the others match ``values``.
-    With ``point``, a "." goes before the digits where it is true.  Each
-    word is one lookup in the digit table; the rest of ``out`` is 0 bytes.
+    Each word is one lookup in the digit table; the rest of ``out`` is 0 bytes.
     """
-    words = _word_tables()[0]
-    count = out.shape[-1]
-    for i in range(count):
-        place = 4 * (count - 1 - i)  # digits right of this word
-        rest = shown - place
-        region = np.clip(rest, 0, 4)
-        if point is not None:
-            region += 5 * (point & (rest >= 0) & (rest <= 3))
-        group = values // _POW10[min(place, 18)] % 10_000  # the values are below 10**18
-        out[..., i] = words.take(group + 10_000 * region)
+    places = np.arange(4 * out.shape[-1] - 4, -1, -4)  # digits right of each word
+    groups = values[..., None] // _POW10[np.minimum(places, 18)] % 10_000  # the values are below 10**18
+    out[...] = _word_tables()[0].take(groups + 10_000 * np.clip(shown[..., None] - places, 0, 4))
 
 
 def _mass_parts(masses: np.ndarray) -> tuple:
@@ -293,31 +276,32 @@ def json_rows(states: np.ndarray, masses: np.ndarray) -> Iterator[bytes]:
 def _rows(states: np.ndarray, masses: np.ndarray) -> bytes:
     """The text of :func:`json_rows` for one piece.
 
-    From ``_KERNEL_ROWS`` rows on, each outcome is laid out in a row of
-    4-byte words, every symbol and part of the mass right-aligned in a
-    fixed number of them over 0 bytes, and dropping the 0 bytes joins the
-    rows into the text; fewer rows go through ``json.dumps`` itself.
+    Each outcome is laid out in a row of 4-byte words: the fixed text
+    (``[[``, ``, ``, ``], `` and the closing ``], `` or ``]``) copied from
+    one template row, then every symbol and part of the mass right-aligned
+    in a fixed number of words over 0 bytes, the mass's point in a word of
+    its own.  Dropping the 0 bytes joins the rows into the text.
     """
     rows, arity = states.shape
-    if rows < _KERNEL_ROWS:
-        return json.dumps(list(zip(states.tolist(), masses.tolist())))[1:-1].encode()
     whole, fraction, after, exponent = _mass_parts(masses)
-    most, whole_most = len(str(int(states.max()))), len(str(int(whole.max())))
-    per_symbol = -(-most // 4) + 1  # its digits, then ", " or "], "
-    widths = [1 + arity * per_symbol, -(-whole_most // 4), int(after.max()) // 4 + 1]
-    widths += [2 if (exponent < len(_EXPONENTS)).any() else 0, 1]
-    out = np.empty((rows, sum(widths)), np.uint32)
-    opening, whole_words, fraction_words, exponent_words, closing = np.split(out, np.cumsum(widths)[:-1], axis=1)
-    opening[:, 0] = _word(b"[[")
-    symbols = opening[:, 1:].reshape(rows, arity, per_symbol)  # a view: the words are adjacent
-    _put_digits(symbols[..., :-1], states, _digit_count(states, most))
-    symbols[:, :-1, -1] = _word(b", ")
-    symbols[:, -1, -1] = _word(b"], ")
-    _put_digits(whole_words, whole, _digit_count(whole, whole_most))
-    _put_digits(fraction_words, fraction, after, point=after > 0)
-    if exponent_words.size:
-        exponent_words[:] = _word_tables()[1].take(exponent, axis=0)
-    closing[:] = _word(b"], ")
-    closing[-1] = _word(b"]")  # no separator after the last outcome
+    symbol_digits, whole_digits = _digit_count(states), _digit_count(whole)
+    per_symbol = -(-int(symbol_digits.max()) // 4) + 1  # its digits, then ", " or "], "
+    symbols_end = 1 + arity * per_symbol
+    point = symbols_end + -(-int(whole_digits.max()) // 4)
+    fraction_end = point + 1 + -(-int(after.max()) // 4)
+    exponent_end = fraction_end + (2 if (exponent < len(_EXPONENTS)).any() else 0)
+    template = np.zeros(exponent_end + 1, np.uint32)
+    template[0] = _word(b"[[")
+    template[per_symbol:symbols_end:per_symbol] = _word(b", ")
+    template[symbols_end - 1] = template[-1] = _word(b"], ")
+    out = np.tile(template, (rows, 1))
+    out[-1, -1] = _word(b"]")  # no separator after the last outcome
+    symbols = out[:, 1:symbols_end].reshape(rows, arity, per_symbol)  # a view: the words are adjacent
+    _put_digits(symbols[..., :-1], states, symbol_digits)
+    _put_digits(out[:, symbols_end:point], whole, whole_digits)
+    out[:, point] = np.where(after > 0, _word(b"."), 0)
+    _put_digits(out[:, point + 1 : fraction_end], fraction, after)
+    if exponent_end > fraction_end:
+        out[:, fraction_end:exponent_end] = _word_tables()[1].take(exponent, axis=0)
     text = out.view(np.uint8).ravel()
     return np.compress(text != 0, text).tobytes()

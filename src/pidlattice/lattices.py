@@ -56,7 +56,7 @@ MEET_SEMI_LATTICE = "meet-semi-lattice"
 
 
 def check_source_count(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_SOURCES:
+    if type(n) is not int or not 1 <= n <= MAX_SOURCES:  # exact type test: rejects bool
         raise CapacityError(f"source count must be an int in 1..{MAX_SOURCES}, got {shown(n)}")
 
 
@@ -88,11 +88,14 @@ def table_mask(n: int) -> int:
 
 def collection_label(bits: int) -> str:
     """Canonical label of one collection, e.g. ``{1,3}``; the empty collection is ``{}``."""
+    if type(bits) is not int or bits < 0:  # exact type test: this runs 2**n times per check
+        raise ValidationError(f"collection bits must be a non-negative int, got {shown(bits)}")
     members = [str(i + 1) for i in range(bits.bit_length()) if (bits >> i) & 1]
     return "{" + ",".join(members) + "}"
 
 
 def parse_collection_label(text: str, n: int) -> int:
+    expect(text, str, "collection label")
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError(f"collection label must be brace-delimited, got {text!r}")
     inner = text[1:-1]
@@ -265,6 +268,7 @@ class Antichain:
 
 def parse_antichain_label(text: str, n: int) -> Antichain:
     """Parse a canonical antichain label back into an Antichain."""
+    expect(text, str, "antichain label")
     if text == EMPTY_CHAIN_LABEL:
         return Antichain(n, ())
     if not text or text.count("{") != text.count("}"):
@@ -355,6 +359,8 @@ def parthood_leq(f: ParthoodDistribution, g: ParthoodDistribution) -> bool:
     The bottom marks everything but the empty collection (fully redundant
     atom); the top marks only the full collection (fully synergistic atom).
     """
+    expect(f, ParthoodDistribution, "f")
+    expect(g, ParthoodDistribution, "g")
     if f.n != g.n:
         raise DomainError("parthood distributions over different source counts")
     return g.table & ~f.table == 0
@@ -362,11 +368,13 @@ def parthood_leq(f: ParthoodDistribution, g: ParthoodDistribution) -> bool:
 
 def in_access_domain(alpha: Antichain) -> bool:
     """True if the antichain labels a parthood distribution by minimal 1-collections."""
+    expect(alpha, Antichain, "alpha")
     return not alpha.is_empty and not alpha.is_empty_collection_chain
 
 
 def in_blockage_domain(alpha: Antichain) -> bool:
     """True if the antichain labels a parthood distribution by maximal 0-collections."""
+    expect(alpha, Antichain, "alpha")
     return not alpha.is_empty and not alpha.is_full_collection_chain
 
 
@@ -382,6 +390,7 @@ def parthood_from_antichain(alpha: Antichain) -> ParthoodDistribution:
 
 def antichain_from_parthood(f: ParthoodDistribution) -> Antichain:
     """Antichain of minimal collections the distribution marks."""
+    expect(f, ParthoodDistribution, "f")
     index = lattice_index(f.n)
     return index.antichains[index.access_antichain[_atom_position(index, f)]]
 
@@ -398,6 +407,7 @@ def parthood_from_synergy_antichain(alpha: Antichain) -> ParthoodDistribution:
 
 def synergy_antichain_from_parthood(f: ParthoodDistribution) -> Antichain:
     """Antichain of maximal collections the distribution clears."""
+    expect(f, ParthoodDistribution, "f")
     index = lattice_index(f.n)
     return index.antichains[index.blockage_antichain[_atom_position(index, f)]]
 
@@ -417,6 +427,7 @@ def maximal_non_supersets(alpha: Antichain) -> Antichain:
 
 
 def _partner_image(mapper: Callable[[Antichain], Antichain], alpha: Antichain) -> Antichain:
+    expect(alpha, Antichain, "alpha")
     index = lattice_index(alpha.n)
     return index.antichains[index.partner[mapper][index.position[alpha]]]
 
@@ -699,6 +710,8 @@ def _order_table(kind: OrderKind, alpha: Antichain) -> int:
 
 def antichain_leq(kind: OrderKind, alpha: Antichain, beta: Antichain) -> bool:
     """Order predicate extended to all antichains (closure-mask inclusion)."""
+    expect(alpha, Antichain, "alpha")
+    expect(beta, Antichain, "beta")
     if alpha.n != beta.n:
         raise DomainError("antichains over different source counts")
     return _order_table(kind, beta) & ~_order_table(kind, alpha) == 0
@@ -770,7 +783,12 @@ class ConceptLattice:
         return {a: i for i, a in enumerate(self.nodes)}.__getitem__
 
     def leq(self, alpha: Antichain, beta: Antichain) -> bool:
-        i, j = self.index(alpha), self.index(beta)
+        expect(alpha, Antichain, "alpha")
+        expect(beta, Antichain, "beta")
+        try:
+            i, j = self.index(alpha), self.index(beta)
+        except KeyError as exc:
+            raise DomainError(f"antichain {exc.args[0].label()!r} is not a node of this lattice") from None
         return self.leq_by_index(i, j)
 
     def leq_by_index(self, i: int, j: int) -> bool:

@@ -57,6 +57,8 @@ from pidlattice import (
     summate,
     verify_consistency,
 )
+from pidlattice import concepts, lattices
+from pidlattice.errors import DomainError
 from pidlattice.lattices import MAX_BOUNDARY_SOURCES, table_mask
 
 import helpers
@@ -274,6 +276,53 @@ def test_wrong_typed_object_arguments_raise_validation_errors(name):
         call()
     assert type(refused.value) is ValidationError
     assert str(refused.value) == message
+
+
+# (call with a wrong-typed argument or a value outside its lattice, the error it raises)
+HELPER_ARGUMENTS = {
+    "parse_antichain_label": (lambda: lattices.parse_antichain_label(5, 2), ValidationError),
+    "parse_collection_label": (lambda: lattices.parse_collection_label(None, 2), ValidationError),
+    "collection_label": (lambda: lattices.collection_label("x"), ValidationError),
+    "collection_label negative": (lambda: lattices.collection_label(-1), ValidationError),
+    "collection_label bool": (lambda: lattices.collection_label(True), ValidationError),
+    "order_leq": (lambda: lattices.order_leq("redundancy", 1, 2), ValidationError),
+    "antichain_leq": (lambda: lattices.antichain_leq("redundancy", 1, 2), ValidationError),
+    "parthood_leq": (lambda: lattices.parthood_leq(1, 2), ValidationError),
+    "in_access_domain": (lambda: lattices.in_access_domain(1), ValidationError),
+    "in_blockage_domain": (lambda: lattices.in_blockage_domain(1), ValidationError),
+    "condition_holds": (lambda: concepts.condition_holds("x", 1, 2), ValidationError),
+    "atom_selector": (lambda: concepts.atom_selector(R, 1), ValidationError),
+    "parthood_from_antichain": (lambda: lattices.parthood_from_antichain(1), ValidationError),
+    "parthood_from_synergy_antichain": (lambda: lattices.parthood_from_synergy_antichain(1), ValidationError),
+    "antichain_from_parthood": (lambda: lattices.antichain_from_parthood(1), ValidationError),
+    "synergy_antichain_from_parthood": (lambda: lattices.synergy_antichain_from_parthood(1), ValidationError),
+    "minimal_non_subsets": (lambda: lattices.minimal_non_subsets(1), ValidationError),
+    "maximal_non_supersets": (lambda: lattices.maximal_non_supersets(1), ValidationError),
+    "ConceptLattice.leq non-node": (lambda: case()[3].leq(Antichain(2, ()), _alpha()), DomainError),
+    "ConceptLattice.leq non-antichain": (lambda: case()[3].leq(_alpha(), 1), ValidationError),
+    "selection_mask": (lambda: concepts.selection_mask(R, _alpha(), ["x"]), ValidationError),
+    "selection_mask alpha": (lambda: concepts.selection_mask(R, 1, [2]), ValidationError),
+}
+
+
+@pytest.mark.parametrize("name", HELPER_ARGUMENTS)
+def test_helpers_raise_typed_errors(name):
+    call, error = HELPER_ARGUMENTS[name]
+    with pytest.raises(error) as refused:
+        call()
+    assert type(refused.value) is error
+
+
+@pytest.mark.parametrize("n", [2.0, True], ids=["float", "bool"])
+def test_domain_source_count_is_checked_before_the_cache(n):
+    # the cache key (c, 2.0) equals (c, 2), and (c, True) equals (c, 1)
+    for lookup in (domain_for_concept, concepts.domain_members):
+        lookup.cache_clear()
+        with pytest.raises(CapacityError):  # cold
+            lookup(R, n)
+        lookup(R, int(n))
+        with pytest.raises(CapacityError):  # warm
+            lookup(R, n)
 
 
 def test_a_valid_seed_draws_the_same_table():

@@ -163,7 +163,7 @@ def _reference_rows(states: np.ndarray, masses: np.ndarray) -> bytes:
     return ", ".join(rows).encode()
 
 
-def test_rows_match_float_repr_over_the_mass_domain(monkeypatch):
+def test_rows_match_float_repr_over_the_mass_domain():
     draws = _mass_draws()
     assert sum(map(len, draws)) >= 10**6
     for masses in [*draws, _normal_doubles()]:  # the last also in exponent form above 1e16
@@ -171,16 +171,25 @@ def test_rows_match_float_repr_over_the_mass_domain(monkeypatch):
         expected = "[[0], " + "], [[0], ".join(map(repr, masses.tolist())) + "]"
         assert b"".join(fileio.json_rows(np.zeros((len(masses), 1), np.int64), masses)) == expected.encode()
 
-    # symbols of 1 to 8 digits; json.dumps below _KERNEL_ROWS and the kernel write the same rows
+    # symbols of 1 to 8 digits
     edges = _mass_edges()
     rng = np.random.default_rng(5)
     symbols = rng.integers(0, 2**24, len(edges)) // 10 ** rng.integers(0, 8, len(edges))
     states = np.column_stack([symbols, np.arange(len(edges))])
     for rows in (1, 2, 7, len(edges)):
         expected = _reference_rows(states[:rows], edges[:rows])
-        for kernel_rows in (0, 10**9):
-            monkeypatch.setattr(fileio, "_KERNEL_ROWS", kernel_rows)
-            assert b"".join(fileio.json_rows(states[:rows], edges[:rows])) == expected
+        assert b"".join(fileio.json_rows(states[:rows], edges[:rows])) == expected
+
+
+def test_rows_match_json_dumps_at_every_table_size():
+    # 1 to 400 rows of 1 to 5 symbols of 1 to 8 digits, masses in fixed and in exponent form
+    rng = np.random.default_rng(20)
+    for rows in range(1, 401):
+        arity = int(rng.integers(1, 6))
+        states = rng.integers(0, 10 ** rng.integers(1, 9, (rows, arity)))
+        masses = 10.0 ** rng.uniform(-12.0, 0.0, rows) if rows % 2 else rng.dirichlet(np.ones(rows))
+        expected = json.dumps(list(zip(states.tolist(), masses.tolist())))[1:-1]
+        assert b"".join(fileio.json_rows(states, masses)) == expected.encode(), rows
 
 
 def _repr_digits(value: float) -> tuple[int, int, int]:

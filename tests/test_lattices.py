@@ -107,7 +107,7 @@ def test_enumeration_is_strictly_increasing_in_canonical_order(n, count):
 
 
 def test_source_count_limits():
-    for bad in (0, 6, -1, "3", 2.0):
+    for bad in (0, 6, -1, "3", 2.0, True):
         with pytest.raises(CapacityError):
             check_source_count(bad)
     with pytest.raises(CapacityError):

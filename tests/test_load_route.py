@@ -66,17 +66,17 @@ def reference_entries(entries: list, n) -> None:
 
 
 def reference_tsv(text: str) -> JointDistribution:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ParseError("empty TSV file")
-    header = lines[0].split("\t")
+    header = lines[0][1].split("\t")
     if len(header) < 3 or header[-1] != "p" or header[-2] != "t":
         raise ParseError("TSV header must be s1 .. sn, t, p")
     n = len(header) - 2
     if header[:n] != [f"s{i + 1}" for i in range(n)]:
         raise ParseError("TSV header must be s1 .. sn, t, p")
     pmf = {}
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         parts = ln.split("\t")
         if len(parts) != n + 2:
             raise ParseError(f"line {lineno}: expected {n + 2} columns, got {len(parts)}")
@@ -165,10 +165,26 @@ def test_tsv_rows_load_as_the_dict_route_loaded_them(tmp_path, text):
         "s1\tt\tp\n-1\t0\t0.5\n1\t1\t0.5",
         "s1\tt\tp\n-1\t0\t1.0",
         "s1\ts2\tt\tp\n0\t1\t1\t0.5\n1\t0\t1\t0.5\n",
+        "s1\tt\tp\n\n\n0\tx\t1.0\n",  # blank lines keep their numbers
     ],
 )
 def test_named_tsv_rows(tmp_path, text):
     assert_same_route(tmp_path / "d.tsv", text, "tsv", reference_tsv_file)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("s1\tt\tp\n\n\n0\tx\t1.0\n", 4),
+        ("\n  \ns1\tt\tp\n0\t0\t1.0\n\t\n1\t1", 6),
+        ("s1\tt\tp\r\n0\t0\t0.5\r\n\r\n0\t0\t0.5\r\n", 4),
+    ],
+)
+def test_tsv_errors_name_the_line_in_the_file(tmp_path, text, line):
+    path = tmp_path / "d.tsv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ParseError, match=f"^line {line}: "):
+        load_joint(path, "tsv")
 
 
 # ----------------------------------------------------------------- JSON
