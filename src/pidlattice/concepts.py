@@ -31,7 +31,6 @@ cells its caller holds.
 from __future__ import annotations
 
 import enum
-import functools
 import numbers
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
@@ -50,6 +49,7 @@ from .lattices import (
     SourceSet,
     build_lattice,
     check_source_count,
+    checked_cache,
     checked_iter,
     collection_bits,
     collection_label,
@@ -222,10 +222,10 @@ def atom_selector(concept: BaseConcept, alpha: Antichain) -> Callable[[ParthoodD
     concept.  Unique information is the conjunction of the redundancy and
     restricted-information conditions and picks exactly one atom.
     """
+    cells = concept_facts(concept).cells
     expect(alpha, Antichain, "alpha")
     if alpha not in domain_members(concept, alpha.n):
         raise DomainError(f"antichain {alpha.label()!r} outside the {concept.tag} domain")
-    cells = concept_facts(concept).cells
     return lambda f: all(condition_holds(cid, alpha, f) for cid in cells)
 
 
@@ -233,9 +233,11 @@ def selection_mask(concept: BaseConcept, alpha: Antichain, tables: np.ndarray) -
     """Vectorized :func:`atom_selector` over packed truth tables."""
     cells = concept_facts(concept).cells
     expect(alpha, Antichain, "alpha")
-    dtype = np.asarray(tables).dtype
-    if dtype.kind not in "ui":
-        raise ValidationError(f"tables must be integer truth tables, got dtype {dtype}")
+    tables = np.asarray(tables)
+    if tables.dtype.kind not in "ui":
+        raise ValidationError(f"tables must be integer truth tables, got dtype {tables.dtype}")
+    if (tables < 0).any():
+        raise ValidationError("tables must be non-negative, got a negative entry")
     return np.logical_and.reduce([_cell_holds(cid, alpha, tables) for cid in cells])
 
 
@@ -274,22 +276,14 @@ def concept_table(concept: BaseConcept, index: LatticeIndex, total: float, known
 MI_KEYS = int  # the key set of an MI table: the collection bitmasks 0 .. 2^n - 1
 
 
-def _checked_cache(fn):
-    """An lru cache over (key set, n) that checks the concept and n before hashing them."""
-    cached = functools.lru_cache(maxsize=None)(fn)
-
-    @functools.wraps(fn)
-    def lookup(concept, n: int):
-        if concept is not None and concept is not MI_KEYS:
-            concept_facts(concept)
-        check_source_count(n)  # before the cache, whose key (c, 2.0) equals (c, 2)
-        return cached(concept, n)
-
-    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
-    return lookup
+def _check_key_set(concept, n: int) -> None:
+    """A view's key set: a concept, None for the atoms or MI_KEYS, and a source count."""
+    if concept is not None and concept is not MI_KEYS:
+        concept_facts(concept)
+    check_source_count(n)
 
 
-@_checked_cache
+@checked_cache(_check_key_set)
 def domain_for_concept(concept: BaseConcept, n: int) -> tuple[Antichain, ...]:
     """The antichains on which the concept's measure is defined, in canonical order.
 
@@ -347,7 +341,7 @@ class _ViewValues(ValuesView):
         return iter(self._mapping.vector.tolist())
 
 
-@_checked_cache
+@checked_cache(_check_key_set)
 def _view_places(concept: BaseConcept | None, n: int) -> dict:
     """Key -> place of a view's keys, in key order; built on a view's first use."""
     if concept is None:
@@ -429,6 +423,7 @@ def _key_label(key) -> str:
 def domain_labels(concept: BaseConcept | None, n: int) -> list[str]:
     """Canonical labels of a view's keys in key order; atoms are labelled by
     their access antichains, MI collections by :func:`collection_label`."""
+    check_source_count(n)
     if concept is MI_KEYS:
         return [collection_label(bits) for bits in range(1 << n)]
     index = lattice_index(n)
@@ -558,6 +553,7 @@ class MeasureAssignment:
 
 
 def save_measure(measure: MeasureAssignment, path) -> None:
+    expect(measure, MeasureAssignment, "measure")
     doc = {"concept": measure.concept.tag}
     doc.update(zip(domain_labels(measure.concept, measure.n), measure.values.values()))
     write_text(path, render(doc))
@@ -587,6 +583,7 @@ def patch_singleton_synergies(
     the target given that collection, which is what a synergy measure must
     assign there for the summation identities to close.
     """
+    check_source_count(n)
     expect(dist, JointDistribution, "dist")
     if dist.n != n:
         raise ValidationError("distribution and measure disagree on source count")

@@ -81,7 +81,7 @@ def _table_sizes(source_alphabets, target_alphabet) -> tuple[int, ...]:
         raise ValidationError("alphabet sizes must be positive ints")
     cells = math.prod(sizes)
     if cells > MAX_CELLS:
-        raise CapacityError(f"outcome table has {cells} cells, cap is {MAX_CELLS}")
+        raise CapacityError(f"outcome table has {shown(cells)} cells, cap is {MAX_CELLS}")
     return sizes
 
 

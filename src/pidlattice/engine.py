@@ -148,7 +148,7 @@ def verify_consistency(result: PidResult, dist: JointDistribution | None = None)
     mi = result.mi if dist is None else mi_table(dist)
     expected = index_vector(MI_KEYS, result.n, mi).tolist()
     values = index_vector(None, result.n, result.atoms, complete=False)
-    marks = _atom_marks(result.n)
+    marks = lattice_index(result.n).marks
     errors = {}
     worst_label, worst = "", 0.0
     for bits in range(1 << result.n):
@@ -166,15 +166,6 @@ def verify_consistency(result: PidResult, dist: JointDistribution | None = None)
         errors=errors,
         passed=worst <= ENGINE_TOL,
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _atom_marks(n: int) -> np.ndarray:
-    """Row s: which atoms, in atom order, mark collection s; built on first use."""
-    collections = np.arange(1 << n, dtype=np.uint64)[:, None]
-    marks = (lattice_index(n).atom_tables >> collections) & np.uint64(1) == 1
-    marks.flags.writeable = False
-    return marks
 
 
 def _base_transform(index: LatticeIndex, relation: str):
@@ -214,7 +205,7 @@ def solve_concept(
     # the total at the one antichain the target domain adds: {} when union
     # becomes weak synergy, the full collection when vulnerable becomes
     # redundancy.
-    at = np.zeros(len(index.antichains))
+    at = np.zeros(len(index.members))
     at[positions] = vector
     if facts.nested:
         # The single-collection identities: on the access domain a single
@@ -296,7 +287,7 @@ def _forward(n: int, atoms: Mapping[ParthoodDistribution, float]):
         if facts.mode != "sufficient":
             return None
         labels, zeta, _ = _base_transform(index, facts.relation)
-        table = np.zeros(len(index.antichains))
+        table = np.zeros(len(index.members))
         table[labels] = zeta(values) if facts.nested else values
         return table
 
@@ -439,7 +430,7 @@ def proper_synergy_rank_analysis(n: int) -> RankAnalysis:
     """
     tables = lattice_index(n).atom_tables
     unknowns = len(tables)
-    consistency_rows = _atom_marks(n)[1:].astype(int).tolist()
+    consistency_rows = lattice_index(n).marks[1:].astype(int).tolist()
     synergy_rows = [
         _first_reached_at(union, tables).astype(int).tolist() for union in range(1, 1 << n)
     ]

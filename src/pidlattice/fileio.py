@@ -7,8 +7,9 @@ cannot be read as such (bytes that are not UTF-8, malformed or too deeply
 nested JSON, an integer literal too long to convert, a document that is
 not an object or lacks a field) raises :class:`ParseError`; a missing or
 unreadable file raises the operating system's ``OSError``.  A path is a
-``str`` or an ``os.PathLike``; anything else, an int file descriptor
-above all, raises :class:`ValidationError` before any file is opened.
+``str`` or an ``os.PathLike`` without a NUL character; anything else, an
+int file descriptor above all, raises :class:`ValidationError` before any
+file is opened.
 The loaders parse their own fields from the returned object, taking
 every number through :func:`number`.
 
@@ -36,6 +37,8 @@ def _checked_path(path):
     """``path`` if it names a file; an int would be opened, and closed, as a descriptor."""
     if not isinstance(path, (str, os.PathLike)):
         raise ValidationError(f"path must be a str or os.PathLike, got {type(path).__name__}")
+    if "\0" in os.fsdecode(path):  # open() raises a bare ValueError for it
+        raise ValidationError(f"path {path!r} holds a NUL character")
     return path
 
 

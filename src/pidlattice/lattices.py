@@ -60,6 +60,24 @@ def check_source_count(n: int) -> None:
         raise CapacityError(f"source count must be an int in 1..{MAX_SOURCES}, got {shown(n)}")
 
 
+def checked_cache(check: Callable[..., None]):
+    """An lru cache that runs ``check`` on the arguments before hashing them:
+    the key 2.0 equals 2, True equals 1, and a list has no hash at all."""
+
+    def wrap(fn):
+        cached = functools.lru_cache(maxsize=None)(fn)
+
+        @functools.wraps(fn)
+        def lookup(*args):
+            check(*args)
+            return cached(*args)
+
+        lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
+        return lookup
+
+    return wrap
+
+
 def _check_n(n) -> None:
     """The boundary objects' source count: an exact int (not a bool or float), 1..MAX_BOUNDARY_SOURCES."""
     if type(n) is not int or n < 1:
@@ -96,6 +114,7 @@ def collection_label(bits: int) -> str:
 
 def parse_collection_label(text: str, n: int) -> int:
     expect(text, str, "collection label")
+    _check_n(n)
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError(f"collection label must be brace-delimited, got {text!r}")
     inner = text[1:-1]
@@ -213,24 +232,6 @@ class Antichain:
         return self._hash
 
     @classmethod
-    def _checked(
-        cls, n: int, rows: Iterable[tuple[int, ...]], sets: Sequence[SourceSet]
-    ) -> tuple["Antichain", ...]:
-        """The antichains of mask rows that :func:`_antichains_from_rows` has checked.
-
-        ``sets[s]`` is ``SourceSet(n, s)``, shared by all of them.
-        """
-        new, put = object.__new__, object.__setattr__
-        out = []
-        for masks in rows:
-            alpha = new(cls)
-            put(alpha, "n", n)
-            put(alpha, "collections", tuple([sets[s] for s in masks]))
-            put(alpha, "_hash", hash((n, masks)))
-            out.append(alpha)
-        return tuple(out)
-
-    @classmethod
     def of(cls, n: int, masks: Iterable[int | SourceSet]) -> "Antichain":
         """Build from collection bitmasks (or SourceSets), sorting into canonical order."""
         sets = []
@@ -269,6 +270,7 @@ class Antichain:
 def parse_antichain_label(text: str, n: int) -> Antichain:
     """Parse a canonical antichain label back into an Antichain."""
     expect(text, str, "antichain label")
+    _check_n(n)
     if text == EMPTY_CHAIN_LABEL:
         return Antichain(n, ())
     if not text or text.count("{") != text.count("}"):
@@ -330,21 +332,9 @@ class ParthoodDistribution:
             if (self.table & pat) & ~(self.table >> step):
                 raise ValidationError("parthood distribution must be monotone")
 
-    @classmethod
-    def _checked(cls, n: int, tables: Iterable[int]) -> tuple["ParthoodDistribution", ...]:
-        """The distributions of tables that :func:`_parthood_from_tables` has checked."""
-        new, put = object.__new__, object.__setattr__
-        out = []
-        for table in tables:
-            f = new(cls)
-            put(f, "n", n)
-            put(f, "table", table)
-            out.append(f)
-        return tuple(out)
-
     def value(self, collection: int | SourceSet) -> int:
-        bits = collection.bits if isinstance(collection, SourceSet) else collection
-        return (self.table >> bits) & 1
+        """The value at a collection, a SourceSet over n sources or exact int bits."""
+        return (self.table >> collection_bits(self.n, collection)) & 1
 
     def ones(self) -> tuple[int, ...]:
         return tuple(s for s in range(1 << self.n) if (self.table >> s) & 1)
@@ -436,7 +426,7 @@ def _atom_position(index: LatticeIndex, f: ParthoodDistribution) -> int:
     return int(index.atom_positions(np.array([f.table], dtype=np.uint64))[0])
 
 
-@functools.lru_cache(maxsize=None)
+@checked_cache(check_source_count)
 def enumerate_antichains(n: int) -> tuple[Antichain, ...]:
     """All antichains over n sources, in canonical order.
 
@@ -444,7 +434,7 @@ def enumerate_antichains(n: int) -> tuple[Antichain, ...]:
     Canonical order ranks the collections by (cardinality, bitmask value)
     and compares antichains as the tuples of their collections' ranks, so a
     prefix comes before its extensions.  The antichains are those of
-    :func:`lattice_index`.
+    :func:`lattice_index`, whose objects are built on the first call.
     """
     return lattice_index(n).antichains
 
@@ -455,17 +445,17 @@ class LatticeIndex:
 
     Antichain i holds the minimal collections of the up-set ``up[i]`` (a
     uint64 truth table), whose downward closure is ``down[i]``.  Row
-    ``members[i]`` lists them in canonical order, padded with ``1 << n``;
-    ``antichains[i]`` is built from that row and labeled ``labels[i]``, and
-    ``position[alpha]`` gives i back.  The objects are not built one
-    constructor call each: one numpy pass checks every row against the
-    ``Antichain`` constructor's rules (:func:`_antichains_from_rows`), as
-    :func:`enumerate_parthood_distributions` checks the atom tables against
-    ``ParthoodDistribution``'s, and the first bad row raises the
-    constructor's ValidationError.  The rows are in the canonical order
-    of :func:`enumerate_antichains`.  ``partner[minimal_non_subsets]`` and
-    ``partner[maximal_non_supersets]`` are those two maps as permutations of
-    the antichain positions.
+    ``members[i]`` lists them in canonical order, padded with ``1 << n``,
+    and ``labels[i]`` names them, the rows in the order of
+    :func:`enumerate_antichains`.  Decompositions read these arrays only, so
+    the objects ``antichains[i]``, with ``position[alpha]`` giving i back,
+    are built on first use, and not one constructor call each: one numpy
+    pass checks every row against the ``Antichain`` constructor's rules
+    (:func:`_antichains_from_rows`), as :func:`enumerate_parthood_distributions`
+    checks the atom tables against ``ParthoodDistribution``'s, and the first
+    bad row raises the constructor's ValidationError.
+    ``partner[minimal_non_subsets]`` and ``partner[maximal_non_supersets]``
+    are those two maps as permutations of the antichain positions.
 
     Atom j is ``enumerate_parthood_distributions(n)[j]``, with truth table
     ``atom_tables[j]``.  It is labeled by antichain ``access_antichain[j]``
@@ -473,7 +463,7 @@ class LatticeIndex:
     through its maximal 0-collections.  ``access_atom`` and ``blockage_atom``
     send an antichain back to the atom it labels, or to -1 outside that
     domain.  ``export_rank[j]`` is the place of atom j when atoms are sorted
-    by their access label.
+    by their access label, and ``marks[s, j]`` whether atom j marks s.
 
     The atom tables are the up-sets of the Boolean lattice of collections,
     less the empty up-set and the full one, so under inclusion they form a
@@ -487,7 +477,6 @@ class LatticeIndex:
     """
 
     n: int
-    antichains: tuple[Antichain, ...]
     labels: tuple[str, ...]
     up: np.ndarray
     down: np.ndarray
@@ -501,6 +490,18 @@ class LatticeIndex:
     export_rank: np.ndarray
     steps: tuple[tuple[np.ndarray, np.ndarray], ...]
     _table_order: np.ndarray
+
+    @functools.cached_property
+    def antichains(self) -> tuple[Antichain, ...]:
+        """The antichain of each member row; built on first use."""
+        return _antichains_from_rows(self.n, self.members)
+
+    @functools.cached_property
+    def marks(self) -> np.ndarray:
+        """Row s: which atoms, in atom order, mark collection s; built on first use."""
+        marks = (self.atom_tables >> np.arange(1 << self.n, dtype=np.uint64)[:, None]) & np.uint64(1) == 1
+        marks.flags.writeable = False
+        return marks
 
     @functools.cached_property
     def position(self) -> Mapping[Antichain, int]:
@@ -555,10 +556,9 @@ class LatticeIndex:
         return out
 
 
-@functools.lru_cache(maxsize=None)
+@checked_cache(check_source_count)
 def lattice_index(n: int) -> LatticeIndex:
     """The per-n :class:`LatticeIndex`, generated from the up-sets of the collections."""
-    check_source_count(n)
     full = np.uint64(table_mask(n))
     pad = 1 << n
     # An up-set over sources 1..k splits into its halves without and with
@@ -582,7 +582,6 @@ def lattice_index(n: int) -> LatticeIndex:
     up, down = up[order], minimal[order]
     for step, lacking in _monotone_violation_masks(n):  # down-closure: drop one source at a time
         down |= (down & ~np.uint64(lacking)) >> np.uint64(step)
-    antichains = _antichains_from_rows(n, members)
     names = [collection_label(s) for s in range(pad)] + [""]
     labels = tuple(["".join([names[s] for s in row]) or EMPTY_CHAIN_LABEL for row in members.tolist()])
 
@@ -594,7 +593,7 @@ def lattice_index(n: int) -> LatticeIndex:
         maximal_non_supersets: by_down[np.searchsorted(down[by_down], full ^ up)],
     }
     access_antichain = np.flatnonzero((up != 0) & (up != full))
-    access_atom = np.full(len(antichains), -1)
+    access_atom = np.full(len(members), -1)
     access_atom[access_antichain] = np.arange(len(access_antichain))
     atom_tables = up[access_antichain]
     table_order = np.argsort(atom_tables)
@@ -619,7 +618,6 @@ def lattice_index(n: int) -> LatticeIndex:
     export_rank = np.argsort(sorted(range(len(atom_labels)), key=atom_labels.__getitem__))
     index = LatticeIndex(
         n=n,
-        antichains=antichains,
         labels=labels,
         up=up,
         down=down,
@@ -648,7 +646,7 @@ def _antichains_from_rows(n: int, members: np.ndarray) -> tuple[Antichain, ...]:
     A row lists collection bitmasks in strictly increasing canonical rank,
     padded after them with ``1 << n``, and no two of them are comparable.
     The first row that breaks a rule goes through the public constructor,
-    which raises its ValidationError.
+    which raises its ValidationError; the rest are built without it.
     """
     pad = 1 << n
     rank = np.full(pad + 1, pad)
@@ -668,11 +666,18 @@ def _antichains_from_rows(n: int, members: np.ndarray) -> tuple[Antichain, ...]:
             row.pop()
         Antichain(n, tuple(SourceSet(n, s) for s in row))  # raises: a pad left inside is out of range
     sets = [SourceSet(n, s) for s in range(pad)]
-    widths = real.sum(axis=1).tolist()
-    return Antichain._checked(n, (tuple(row[:k]) for row, k in zip(rows, widths)), sets)
+    new, put = object.__new__, object.__setattr__
+    out = []
+    for row, k in zip(rows, real.sum(axis=1).tolist()):
+        alpha, masks = new(Antichain), tuple(row[:k])
+        put(alpha, "n", n)
+        put(alpha, "collections", tuple([sets[s] for s in masks]))
+        put(alpha, "_hash", hash((n, masks)))
+        out.append(alpha)
+    return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+@checked_cache(check_source_count)
 def enumerate_parthood_distributions(n: int) -> tuple[ParthoodDistribution, ...]:
     """All parthood distributions over n sources (Dedekind number minus two)."""
     return _parthood_from_tables(n, lattice_index(n).atom_tables)
@@ -682,7 +687,7 @@ def _parthood_from_tables(n: int, tables: np.ndarray) -> tuple[ParthoodDistribut
     """The distributions of uint64 truth tables, checked by the constructor's rules in one pass.
 
     The first table that breaks a rule goes through the public constructor,
-    which raises its ValidationError.
+    which raises its ValidationError; the rest are built without it.
     """
     bad = (tables > table_mask(n)) | (tables & 1 == 1) | (tables >> source_mask(n) & 1 == 0)
     for step, pat in _monotone_violation_masks(n):
@@ -690,7 +695,14 @@ def _parthood_from_tables(n: int, tables: np.ndarray) -> tuple[ParthoodDistribut
     values = tables.tolist()
     if bad.any():
         ParthoodDistribution(n, values[int(bad.argmax())])  # raises that table's fault
-    return ParthoodDistribution._checked(n, values)
+    new, put = object.__new__, object.__setattr__
+    out = []
+    for table in values:
+        f = new(ParthoodDistribution)
+        put(f, "n", n)
+        put(f, "table", table)
+        out.append(f)
+    return tuple(out)
 
 
 def _order_table(kind: OrderKind, alpha: Antichain) -> int:
@@ -895,6 +907,7 @@ def moebius_invert(
     without both extrema the cumulative map need not determine the atoms.
     """
     expect(lattice, ConceptLattice, "lattice")
+    expect(values, Mapping, "values")
     if lattice.kind != FULL_LATTICE:
         raise UnsupportedStructureError(
             f"Moebius inversion needs a full lattice, got {lattice.kind}"

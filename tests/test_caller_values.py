@@ -12,7 +12,9 @@ Three rules, each pinned by the calls that broke it:
   type, checked by one guard, ``errors.expect``, at the entry point; and a
   boundary object's source count is at most ``MAX_BOUNDARY_SOURCES``.
 
-A hypothesis test then drives the same entry points with arbitrary values.
+A hypothesis test then drives every export, one row of calls each, with
+arbitrary values; a path argument may also raise the operating system's
+``OSError``.
 """
 
 import functools
@@ -22,43 +24,77 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pidlattice
 from pidlattice import (
+    CONDITION_IDS,
+    MAX_SOURCES,
     Antichain,
     BaseConcept,
     CapacityError,
     CompletenessError,
+    ConsistencyReport,
+    InclusionExclusionReport,
+    JointDistribution,
     MeasureAssignment,
     ParthoodDistribution,
     PidError,
+    PidMeta,
     PidResult,
+    RankAnalysis,
     SourceSet,
     ValidationError,
+    antichain_from_parthood,
+    antichain_leq,
+    atom_selector,
     build_lattice,
     canonicalize_collections,
-    conditional_mi,
+    collection_label,
     concept_lattice,
+    condition_holds,
+    conditional_mi,
     decompose,
     derived_measure_table,
     domain_for_concept,
+    enumerate_antichains,
+    enumerate_parthood_distributions,
     export_result,
+    grid_condition,
+    in_access_domain,
+    in_blockage_domain,
     inclusion_exclusion_check,
     lattice_to_dot,
+    load_joint,
+    load_measure,
+    load_result,
+    maximal_non_supersets,
     measure_table_from_atoms,
     mi_table,
+    minimal_non_subsets,
     moebius_invert,
     mutual_information,
+    order_leq,
+    parse_antichain_label,
+    parse_collection_label,
+    parthood_from_antichain,
+    parthood_from_synergy_antichain,
+    parthood_leq,
     patch_singleton_synergies,
+    proper_synergy_rank_analysis,
     proper_synergy_values,
     random_joint,
     reference_measure,
     save_joint,
+    save_measure,
     save_result,
+    selection_mask,
     solve_concept,
     summate,
+    synergy_antichain_from_parthood,
     verify_consistency,
 )
 from pidlattice import concepts, lattices
-from pidlattice.errors import DomainError
+from pidlattice.errors import DomainError, ParseError
+from pidlattice.distributions import MAX_CELLS
 from pidlattice.lattices import MAX_BOUNDARY_SOURCES, table_mask
 
 import helpers
@@ -173,51 +209,206 @@ HASHABLE = st.none() | st.integers() | st.floats(allow_nan=False) | st.text(max_
 VALUES = LEAVES | st.lists(LEAVES, max_size=3) | st.dictionaries(HASHABLE, LEAVES, max_size=3)
 
 
-def entry_points(v):
-    """Every entry point of the three rules, with ``v`` in one argument."""
-    dist, values, result, _ = case()
+def path_of(v, files):
+    """``v`` as a path argument: text names a file under ``files``, anything else goes as it is."""
+    return files / ("f" + v) if isinstance(v, str) else v
+
+
+def small(v, top):
+    """``v``, but 2 for an int in 3..top, in a list too: a valid size that large costs seconds or memory."""
+    if isinstance(v, list):
+        return [small(x, top) for x in v]
+    return 2 if type(v) is int and 3 <= v <= top else v
+
+
+# The exports that open a file: a path argument may raise the operating system's OSError.
+FILE_EXPORTS = {"decompose", "load_joint", "load_measure", "load_result", "save_joint", "save_measure", "save_result"}
+
+
+def entry_points(v, files):
+    """Export name -> calls of it with ``v`` in one argument; files live under ``files``."""
+    dist, values, result, lattice = case()
     alpha = next(iter(values))
-    calls = [
-        lambda: SourceSet(2, v),
-        lambda: SourceSet(v, 1),
-        lambda: SourceSet.from_indices(v, ["a"]),
-        lambda: SourceSet.from_indices(2, v),
-        lambda: SourceSet.from_indices(2, [v]),
-        lambda: Antichain.of(2, v),
-        lambda: Antichain.of(2, [v]),
-        lambda: mutual_information(dist, v),
-        lambda: random_joint(v, 0),
-        lambda: domain_for_concept(v, 2),
-        lambda: canonicalize_collections(R, v, 2),
-        lambda: canonicalize_collections(R, [v], 2),
-        lambda: canonicalize_collections(R, [1], v),
-        lambda: summate(R, v, result),
-        lambda: summate(R, [1], v),
-        lambda: inclusion_exclusion_check(result, v),
-        lambda: moebius_with(v),
-        lambda: MeasureAssignment(R, 2, v),
-        lambda: MeasureAssignment(R, 2, {**values, alpha: v}),
-        lambda: solve_concept(2, R, v, result.mi),
-        lambda: solve_concept(2, R, values, v),
-        lambda: PidResult.build(2, v, result.meta, result.mi),
-        lambda: PidResult.build(2, result.atoms, result.meta, v),
-        lambda: measure_table_from_atoms(R, 2, v),
-    ]
+    f = next(iter(result.atoms))
+    measure = MeasureAssignment(R, 2, values)
+    at = path_of(v, files)
+    rows = {
+        "Antichain": [
+            lambda: Antichain(v, ()),
+            lambda: Antichain(2, v),
+            lambda: Antichain.of(2, v),
+            lambda: Antichain.of(2, [v]),
+        ],
+        "BaseConcept": [lambda: BaseConcept.from_tag(v)],
+        "ConceptLattice": [lambda: lattice.leq(v, alpha), lambda: lattice.leq(alpha, v)],
+        "ConsistencyReport": [lambda: ConsistencyReport(v, 0.0, "", 0.0, {}, True)],
+        "InclusionExclusionReport": [lambda: InclusionExclusionReport(v, 0.0, 0.0, 0.0, 0.0, True)],
+        "JointDistribution": [
+            lambda: JointDistribution(v, 2, {(0, 0): 1.0}),
+            lambda: JointDistribution((2,), v, {(0, 0): 1.0}),
+            lambda: JointDistribution((2,), 2, v),
+            lambda: JointDistribution((2,), 2, {(0, 0): v}),
+        ],
+        "MeasureAssignment": [
+            lambda: MeasureAssignment(v, 2, values),
+            lambda: MeasureAssignment(R, v, values),
+            lambda: MeasureAssignment(R, 2, v),
+            lambda: MeasureAssignment(R, 2, {**values, alpha: v}),
+        ],
+        "ParthoodDistribution": [
+            lambda: ParthoodDistribution(v, 2),
+            lambda: ParthoodDistribution(2, v),
+            lambda: f.value(v),
+        ],
+        "PidMeta": [lambda: PidMeta(v, "m", "0" * 64)],
+        "PidResult": [
+            lambda: PidResult.build(v, result.atoms, result.meta, result.mi),
+            lambda: PidResult.build(2, v, result.meta, result.mi),
+            lambda: PidResult.build(2, result.atoms, result.meta, v),
+            lambda: verify_consistency(PidResult(2, v, result.meta, result.mi)),
+        ],
+        "RankAnalysis": [lambda: RankAnalysis(v, 0, 0, 0, 0, 0)],
+        "SourceSet": [
+            lambda: SourceSet(2, v),
+            lambda: SourceSet(v, 1),
+            lambda: SourceSet.from_indices(v, ["a"]),
+            lambda: SourceSet.from_indices(2, v),
+            lambda: SourceSet.from_indices(2, [v]),
+        ],
+        "antichain_from_parthood": [lambda: antichain_from_parthood(v)],
+        "antichain_leq": [lambda: antichain_leq(v, alpha, alpha), lambda: antichain_leq("redundancy", alpha, v)],
+        "atom_selector": [lambda: atom_selector(v, alpha), lambda: atom_selector(R, v)],
+        "build_lattice": [
+            lambda: build_lattice(v, "redundancy"),
+            lambda: build_lattice([v], "redundancy"),
+            lambda: build_lattice([alpha], v),
+            lambda: build_lattice([alpha], "redundancy", v),
+        ],
+        "canonicalize_collections": [
+            lambda: canonicalize_collections(v, [1], 2),
+            lambda: canonicalize_collections(R, v, 2),
+            lambda: canonicalize_collections(R, [v], 2),
+            lambda: canonicalize_collections(R, [1], v),
+        ],
+        "collection_label": [lambda: collection_label(v)],
+        "concept_lattice": [lambda: concept_lattice(v, 2), lambda: concept_lattice(R, small(v, MAX_SOURCES))],
+        "condition_holds": [
+            lambda: condition_holds(v, alpha, f),
+            lambda: condition_holds(CONDITION_IDS[0], v, f),
+            lambda: condition_holds(CONDITION_IDS[0], alpha, v),
+        ],
+        "conditional_mi": [lambda: conditional_mi(dist, v, 1), lambda: conditional_mi(dist, 1, v)],
+        "decompose": [lambda: decompose(v, R), lambda: decompose(dist, v), lambda: decompose(dist, R, at)],
+        "derived_measure_table": [lambda: derived_measure_table(v)],
+        "domain_for_concept": [lambda: domain_for_concept(v, 2), lambda: domain_for_concept(R, v)],
+        "enumerate_antichains": [lambda: enumerate_antichains(v)],
+        "enumerate_parthood_distributions": [lambda: enumerate_parthood_distributions(v)],
+        "export_result": [lambda: export_result(v)],
+        "grid_condition": [lambda: grid_condition(v, alpha), lambda: grid_condition(CONDITION_IDS[0], v)],
+        "in_access_domain": [lambda: in_access_domain(v)],
+        "in_blockage_domain": [lambda: in_blockage_domain(v)],
+        "inclusion_exclusion_check": [
+            lambda: inclusion_exclusion_check(v, alpha),
+            lambda: inclusion_exclusion_check(result, v),
+        ],
+        "lattice_to_dot": [lambda: lattice_to_dot(v)],
+        "load_joint": [lambda: load_joint(at), lambda: load_joint(files / "dist.json", v)],
+        "load_measure": [lambda: load_measure(at, 2), lambda: load_measure(files / "measure.json", v)],
+        "load_result": [lambda: load_result(at)],
+        "maximal_non_supersets": [lambda: maximal_non_supersets(v)],
+        "measure_table_from_atoms": [
+            lambda: measure_table_from_atoms(v, 2, result.atoms),
+            lambda: measure_table_from_atoms(R, v, result.atoms),
+            lambda: measure_table_from_atoms(R, 2, v),
+        ],
+        "mi_table": [lambda: mi_table(v)],
+        "minimal_non_subsets": [lambda: minimal_non_subsets(v)],
+        "moebius_invert": [
+            lambda: moebius_invert(v, {}, "down-sum"),
+            lambda: moebius_invert(lattice, v, "down-sum"),
+            lambda: moebius_invert(lattice, {node: 0.0 for node in lattice.nodes}, v),
+            lambda: moebius_with(v),
+        ],
+        "mutual_information": [lambda: mutual_information(v, 1), lambda: mutual_information(dist, v)],
+        "order_leq": [lambda: order_leq(v, alpha, alpha), lambda: order_leq("redundancy", v, alpha)],
+        "parse_antichain_label": [lambda: parse_antichain_label(v, 2), lambda: parse_antichain_label("{1}", v)],
+        "parse_collection_label": [lambda: parse_collection_label(v, 2), lambda: parse_collection_label("{1}", v)],
+        "parthood_from_antichain": [lambda: parthood_from_antichain(v)],
+        "parthood_from_synergy_antichain": [lambda: parthood_from_synergy_antichain(v)],
+        "parthood_leq": [lambda: parthood_leq(v, f), lambda: parthood_leq(f, v)],
+        "patch_singleton_synergies": [
+            lambda: patch_singleton_synergies(v, {}, dist),
+            lambda: patch_singleton_synergies(2, v, dist),
+            lambda: patch_singleton_synergies(2, {}, v),
+        ],
+        "proper_synergy_rank_analysis": [lambda: proper_synergy_rank_analysis(small(v, MAX_SOURCES))],
+        "proper_synergy_values": [lambda: proper_synergy_values(v, alpha), lambda: proper_synergy_values(result, v)],
+        "random_joint": [
+            lambda: random_joint(v, 0),
+            lambda: random_joint(2, v),
+            lambda: random_joint(2, 0, small(v, MAX_CELLS)),
+            lambda: random_joint(2, 0, None, small(v, MAX_CELLS)),
+        ],
+        "reference_measure": [lambda: reference_measure(v, R), lambda: reference_measure(dist, v)],
+        "save_joint": [lambda: save_joint(v, files / "out.json"), lambda: save_joint(dist, at)],
+        "save_measure": [lambda: save_measure(v, files / "out.json"), lambda: save_measure(measure, at)],
+        "save_result": [lambda: save_result(v, files / "out.json"), lambda: save_result(result, at)],
+        "selection_mask": [
+            lambda: selection_mask(v, alpha, [2]),
+            lambda: selection_mask(R, v, [2]),
+            lambda: selection_mask(R, alpha, v),
+        ],
+        "solve_concept": [
+            lambda: solve_concept(v, R, values, result.mi),
+            lambda: solve_concept(2, v, values, result.mi),
+            lambda: solve_concept(2, R, v, result.mi),
+            lambda: solve_concept(2, R, values, v),
+        ],
+        "summate": [lambda: summate(v, [1], result), lambda: summate(R, v, result), lambda: summate(R, [1], v)],
+        "synergy_antichain_from_parthood": [lambda: synergy_antichain_from_parthood(v)],
+        "verify_consistency": [lambda: verify_consistency(v), lambda: verify_consistency(result, v)],
+    }
     try:
         hash(v)
     except TypeError:
-        return calls
-    return calls + [lambda: build_with_mi_key(v), lambda: MeasureAssignment(R, 2, {**values, v: 0.0})]
+        return rows
+    rows["PidResult"].append(lambda: build_with_mi_key(v))
+    rows["MeasureAssignment"].append(lambda: MeasureAssignment(R, 2, {**values, v: 0.0}))
+    return rows
+
+
+def exported_callables():
+    """The names ``pidlattice`` exports that can be called, its exception types aside."""
+    exports = {name: obj for name, obj in vars(pidlattice).items() if not name.startswith("_")}
+    errors = {name for name, obj in exports.items() if isinstance(obj, type) and issubclass(obj, Exception)}
+    return {name for name, obj in exports.items() if callable(obj)} - errors
+
+
+def test_every_export_has_a_row():
+    assert set(entry_points(None, None)) == exported_callables()
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A directory holding one distribution and one measure file, for the loaders' other arguments."""
+    files = tmp_path_factory.mktemp("entry-points")
+    dist, values, _, _ = case()
+    save_joint(dist, files / "dist.json")
+    save_measure(MeasureAssignment(R, 2, values), files / "measure.json")
+    return files
 
 
 @settings(max_examples=300, deadline=None)
 @given(v=VALUES)
-def test_entry_points_succeed_or_raise_pid_errors(v):
-    for call in entry_points(v):
-        try:
-            call()
-        except PidError:
-            pass
+def test_entry_points_succeed_or_raise_pid_errors(files, v):
+    for name, calls in entry_points(v, files).items():
+        for call in calls:
+            try:
+                call()
+            except PidError:
+                pass
+            except OSError:
+                assert name in FILE_EXPORTS
 
 
 def _result():
@@ -248,6 +439,9 @@ OBJECT_ARGUMENTS = {
     ),
     "export_result": (lambda: export_result(None), "result must be a PidResult, got NoneType"),
     "save_result": (lambda: save_result(None, "unwritten.json"), "result must be a PidResult, got NoneType"),
+    "save_measure": (
+        lambda: save_measure(None, "unwritten.json"), "measure must be a MeasureAssignment, got NoneType",
+    ),
     "derived_measure_table": (lambda: derived_measure_table(None), "result must be a PidResult, got NoneType"),
     "proper_synergy_values result": (
         lambda: proper_synergy_values(None, _alpha()), "result must be a PidResult, got NoneType",
@@ -282,6 +476,18 @@ def test_wrong_typed_object_arguments_raise_validation_errors(name):
 HELPER_ARGUMENTS = {
     "parse_antichain_label": (lambda: lattices.parse_antichain_label(5, 2), ValidationError),
     "parse_collection_label": (lambda: lattices.parse_collection_label(None, 2), ValidationError),
+    "parse_collection_label n": (lambda: lattices.parse_collection_label("{1}", None), ValidationError),
+    "parse_collection_label float n": (lambda: lattices.parse_collection_label("{1}", 2.0), ValidationError),
+    "parse_collection_label n above the cap": (lambda: lattices.parse_collection_label("{1}", 9), ValidationError),
+    "parse_collection_label out of range": (lambda: lattices.parse_collection_label("{4}", 3), ParseError),
+    "parse_antichain_label n": (lambda: lattices.parse_antichain_label("{1}", None), ValidationError),
+    "ParthoodDistribution.value str": (lambda: ParthoodDistribution(2, 0b1110).value("x"), ValidationError),
+    "ParthoodDistribution.value negative": (lambda: ParthoodDistribution(2, 0b1110).value(-1), ValidationError),
+    "ParthoodDistribution.value bool": (lambda: ParthoodDistribution(2, 0b1110).value(True), ValidationError),
+    "ParthoodDistribution.value out of range": (lambda: ParthoodDistribution(2, 0b1110).value(99), ValidationError),
+    "ParthoodDistribution.value other n": (
+        lambda: ParthoodDistribution(2, 0b1110).value(SourceSet(3, 1)), ValidationError,
+    ),
     "collection_label": (lambda: lattices.collection_label("x"), ValidationError),
     "collection_label negative": (lambda: lattices.collection_label(-1), ValidationError),
     "collection_label bool": (lambda: lattices.collection_label(True), ValidationError),
@@ -302,6 +508,7 @@ HELPER_ARGUMENTS = {
     "ConceptLattice.leq non-antichain": (lambda: case()[3].leq(_alpha(), 1), ValidationError),
     "selection_mask": (lambda: concepts.selection_mask(R, _alpha(), ["x"]), ValidationError),
     "selection_mask alpha": (lambda: concepts.selection_mask(R, 1, [2]), ValidationError),
+    "selection_mask negative": (lambda: concepts.selection_mask(R, _alpha(), [-1]), ValidationError),
 }
 
 
@@ -313,16 +520,38 @@ def test_helpers_raise_typed_errors(name):
     assert type(refused.value) is error
 
 
-@pytest.mark.parametrize("n", [2.0, True], ids=["float", "bool"])
+# Every public call whose source count keys a per-n lru cache.
+PER_N_CALLS = {
+    "domain_for_concept": lambda n: domain_for_concept(R, n),
+    "domain_members": lambda n: concepts.domain_members(R, n),
+    "enumerate_antichains": enumerate_antichains,
+    "enumerate_parthood_distributions": enumerate_parthood_distributions,
+    "lattice_index": lattices.lattice_index,
+    "proper_synergy_rank_analysis": proper_synergy_rank_analysis,
+    "domain_labels": lambda n: concepts.domain_labels(R, n),
+    "domain_positions": lambda n: concepts.domain_positions(R, n),
+}
+PER_N_CACHES = (
+    domain_for_concept,
+    concepts.domain_members,
+    enumerate_antichains,
+    enumerate_parthood_distributions,
+    lattices.lattice_index,
+)
+
+
+@pytest.mark.parametrize("n", [2.0, True, [], {}], ids=["float", "bool", "list", "dict"])
 def test_domain_source_count_is_checked_before_the_cache(n):
-    # the cache key (c, 2.0) equals (c, 2), and (c, True) equals (c, 1)
-    for lookup in (domain_for_concept, concepts.domain_members):
-        lookup.cache_clear()
+    # [] and {} have no hash; the key (c, 2.0) equals (c, 2), and (c, True) equals (c, 1)
+    for name, call in PER_N_CALLS.items():
+        for cache in PER_N_CACHES:
+            cache.cache_clear()
         with pytest.raises(CapacityError):  # cold
-            lookup(R, n)
-        lookup(R, int(n))
+            call(n)
+        call(1)
+        call(2)
         with pytest.raises(CapacityError):  # warm
-            lookup(R, n)
+            call(n)
 
 
 def test_a_valid_seed_draws_the_same_table():

@@ -16,10 +16,15 @@ inputs at n = 5.
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pidlattice
 from pidlattice import (
     Antichain,
     BaseConcept,
@@ -260,6 +265,21 @@ def index_digest(index) -> str:
 @pytest.mark.parametrize("n", ALL_N)
 def test_index_matches_recorded_digest(n):
     assert index_digest(lattice_index(n)) == INDEX_SHA256[n]
+
+
+def test_decomposing_builds_no_antichain_objects():
+    # A fresh process, as other tests here ask the index for its objects.
+    script = (
+        "import pidlattice as pl\n"
+        "dist = pl.random_joint(5, 11)\n"
+        "for concept in pl.BaseConcept:\n"
+        "    pl.export_result(pl.decompose(dist, concept))\n"
+        "print(*sorted(vars(pl.lattices.lattice_index(5))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pidlattice.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "antichains" not in proc.stdout.split()
 
 
 @pytest.mark.parametrize("n", ALL_N)
