@@ -3,7 +3,9 @@
 Subcommands: decompose (distribution -> atoms), lattice (DOT of a concept's
 order), domains (a concept's antichains), rank (proper-synergy rank
 analysis), check (re-verify a result file).  JSON is the canonical output
-format; --table switches the commands that have one to a plain-text view.
+format; every command takes --out to write its output to a file.
+decompose --table attaches all ten derived measure tables to the JSON, from
+one forward pass over the atoms; domains and rank --table print plain text.
 Errors print a single ``error: ...`` line to stderr; exit status is 1 for
 validation failures and 2 for usage mistakes.
 """
@@ -18,11 +20,11 @@ import sys
 from .concepts import BaseConcept, concept_facts, concept_lattice, domain_for_concept, domain_labels
 from .distributions import load_joint, random_joint
 from .engine import (
+    _forward,
     decompose,
     export_result,
     inclusion_exclusion_check,
     load_result,
-    measure_table_from_atoms,
     proper_synergy_rank_analysis,
     verify_consistency,
 )
@@ -44,6 +46,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("decompose", help="decompose a joint distribution into atoms")
+    p.set_defaults(run=_cmd_decompose)
     p.add_argument("--input", required=True, help="distribution file, or 'random' with --n/--seed")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.add_argument("--concept", required=True, choices=CONCEPT_TAGS)
@@ -51,28 +54,29 @@ def _build_parser() -> _Parser:
     p.add_argument("--table", action="store_true", help="attach all derived measure tables")
     p.add_argument("--n", type=int, help="source count for --input random")
     p.add_argument("--seed", type=int, default=0, help="seed for --input random")
-    p.add_argument("--out", help="write output here instead of stdout")
 
     p = sub.add_parser("lattice", help="emit a concept's (semi-)lattice as Graphviz DOT")
+    p.set_defaults(run=_cmd_lattice)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--concept", required=True, choices=CONCEPT_TAGS)
-    p.add_argument("--out")
 
     p = sub.add_parser("domains", help="list the antichains a concept's measure is defined on")
+    p.set_defaults(run=_cmd_domains)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--concept", required=True, choices=CONCEPT_TAGS)
     p.add_argument("--table", action="store_true", help="one label per line instead of JSON")
-    p.add_argument("--out")
 
     p = sub.add_parser("rank", help="rank analysis of the proper-synergy constraint system")
+    p.set_defaults(run=_cmd_rank)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--table", action="store_true", help="key=value lines instead of JSON")
-    p.add_argument("--out")
 
     p = sub.add_parser("check", help="re-verify a result file's summation identities")
+    p.set_defaults(run=_cmd_check)
     p.add_argument("--input", required=True, help="result file from decompose")
-    p.add_argument("--out")
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write output here instead of stdout")
     return parser
 
 
@@ -95,11 +99,10 @@ def _cmd_decompose(args) -> int:
     result = decompose(dist, concept, args.measure)
     doc = export_result(result)
     if args.table:
-        tables = {}
-        for c in BaseConcept:
-            values = measure_table_from_atoms(c, result.n, result.atoms).values.values()
-            tables[c.tag] = dict(zip(domain_labels(c, result.n), values))
-        doc["derived_measures"] = tables
+        table = _forward(result.n, result.atoms)
+        doc["derived_measures"] = {
+            c.tag: dict(zip(domain_labels(c, result.n), table(c).values())) for c in BaseConcept
+        }
     _emit(render(doc), args.out)
     return 0
 
@@ -116,19 +119,15 @@ def _cmd_lattice(args) -> int:
 def _cmd_domains(args) -> int:
     concept = BaseConcept.from_tag(args.concept)
     labels = domain_labels(concept, args.n)
-    if args.table:
-        _emit("".join(label + "\n" for label in labels), args.out)
-    else:
-        _emit(render(labels), args.out)
+    text = "".join(label + "\n" for label in labels) if args.table else render(labels)
+    _emit(text, args.out)
     return 0
 
 
 def _cmd_rank(args) -> int:
     fields = dataclasses.asdict(proper_synergy_rank_analysis(args.n))
-    if args.table:
-        _emit("".join(f"{k}={v}\n" for k, v in fields.items()), args.out)
-    else:
-        _emit(render(fields), args.out)
+    text = "".join(f"{k}={v}\n" for k, v in fields.items()) if args.table else render(fields)
+    _emit(text, args.out)
     return 0
 
 
@@ -167,23 +166,11 @@ def _cmd_check(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "decompose": _cmd_decompose,
-    "lattice": _cmd_lattice,
-    "domains": _cmd_domains,
-    "rank": _cmd_rank,
-    "check": _cmd_check,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except PidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return args.run(args)
+    except (PidError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -401,18 +401,32 @@ def index_vector(
                 raise ValidationError(message) from None
         at.append(place)
         values.append(value)
+    return _placed_vector(concept, n, len(places), at, values, extra, complete)
+
+
+def _placed_vector(
+    concept: BaseConcept | None, n: int, size: int, at: list, values: list, extra: list, complete: bool
+) -> np.ndarray:
+    """The checks :func:`index_vector` makes once every key is placed, and its vector.
+
+    ``values[k]`` goes to place ``at[k]`` of ``size``; ``extra`` labels the
+    keys outside the view's, which are refused first, then any missing
+    place with ``complete``, then the first non-finite value outside an MI
+    table.
+    """
+    what = "atom" if concept is None else "MI" if concept is MI_KEYS else concept.tag
     if extra:
         raise CompletenessError(f"{what} values outside the domain: {', '.join(extra[:5])}")
-    vector = np.zeros(len(places))
+    vector = np.zeros(size)
     vector[np.array(at, dtype=np.intp)] = values
-    if complete and len(at) < len(places):
-        missing = sorted(set(range(len(places))).difference(at))
-        listed = ", ".join(label(i) for i in missing[:5])
+    if complete and len(at) < size:
+        missing = sorted(set(range(size)).difference(at))
+        listed = ", ".join(domain_labels(concept, n)[i] for i in missing[:5])
         more = " ..." if len(missing) > 5 else ""
         raise CompletenessError(f"{what} values missing for: {listed}{more}")
     bad = np.flatnonzero(~np.isfinite(vector))
     if bad.size and concept is not MI_KEYS:
-        raise ValidationError(f"non-finite {what} value at {label(bad[0])}")
+        raise ValidationError(f"non-finite {what} value at {domain_labels(concept, n)[bad[0]]}")
     return vector
 
 
@@ -561,16 +575,26 @@ def save_measure(measure: MeasureAssignment, path) -> None:
 
 def load_measure(path, n: int) -> MeasureAssignment:
     """Read a measure file: a flat JSON object of canonical antichain labels
-    to numbers plus a ``concept`` tag field."""
+    to numbers plus a ``concept`` tag field.  Labels are placed by position,
+    so no antichain object is built."""
     doc = read_object(path, "measure file", ("concept",))
     concept = BaseConcept.from_tag(doc["concept"])
-    index = lattice_index(n)
-    values = {}
+    index, positions = lattice_index(n), domain_positions(concept, n)
+    place = np.full(len(index.members), -1)  # antichain position -> domain place, or -1
+    place[positions] = np.arange(len(positions))
+    at, values, extra = [], [], []
     for key, v in doc.items():
         if key == "concept":
             continue
-        values[index.antichains[index.label_position(key)]] = number(v, f"value at {key!r}")
-    return MeasureAssignment(concept, n, values)
+        i = int(place[index.label_position(key)])
+        value = number(v, f"value at {key!r}")
+        if i < 0:
+            extra.append(key)
+        else:
+            at.append(i)
+            values.append(value)
+    vector = _placed_vector(concept, n, len(positions), at, values, extra, complete=True)
+    return MeasureAssignment(concept, n, _IndexView(concept, n, vector))
 
 
 def patch_singleton_synergies(

@@ -780,6 +780,8 @@ class ConceptLattice:
     unique bottom, otherwise ``join-semi-lattice`` (unique top only) or
     ``meet-semi-lattice`` (unique bottom only).  ``covers[i]`` lists the
     indices of the immediate successors of node i in the chosen direction.
+    A lattice built directly is checked as :func:`build_lattice` checks its
+    nodes, and ``tables[i]`` must be a truth table over their source count.
     """
 
     nodes: tuple[Antichain, ...]
@@ -788,6 +790,23 @@ class ConceptLattice:
     kind: str
     tables: tuple[int, ...]
     covers: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        expect(self.nodes, tuple, "lattice nodes")
+        n = _check_lattice(self.nodes, self.order_kind, self.direction)
+        kinds = (FULL_LATTICE, JOIN_SEMI_LATTICE, MEET_SEMI_LATTICE)
+        if not isinstance(self.kind, str) or self.kind not in kinds:
+            raise DomainError(f"unknown lattice kind {shown(self.kind)}")
+        for field, items in (("tables", self.tables), ("covers", self.covers)):
+            expect(items, tuple, f"lattice {field}")
+            if len(items) != len(self.nodes):
+                raise ValidationError(f"lattice {field} must hold one entry per node")
+        mask, count = table_mask(n), len(self.nodes)
+        if any(type(t) is not int or not 0 <= t <= mask for t in self.tables):
+            raise ValidationError(f"lattice tables must be ints in 0..{mask}")
+        for ups in self.covers:  # exact type tests: a lattice at n = 5 has thousands of covers
+            if type(ups) is not tuple or any(type(j) is not int or not 0 <= j < count for j in ups):
+                raise ValidationError(f"lattice covers must be tuples of node indices in 0..{count - 1}")
 
     @functools.cached_property
     def index(self) -> Callable[[Antichain], int]:
@@ -824,6 +843,24 @@ def _extrema(covers: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[in
     return bottoms, tuple(i for i, ups in enumerate(covers) if not ups)
 
 
+def _check_lattice(nodes: tuple, kind: OrderKind, direction: Direction) -> int:
+    """The rules every lattice's nodes and order meet; returns their source count."""
+    for a in nodes:
+        expect(a, Antichain, "a lattice node")
+    if not nodes:
+        raise ValidationError("lattice needs at least one node")
+    n = nodes[0].n
+    if any(a.n != n for a in nodes):
+        raise ValidationError("lattice nodes over different source counts")
+    if len(set(nodes)) != len(nodes):
+        raise ValidationError("duplicate lattice nodes")
+    if not isinstance(kind, str) or kind not in ("redundancy", "synergy"):
+        raise DomainError(f"unknown order kind {shown(kind)}")
+    if not isinstance(direction, str) or direction not in ("up", "down"):
+        raise DomainError(f"unknown direction {shown(direction)}")
+    return n
+
+
 def build_lattice(
     nodes: Iterable[Antichain], kind: OrderKind, direction: Direction = "up"
 ) -> ConceptLattice:
@@ -838,19 +875,7 @@ def build_lattice(
     repeating yields the rest, one big-int operation per cover.
     """
     node_list = tuple(checked_iter(nodes, "lattice nodes"))
-    for a in node_list:
-        expect(a, Antichain, "a lattice node")
-    if not node_list:
-        raise ValidationError("lattice needs at least one node")
-    n = node_list[0].n
-    if any(a.n != n for a in node_list):
-        raise ValidationError("lattice nodes over different source counts")
-    if len(set(node_list)) != len(node_list):
-        raise ValidationError("duplicate lattice nodes")
-    if kind not in ("redundancy", "synergy"):
-        raise DomainError(f"unknown order kind {shown(kind)}")
-    if direction not in ("up", "down"):
-        raise DomainError(f"unknown direction {shown(direction)}")
+    n = _check_lattice(node_list, kind, direction)
 
     tables = tuple(_order_table(kind, a) for a in node_list)
     # Going up shrinks the tables, or for "down" their complements.

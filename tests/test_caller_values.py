@@ -17,6 +17,7 @@ arbitrary values; a path argument may also raise the operating system's
 ``OSError``.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -31,6 +32,7 @@ from pidlattice import (
     Antichain,
     BaseConcept,
     CapacityError,
+    ConceptLattice,
     CompletenessError,
     ConsistencyReport,
     InclusionExclusionReport,
@@ -240,7 +242,16 @@ def entry_points(v, files):
             lambda: Antichain.of(2, [v]),
         ],
         "BaseConcept": [lambda: BaseConcept.from_tag(v)],
-        "ConceptLattice": [lambda: lattice.leq(v, alpha), lambda: lattice.leq(alpha, v)],
+        "ConceptLattice": [
+            lambda: lattice.leq(v, alpha),
+            lambda: lattice.leq(alpha, v),
+            lambda: lattice_to_dot(dataclasses.replace(lattice, nodes=v)),
+            lambda: lattice_to_dot(dataclasses.replace(lattice, order_kind=v)),
+            lambda: lattice_to_dot(dataclasses.replace(lattice, direction=v)),
+            lambda: lattice_to_dot(dataclasses.replace(lattice, kind=v)),
+            lambda: lattice_to_dot(dataclasses.replace(lattice, tables=v)),
+            lambda: lattice_to_dot(dataclasses.replace(lattice, covers=v)),
+        ],
         "ConsistencyReport": [lambda: ConsistencyReport(v, 0.0, "", 0.0, {}, True)],
         "InclusionExclusionReport": [lambda: InclusionExclusionReport(v, 0.0, 0.0, 0.0, 0.0, True)],
         "JointDistribution": [
@@ -419,6 +430,11 @@ def _alpha():
     return Antichain.of(2, [0b01])
 
 
+def _lattice(**fields):
+    """The n = 2 redundancy lattice with some fields replaced."""
+    return dataclasses.replace(case()[3], **fields)
+
+
 # (call with a wrong-typed object argument, the ValidationError message it raises)
 OBJECT_ARGUMENTS = {
     "decompose": (lambda: decompose(None, R), "dist must be a JointDistribution, got NoneType"),
@@ -506,6 +522,32 @@ HELPER_ARGUMENTS = {
     "maximal_non_supersets": (lambda: lattices.maximal_non_supersets(1), ValidationError),
     "ConceptLattice.leq non-node": (lambda: case()[3].leq(Antichain(2, ()), _alpha()), DomainError),
     "ConceptLattice.leq non-antichain": (lambda: case()[3].leq(_alpha(), 1), ValidationError),
+    "ConceptLattice int node": (
+        lambda: lattice_to_dot(ConceptLattice((1,), "redundancy", "up", "full-lattice", (0,), ((),))),
+        ValidationError,
+    ),
+    "ConceptLattice node list": (lambda: _lattice(nodes=list(case()[3].nodes)), ValidationError),
+    "ConceptLattice no nodes": (lambda: _lattice(nodes=(), tables=(), covers=()), ValidationError),
+    "ConceptLattice mixed n": (
+        lambda: _lattice(nodes=(_alpha(), Antichain.of(3, [1]), *case()[3].nodes[2:])), ValidationError,
+    ),
+    "ConceptLattice duplicate node": (lambda: _lattice(nodes=(_alpha(),) * len(case()[3].nodes)), ValidationError),
+    "ConceptLattice order kind": (lambda: _lattice(order_kind="x"), DomainError),
+    "ConceptLattice direction": (lambda: _lattice(direction=None), DomainError),
+    "ConceptLattice kind": (lambda: _lattice(kind="lattice"), DomainError),
+    "ConceptLattice kind array": (lambda: _lattice(kind=np.array(["x", "y"])), DomainError),
+    "build_lattice order kind array": (
+        lambda: build_lattice(case()[3].nodes, np.array(["redundancy", "synergy"])), DomainError,
+    ),
+    "ConceptLattice tables None": (lambda: _lattice(tables=None), ValidationError),
+    "ConceptLattice tables short": (lambda: _lattice(tables=case()[3].tables[1:]), ValidationError),
+    "ConceptLattice table past the mask": (
+        lambda: _lattice(tables=(table_mask(2) + 1,) * len(case()[3].nodes)), ValidationError,
+    ),
+    "ConceptLattice table bool": (lambda: _lattice(tables=(True,) * len(case()[3].nodes)), ValidationError),
+    "ConceptLattice covers None": (lambda: _lattice(covers=None), ValidationError),
+    "ConceptLattice cover 99": (lambda: _lattice(covers=((99,),) * len(case()[3].nodes)), ValidationError),
+    "ConceptLattice cover list": (lambda: _lattice(covers=([],) * len(case()[3].nodes)), ValidationError),
     "selection_mask": (lambda: concepts.selection_mask(R, _alpha(), ["x"]), ValidationError),
     "selection_mask alpha": (lambda: concepts.selection_mask(R, 1, [2]), ValidationError),
     "selection_mask negative": (lambda: concepts.selection_mask(R, _alpha(), [-1]), ValidationError),

@@ -14,6 +14,7 @@ from helpers import (
     MALFORMED_JSON_DISTRIBUTIONS,
     unreadable_files,
 )
+from pidlattice import BaseConcept, cli, decompose, derived_measure_table, random_joint
 from pidlattice.cli import main
 
 XOR_JSON = str(DATA_DIR / "xor.json")
@@ -79,6 +80,29 @@ def test_random_input_is_deterministic(tmp_path):
     assert first == second
     _, other_seed = run_to_file(tmp_path, [*argv[:-1], "8"])
     assert other_seed != first
+
+
+def test_table_at_five_sources_is_the_derived_measure_table(tmp_path, monkeypatch):
+    forward = cli._forward
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(cli, "_forward", counted)
+    argv = ["decompose", "--input", "random", "--n", "5", "--seed", "3", "--concept", "union-partner", "--table"]
+    code, body = run_to_file(tmp_path, argv)
+    assert code == 0
+    assert len(calls) == 1
+    tables = json.loads(body)["derived_measures"]
+    expected = {c.tag: [] for c in BaseConcept}
+    result = decompose(random_joint(5, 3), BaseConcept.UNION_PARTNER)
+    for (concept, alpha), value in derived_measure_table(result).items():
+        expected[concept.tag].append((alpha.label(), value))
+    assert list(tables) == list(expected)
+    for tag, items in expected.items():
+        assert list(tables[tag].items()) == items, tag
 
 
 def test_module_entry_point_runs():

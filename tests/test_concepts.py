@@ -16,6 +16,7 @@ from pidlattice import (
     DomainError,
     MeasureAssignment,
     ParseError,
+    PidError,
     SourceSet,
     ValidationError,
     antichain_from_parthood,
@@ -675,6 +676,85 @@ def test_measure_file_rejects(tmp_path):
     path.write_text(json.dumps({"concept": "mystery", "{1}": 0.5}))
     with pytest.raises(DomainError):
         load_measure(path, 2)
+
+
+RED = '"concept": "redundancy"'
+FULL = '"{1}": 0.1, "{1}{2}": 0.2, "{2}": 0.3, "{1,2}": 0.4'  # the n = 2 redundancy domain
+# (measure file text, n, error class, message): a fault's class and message do not
+# depend on how the file's labels are resolved; among several faults, a label or
+# number fault comes first, then values outside the domain, then missing values,
+# then the first non-finite value in domain order.
+MEASURE_FILE_FAULTS = {
+    "bad label": (
+        '{%s, "{1}{1}": 1.0}' % RED, 2, ParseError,
+        "label '{1}{1}' is not an antichain: collections must be in strict canonical order",
+    ),
+    "non-canonical label": ('{%s, "{2,1}": 1.0}' % RED, 2, ParseError, "collection label '{2,1}' is not canonical"),
+    "label with a space": ('{%s, "{1} ": 1.0}' % RED, 2, ParseError, "bad antichain label '{1} '"),
+    "string value": ('{%s, "{1}": "high"}' % RED, 2, ParseError, "value at '{1}' is not a number: 'high'"),
+    "bool value": ('{%s, "{1}": true}' % RED, 2, ParseError, "value at '{1}' is not a number: True"),
+    "null value": ('{%s, "{1}": null}' % RED, 2, ParseError, "value at '{1}' is not a number: None"),
+    "int past float range": (
+        '{%s, "{1}": 1%s}' % (RED, "0" * 400), 2, ParseError, "value at '{1}' is an integer beyond float range",
+    ),
+    "label outside the domain": (
+        '{%s, %s, "{}": 0.5}' % (RED, FULL), 2, CompletenessError, "redundancy values outside the domain: {}",
+    ),
+    "two labels outside the domain": (
+        '{%s, "\u2205-chain": 0.0, %s, "{}": 0.5}' % (RED, FULL), 2, CompletenessError,
+        "redundancy values outside the domain: \u2205-chain, {}",
+    ),
+    "partner label outside the domain": (
+        '{"concept": "union-partner", "{1}{2}": 0.5}', 2, CompletenessError,
+        "union-partner values outside the domain: {1}{2}",
+    ),
+    "missing label": (
+        '{%s, "{1}": 0.1, "{1}{2}": 0.2, "{2}": 0.3}' % RED, 2, CompletenessError,
+        "redundancy values missing for: {1,2}",
+    ),
+    "concept only": (
+        "{%s}" % RED, 3, CompletenessError,
+        "redundancy values missing for: {1}, {1}{2}, {1}{2}{3}, {1}{3}, {1}{2,3} ...",
+    ),
+    "NaN": (
+        '{%s, "{1}": 0.1, "{1}{2}": 0.2, "{2}": NaN, "{1,2}": 0.4}' % RED, 2, ValidationError,
+        "non-finite redundancy value at {2}",
+    ),
+    "Infinity": (
+        '{%s, "{1}": 0.1, "{1}{2}": 0.2, "{2}": 0.3, "{1,2}": Infinity}' % RED, 2, ValidationError,
+        "non-finite redundancy value at {1,2}",
+    ),
+    "NaN before -Infinity in file order": (
+        '{%s, "{1,2}": NaN, "{1}": 0.1, "{1}{2}": -Infinity, "{2}": 0.3}' % RED, 2, ValidationError,
+        "non-finite redundancy value at {1}{2}",
+    ),
+    "outside, then a bad value": (
+        '{%s, "{}": 0.5, "{1}": "x"}' % RED, 2, ParseError, "value at '{1}' is not a number: 'x'",
+    ),
+    "outside, then a bad label": (
+        '{%s, "{}": 0.5, "{3}": 1.0}' % RED, 2, ParseError, "source index 3 out of range 1..2 in '{3}'",
+    ),
+    "missing and outside": (
+        '{%s, "{}": 0.5, "{1}": 0.1}' % RED, 2, CompletenessError, "redundancy values outside the domain: {}",
+    ),
+    "missing and NaN": (
+        '{%s, "{1}": NaN}' % RED, 2, CompletenessError, "redundancy values missing for: {1}{2}, {2}, {1,2}",
+    ),
+    "outside and NaN": (
+        '{%s, %s, "{}": NaN}' % (RED, FULL), 2, CompletenessError, "redundancy values outside the domain: {}",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MEASURE_FILE_FAULTS)
+def test_measure_file_faults_keep_their_class_and_message(tmp_path, name):
+    text, n, error, message = MEASURE_FILE_FAULTS[name]
+    path = tmp_path / "m.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(PidError) as refused:
+        load_measure(path, n)
+    assert type(refused.value) is error
+    assert str(refused.value) == message
 
 
 # ------------------------------------------------------- synergy completion

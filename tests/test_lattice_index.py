@@ -267,17 +267,21 @@ def test_index_matches_recorded_digest(n):
     assert index_digest(lattice_index(n)) == INDEX_SHA256[n]
 
 
-def test_decomposing_builds_no_antichain_objects():
+def test_decomposing_builds_no_antichain_objects(tmp_path):
     # A fresh process, as other tests here ask the index for its objects.
     script = (
+        "import sys\n"
         "import pidlattice as pl\n"
         "dist = pl.random_joint(5, 11)\n"
         "for concept in pl.BaseConcept:\n"
         "    pl.export_result(pl.decompose(dist, concept))\n"
+        "pl.save_measure(pl.reference_measure(dist, pl.BaseConcept.UNION), sys.argv[1])\n"
+        "pl.export_result(pl.decompose(dist, pl.BaseConcept.UNION, sys.argv[1]))\n"
         "print(*sorted(vars(pl.lattices.lattice_index(5))))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(pidlattice.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    argv = [sys.executable, "-c", script, str(tmp_path / "measure.json")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "antichains" not in proc.stdout.split()
 
