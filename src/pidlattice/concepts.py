@@ -39,7 +39,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .distributions import JointDistribution, conditional_mi, mutual_information
-from .errors import CompletenessError, DomainError, ValidationError, expect, shown
+from .errors import CompletenessError, DomainError, ValidationError, choice, expect, shown
 from .fileio import number, read_object, render, write_text
 from .lattices import (
     Antichain,
@@ -81,11 +81,8 @@ class BaseConcept(enum.Enum):
 
     @classmethod
     def from_tag(cls, tag: str) -> "BaseConcept":
-        for member in cls:
-            if member.value == tag:
-                return member
-        valid = ", ".join(m.value for m in cls)
-        raise DomainError(f"unknown concept {shown(tag)}; valid tags: {valid}")
+        choice(tag, [m.value for m in cls], "concept")
+        return cls(tag)
 
 
 MODES = ("sufficient", "necessary", "insufficient", "unnecessary")  # index ^ 1: dual, ^ 2: negation
@@ -126,8 +123,7 @@ _NESTED_BY_CELL = {cell: c for c, cell in CONDITION_FOR_CONCEPT.items()}
 
 def _cell(condition_id: str) -> tuple[str, str, str]:
     """Split a grid cell id into its mode, relation and polarity."""
-    if condition_id not in CONDITION_IDS:
-        raise DomainError(f"unknown condition {shown(condition_id)}")
+    choice(condition_id, CONDITION_IDS, "condition")
     return tuple(condition_id.split("-"))
 
 
@@ -233,7 +229,10 @@ def selection_mask(concept: BaseConcept, alpha: Antichain, tables: np.ndarray) -
     """Vectorized :func:`atom_selector` over packed truth tables."""
     cells = concept_facts(concept).cells
     expect(alpha, Antichain, "alpha")
-    tables = np.asarray(tables)
+    try:
+        tables = np.asarray(tables)
+    except ValueError:  # a ragged nesting, e.g. [[1], 2]
+        raise ValidationError("tables must be integer truth tables, got a ragged nesting") from None
     if tables.dtype.kind not in "ui":
         raise ValidationError(f"tables must be integer truth tables, got dtype {tables.dtype}")
     if (tables < 0).any():
@@ -373,7 +372,8 @@ def index_vector(
     present; otherwise absent keys count as 0, which is how readers of atom
     mappings take a partial table.
     """
-    if isinstance(mapping, _IndexView) and (mapping.concept, mapping.n) == (concept, n):
+    _check_key_set(concept, n)
+    if isinstance(mapping, _IndexView) and mapping.concept is concept and mapping.n == n:
         return mapping.vector
     places = _view_places(concept, n)
     what = "atom" if concept is None else "MI" if concept is MI_KEYS else concept.tag

@@ -56,9 +56,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ParseError, PidError, ValidationError, expect, shown
+from .errors import CapacityError, ParseError, PidError, ValidationError, choice, expect, shown
 from .fileio import json_rows, read_object, read_text, render, write_text
-from .lattices import MAX_SOURCES, collection_bits, source_mask
+from .lattices import check_source_count, checked_iter, collection_bits, source_mask
 
 MASS_EPS = 1e-15
 MASS_SUM_TOL = 1e-9
@@ -74,8 +74,7 @@ def _table_sizes(source_alphabets, target_alphabet) -> tuple[int, ...]:
         raise ValidationError(
             f"source alphabets must be a sequence of sizes, got {type(source_alphabets).__name__}"
         ) from None
-    if not 1 <= n <= MAX_SOURCES:
-        raise CapacityError(f"need 1..{MAX_SOURCES} sources, got {n}")
+    check_source_count(n)
     sizes = (*source_alphabets, target_alphabet)
     if any(type(k) is not int or k < 1 for k in sizes):  # exact type test: rejects bool
         raise ValidationError("alphabet sizes must be positive ints")
@@ -401,8 +400,7 @@ def mi_table(dist: JointDistribution) -> dict[int, float]:
 
 def load_joint(path, fmt: str = "json") -> JointDistribution:
     """Read a joint distribution from a JSON or TSV file."""
-    if fmt not in ("json", "tsv"):
-        raise ParseError(f"unknown distribution format {shown(fmt)}")
+    choice(fmt, ("json", "tsv"), "distribution format", ParseError)
     # The collector would walk the parsed rows again and again while they
     # are built; they hold no cycles and are freed when the call returns.
     enabled = gc.isenabled()
@@ -506,8 +504,7 @@ def random_joint(
     """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise ValidationError(f"source count must be an int, got {shown(n)}")
-    if not 1 <= n <= MAX_SOURCES:
-        raise CapacityError(f"need 1..{MAX_SOURCES} sources, got {shown(int(n))}")
+    check_source_count(int(n))
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError):  # numpy's SeedSequence takes non-negative ints
@@ -515,7 +512,7 @@ def random_joint(
     if source_alphabets is None:
         sizes = tuple(int(rng.integers(2, 4)) for _ in range(n))
     else:
-        sizes = tuple(source_alphabets) if isinstance(source_alphabets, Iterable) else ()
+        sizes = tuple(checked_iter(source_alphabets, "source_alphabets"))
         if len(sizes) != n:
             raise ValidationError("source_alphabets must list one size per source")
     target = int(rng.integers(2, 4)) if target_alphabet is None else target_alphabet

@@ -48,3 +48,10 @@ def expect(value, cls: type, what: str) -> None:
     if not isinstance(value, cls):
         article = "an" if cls.__name__[0] in "AEIOU" else "a"
         raise ValidationError(f"{what} must be {article} {cls.__name__}, got {type(value).__name__}")
+
+
+def choice(value, allowed, what: str, error: type = DomainError) -> None:
+    """Refuse a named option that is not a str among ``allowed``, e.g.
+    "unknown direction 'x'; valid: up, down"; a numpy array of strings is no str."""
+    if not isinstance(value, str) or value not in allowed:
+        raise error(f"unknown {what} {shown(value)}; valid: {', '.join(allowed)}")

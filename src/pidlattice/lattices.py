@@ -25,7 +25,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Literal, Mapping, Sequence
+from typing import Callable, Iterable, Literal, Mapping, Sequence, get_args
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .errors import (
     ParseError,
     UnsupportedStructureError,
     ValidationError,
+    choice,
     expect,
     shown,
 )
@@ -57,7 +58,7 @@ MEET_SEMI_LATTICE = "meet-semi-lattice"
 
 def check_source_count(n: int) -> None:
     if type(n) is not int or not 1 <= n <= MAX_SOURCES:  # exact type test: rejects bool
-        raise CapacityError(f"source count must be an int in 1..{MAX_SOURCES}, got {shown(n)}")
+        raise CapacityError(f"need 1..{MAX_SOURCES} sources, got {shown(n)}")
 
 
 def checked_cache(check: Callable[..., None]):
@@ -711,8 +712,6 @@ def _order_table(kind: OrderKind, alpha: Antichain) -> int:
     It is the up-closure for redundancy and the complement of the
     down-closure for synergy.
     """
-    if kind not in ("redundancy", "synergy"):
-        raise DomainError(f"unknown order kind {shown(kind)}")
     index = lattice_index(alpha.n)
     at = index.position[alpha]
     if kind == "redundancy":
@@ -722,6 +721,7 @@ def _order_table(kind: OrderKind, alpha: Antichain) -> int:
 
 def antichain_leq(kind: OrderKind, alpha: Antichain, beta: Antichain) -> bool:
     """Order predicate extended to all antichains (closure-mask inclusion)."""
+    choice(kind, get_args(OrderKind), "order kind")
     expect(alpha, Antichain, "alpha")
     expect(beta, Antichain, "beta")
     if alpha.n != beta.n:
@@ -736,6 +736,7 @@ def order_leq(kind: OrderKind, alpha: Antichain, beta: Antichain) -> bool:
     minimal 1-collections, the synergy order on those that label by maximal
     0-collections; operands outside the respective domain are rejected.
     """
+    choice(kind, get_args(OrderKind), "order kind")
     member = in_access_domain if kind == "redundancy" else in_blockage_domain
     for x in (alpha, beta):
         if not member(x):
@@ -794,9 +795,7 @@ class ConceptLattice:
     def __post_init__(self):
         expect(self.nodes, tuple, "lattice nodes")
         n = _check_lattice(self.nodes, self.order_kind, self.direction)
-        kinds = (FULL_LATTICE, JOIN_SEMI_LATTICE, MEET_SEMI_LATTICE)
-        if not isinstance(self.kind, str) or self.kind not in kinds:
-            raise DomainError(f"unknown lattice kind {shown(self.kind)}")
+        choice(self.kind, (FULL_LATTICE, JOIN_SEMI_LATTICE, MEET_SEMI_LATTICE), "lattice kind")
         for field, items in (("tables", self.tables), ("covers", self.covers)):
             expect(items, tuple, f"lattice {field}")
             if len(items) != len(self.nodes):
@@ -854,10 +853,8 @@ def _check_lattice(nodes: tuple, kind: OrderKind, direction: Direction) -> int:
         raise ValidationError("lattice nodes over different source counts")
     if len(set(nodes)) != len(nodes):
         raise ValidationError("duplicate lattice nodes")
-    if not isinstance(kind, str) or kind not in ("redundancy", "synergy"):
-        raise DomainError(f"unknown order kind {shown(kind)}")
-    if not isinstance(direction, str) or direction not in ("up", "down"):
-        raise DomainError(f"unknown direction {shown(direction)}")
+    choice(kind, get_args(OrderKind), "order kind")
+    choice(direction, get_args(Direction), "direction")
     return n
 
 
@@ -937,8 +934,7 @@ def moebius_invert(
         raise UnsupportedStructureError(
             f"Moebius inversion needs a full lattice, got {lattice.kind}"
         )
-    if direction not in ("down-sum", "up-sum"):
-        raise DomainError(f"unknown inversion direction {shown(direction)}")
+    choice(direction, ("down-sum", "up-sum"), "inversion direction")
     missing = [a.label() for a in lattice.nodes if a not in values]
     if missing:
         raise CompletenessError(f"values missing for nodes: {', '.join(missing[:5])}")

@@ -206,6 +206,23 @@ LEAVES = (
     | st.floats()
     | st.text(max_size=4)
     | st.sampled_from([SourceSet(1, 1), SourceSet(2, 3), SourceSet(3, 5), Antichain.of(3, [1])])
+    # numpy values: an array is no str, however many strings it holds, and no int
+    | st.sampled_from(
+        [
+            np.array(["redundancy", "synergy"]),
+            *(
+                np.array([option])
+                for option in (
+                    "redundancy", "json", "down-sum", "union", "up", "full-lattice", "sufficient-superset-inclusion",
+                )
+            ),
+            np.array(2),
+            np.array([1, 2]),
+            np.str_("redundancy"),
+            np.int64(2),
+            np.float64(0.5),
+        ]
+    )
 )
 HASHABLE = st.none() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4)
 VALUES = LEAVES | st.lists(LEAVES, max_size=3) | st.dictionaries(HASHABLE, LEAVES, max_size=3)
@@ -539,6 +556,40 @@ HELPER_ARGUMENTS = {
     "build_lattice order kind array": (
         lambda: build_lattice(case()[3].nodes, np.array(["redundancy", "synergy"])), DomainError,
     ),
+    # a one-element array of a valid option is refused at every option site
+    "ConceptLattice order kind one-element array": (
+        lambda: _lattice(order_kind=np.array(["redundancy"])), DomainError,
+    ),
+    "ConceptLattice direction one-element array": (lambda: _lattice(direction=np.array(["up"])), DomainError),
+    "ConceptLattice kind one-element array": (lambda: _lattice(kind=np.array(["full-lattice"])), DomainError),
+    "build_lattice direction one-element array": (
+        lambda: build_lattice(case()[3].nodes, "redundancy", np.array(["up"])), DomainError,
+    ),
+    "antichain_leq one-element array": (
+        lambda: antichain_leq(np.array(["redundancy"]), _alpha(), _alpha()), DomainError,
+    ),
+    "order_leq one-element array": (lambda: order_leq(np.array(["redundancy"]), _alpha(), _alpha()), DomainError),
+    "order_leq kind list": (lambda: order_leq(["redundancy"], _alpha(), Antichain.of(2, [0b11])), DomainError),
+    "moebius_invert one-element array": (
+        lambda: moebius_invert(case()[3], {node: 0.0 for node in case()[3].nodes}, np.array(["down-sum"])),
+        DomainError,
+    ),
+    "condition_holds one-element array": (
+        lambda: condition_holds(np.array(CONDITION_IDS[:1]), _alpha(), ParthoodDistribution(2, 0b1110)),
+        DomainError,
+    ),
+    "grid_condition one-element array": (lambda: grid_condition(np.array(CONDITION_IDS[:1]), _alpha()), DomainError),
+    "BaseConcept.from_tag one-element array": (lambda: BaseConcept.from_tag(np.array(["union"])), DomainError),
+    "load_joint format one-element array": (lambda: load_joint("unread.json", np.array(["json"])), ParseError),
+    # the key set of a view is checked before a mapping is compared with it
+    "solve_concept n array": (
+        lambda: solve_concept(np.array([2, 2]), R, case()[1], _result().mi), CapacityError,
+    ),
+    "PidResult.build n array": (
+        lambda: PidResult.build(np.array([2, 2]), _result().atoms, _result().meta, _result().mi), CapacityError,
+    ),
+    "MeasureAssignment n array": (lambda: MeasureAssignment(R, np.array([2, 2]), case()[1]), CapacityError),
+    "random_joint alphabets 0-d array": (lambda: random_joint(2, 0, np.array(2)), ValidationError),
     "ConceptLattice tables None": (lambda: _lattice(tables=None), ValidationError),
     "ConceptLattice tables short": (lambda: _lattice(tables=case()[3].tables[1:]), ValidationError),
     "ConceptLattice table past the mask": (
@@ -549,6 +600,7 @@ HELPER_ARGUMENTS = {
     "ConceptLattice cover 99": (lambda: _lattice(covers=((99,),) * len(case()[3].nodes)), ValidationError),
     "ConceptLattice cover list": (lambda: _lattice(covers=([],) * len(case()[3].nodes)), ValidationError),
     "selection_mask": (lambda: concepts.selection_mask(R, _alpha(), ["x"]), ValidationError),
+    "selection_mask ragged": (lambda: concepts.selection_mask(R, _alpha(), [[1], 2]), ValidationError),
     "selection_mask alpha": (lambda: concepts.selection_mask(R, 1, [2]), ValidationError),
     "selection_mask negative": (lambda: concepts.selection_mask(R, _alpha(), [-1]), ValidationError),
 }

@@ -136,6 +136,18 @@ def test_random_input_requires_n(capsys):
     assert "error: --input random needs --n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["9", "0"])
+def test_a_bad_source_count_gets_one_message(capsys, n):
+    for argv in (
+        ["decompose", "--input", "random", "--concept", "redundancy"],
+        ["lattice", "--concept", "redundancy"],
+        ["domains", "--concept", "redundancy"],
+        ["rank"],
+    ):
+        assert main([*argv, "--n", n]) == 1
+        assert capsys.readouterr().err == f"error: need 1..5 sources, got {n}\n"
+
+
 def test_lattice_refuses_unique(capsys):
     assert main(["lattice", "--n", "2", "--concept", "unique"]) == 2
     assert "not nested" in capsys.readouterr().err

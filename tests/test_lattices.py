@@ -614,3 +614,10 @@ def test_antichain_leq_refuses_an_unknown_order_kind(kind):
     alpha = Antichain.of(2, [0b01])
     with pytest.raises(DomainError, match="unknown order kind"):
         antichain_leq(kind, alpha, alpha)
+
+
+@pytest.mark.parametrize("kind", [["redundancy"], np.array(["redundancy"]), "union"], ids=repr)
+def test_order_leq_names_an_unknown_order_kind_before_its_domain(kind):
+    beta = Antichain.of(2, [0b11])  # {1,2}: in the redundancy order's domain, not the synergy order's
+    with pytest.raises(DomainError, match="unknown order kind"):
+        order_leq(kind, beta, beta)
