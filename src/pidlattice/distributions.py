@@ -27,13 +27,17 @@ JSON: an object with ``n_sources``, ``source_alphabets`` (list of sizes),
 TSV: a header line ``s1<TAB>...<TAB>sn<TAB>t<TAB>p`` followed by one row
 per outcome; alphabet sizes are inferred as (max symbol + 1).
 
-Both loaders take one route: a file's parallel lists of states and masses
-reach the columns through ``JointDistribution._from_rows``, with no dict of
-outcomes.  :func:`load_joint` pauses the cyclic garbage collector while it
-reads either format and builds the columns, and then restores the
-collector's prior state: the parsed rows hold no cycles.  A malformed
-entry or row is a ``ParseError``, and comes before any ``ValidationError``
-of the table it would make.
+Both loaders have one reference route: a file's parallel lists of states
+and masses reach the columns through ``JointDistribution._from_rows``, with
+no dict of outcomes.  A JSON file in the layout of one of the two writers
+(``save_joint``'s, or ``json.dumps(doc) + "\\n"``'s) is read straight into
+typed columns by :func:`pidlattice.fileio.pmf_columns` instead; any other
+file, or a table that route refuses, is read again by the reference route,
+which raises every error.  :func:`load_joint` pauses the cyclic garbage
+collector while it reads either format and builds the columns, and then
+restores the collector's prior state: the parsed rows hold no cycles.  A
+malformed entry or row is a ``ParseError``, and comes before any
+``ValidationError`` of the table it would make.
 
 Both are UTF-8 text.  Reading, decoding and writing the files, for these
 and the package's other documents, live in :mod:`pidlattice.fileio`, the
@@ -57,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, ParseError, PidError, ValidationError, choice, expect, shown
-from .fileio import json_rows, read_object, read_text, render, write_text
+from .fileio import json_rows, pmf_columns, read_object, read_text, render, write_text
 from .lattices import check_source_count, checked_iter, collection_bits, source_mask
 
 MASS_EPS = 1e-15
@@ -399,7 +403,15 @@ def mi_table(dist: JointDistribution) -> dict[int, float]:
 
 
 def load_joint(path, fmt: str = "json") -> JointDistribution:
-    """Read a joint distribution from a JSON or TSV file."""
+    """Read a joint distribution from a JSON or TSV file.
+
+    A JSON file in the layout ``save_joint`` writes (``fileio.render``), or
+    in ``json.dumps(doc) + "\\n"``'s, has its rows read straight into
+    columns by :func:`pidlattice.fileio.pmf_columns`.  Any other layout,
+    and any file that reader does not take or whose table is refused,
+    takes the document route: ``read_object`` and the entry walk of
+    ``_joint_from_json``, which give the same table and raise every error.
+    """
     choice(fmt, ("json", "tsv"), "distribution format", ParseError)
     # The collector would walk the parsed rows again and again while they
     # are built; they hold no cycles and are freed when the call returns.
@@ -407,24 +419,52 @@ def load_joint(path, fmt: str = "json") -> JointDistribution:
     gc.disable()
     try:
         if fmt == "json":
-            fields = ("n_sources", "source_alphabets", "target_alphabet", "pmf")
-            return _joint_from_json(read_object(path, "distribution file", fields))
+            dist = _joint_from_columns(path)
+            return dist or _joint_from_json(read_object(path, "distribution file", _FIELDS))
         return _joint_from_tsv(read_text(path, "distribution file"))
     finally:
         if enabled:
             gc.enable()
 
 
-def _joint_from_json(doc: dict) -> JointDistribution:
+_FIELDS = ("n_sources", "source_alphabets", "target_alphabet", "pmf")  # a JSON distribution file's
+
+
+def _joint_from_columns(path) -> JointDistribution | None:
+    """The distribution of a file that :func:`pidlattice.fileio.pmf_columns` takes, or None.
+
+    None for any other file, and for a file whose header or table is
+    refused: the document route reads it again and raises the error.
+    """
+    columns = pmf_columns(path, _FIELDS)
+    if columns is None:
+        return None
+    doc, states, masses = columns
+    try:
+        n, alphabets = _header(doc)
+        if states.shape[1] == n + 1:
+            return JointDistribution(alphabets, doc["target_alphabet"], _PmfView(states, masses))
+    except PidError:
+        pass
+    return None
+
+
+def _header(doc: dict) -> tuple[int, list]:
+    """A distribution file's source count and alphabets, checked before its entries."""
     n = doc["n_sources"]
     if type(n) is not int:  # exact type test: rejects bool
         raise ParseError(f"n_sources must be an int, got {shown(n)}")
     alphabets = doc["source_alphabets"]
     if not isinstance(alphabets, list) or len(alphabets) != n:
         raise ParseError("source_alphabets must list one size per source")
-    entries = doc["pmf"]
-    if not isinstance(entries, list):
+    if not isinstance(doc["pmf"], list):
         raise ParseError("pmf must be a list of entries")
+    return n, alphabets
+
+
+def _joint_from_json(doc: dict) -> JointDistribution:
+    n, alphabets = _header(doc)
+    entries = doc["pmf"]
     try:
         states = [entry["state"] for entry in entries]
         masses = [entry["p"] for entry in entries]

@@ -19,6 +19,16 @@ float64 column, and :func:`json_rows` writes a table of int symbols and
 float masses as the rows of a JSON list, byte for byte as ``json.dumps``
 writes them, at every table size.  ``JointDistribution.digest`` hashes
 those rows.
+
+One reader goes the other way: :func:`pmf_columns` reads a distribution
+file's ``pmf`` rows into an int64 state matrix and a float64 mass vector
+without a Python object per row, for a file in one of the two layouts the
+package's writers give it: :func:`render`'s, which ``save_joint`` writes,
+and ``json.dumps(doc) + "\\n"``'s.  It takes a file only when it can pin
+every byte of the rows to that layout, and converts only the masses with
+``json``'s own scanner.  Every other file, and every file whose table the
+loader refuses, is read again by :func:`read_object`, which stays the
+reference and the one source of error messages.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -308,3 +318,156 @@ def _rows(states: np.ndarray, masses: np.ndarray) -> bytes:
         out[:, fraction_end:exponent_end] = _word_tables()[1].take(exponent, axis=0)
     text = out.view(np.uint8).ravel()
     return np.compress(text != 0, text).tobytes()
+
+
+# ------------------------------------------------------------ pmf columns
+
+NUMBER_BYTES = b"+-.0123456789Ee"  # the bytes JSON writes its numbers with
+_NUMBER_CLASS = bytes(byte in NUMBER_BYTES for byte in range(256))  # 1 at a number byte, else 0
+# pmf_columns reads about this many bytes of rows at a time, cut at a row separator.
+_CHUNK_BYTES = 1 << 19
+
+
+class _Layout(NamedTuple):
+    """Where one writer puts the bytes of a file's ``pmf`` rows.
+
+    A row's runs of NUMBER_BYTES are its key run (the ``e`` of
+    ``"state"``), its symbols and its mass; the other fields are the bytes
+    around them.
+    """
+
+    opening: bytes  # from the "pmf" key to the first row's key run
+    key_run: bytes
+    key: bytes  # from the key run to the first symbol
+    symbol: bytes  # from one symbol to the next
+    mass: bytes  # from the last symbol to the mass
+    row: bytes  # from a mass to the next row's key run
+    closing: bytes  # from the last mass to the end of the file
+
+
+@functools.cache
+def _layouts() -> tuple[_Layout, ...]:
+    """The layouts of :func:`render` and of ``json.dumps(doc) + "\\n"``.
+
+    They are read off each writer's text of a probe of two rows, as the
+    bytes between rows show only there.
+    """
+    probe = {"pmf": [{"state": [1, 1], "p": 1}] * 2}
+    layouts = []
+    for text in (render(probe).encode(), (json.dumps(probe) + "\n").encode()):
+        starts, ends = _runs(text)
+        opening = text[: starts[0]]
+        layouts.append(_Layout(
+            opening[opening.index(b'"pmf"') :], text[starts[0] : ends[0]],
+            *(text[end:start] for end, start in zip(ends[:4], starts[1:])), text[ends[-1] :],
+        ))
+    return tuple(layouts)
+
+
+def _runs(text: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of NUMBER_BYTES in ``text`` starts and ends.
+
+    A 0 byte put before and after ``text`` lets a run start or end it.
+    """
+    marks = np.frombuffer(b"\0" + text.translate(_NUMBER_CLASS) + b"\0", np.bool_)
+    edges = np.flatnonzero(marks[1:] != marks[:-1])
+    return edges[0::2], edges[1::2]
+
+
+def pmf_columns(path, fields: Iterable[str]) -> tuple[dict, np.ndarray, np.ndarray] | None:
+    """A distribution file's object and its ``pmf`` rows as columns, or None.
+
+    Returns the file's object with ``[]`` for its ``pmf``, which must hold
+    every one of ``fields``, the int64 state matrix and the float64 masses,
+    for a regular file whose ``pmf`` is the last field, written in one of
+    the writers' layouts (:func:`_layouts`) up to the file's last byte.  The
+    rest of the object is parsed by ``json.loads``.  Every row must be
+    pinned byte for byte: its bytes other than NUMBER_BYTES are those of the
+    layout and each run of NUMBER_BYTES sits at its layout place, the key
+    run is the layout's, each symbol is a JSON int of at most 18 digits, and
+    the masses, joined, are a JSON list of numbers within float range.
+    Anything else gives None, as does a file that is not regular or cannot
+    be read, and :func:`read_object` then reads the file.
+    """
+    try:
+        if not os.path.isfile(_checked_path(path)):  # a pipe or FIFO: only read_object may open it
+            return None
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except (OSError, ValidationError):  # read_object raises them
+        return None
+    for layout in _layouts():
+        at = data.find(layout.opening)
+        if at >= 0 and data.endswith(layout.closing):
+            break
+    else:
+        return None
+    first, last = at + len(layout.opening), len(data) - len(layout.closing)
+    bracket, tail = at + layout.opening.index(b"["), layout.closing[layout.closing.rindex(b"]") + 1 :]
+    try:
+        header = json.loads((data[:bracket] + b"[]" + tail).decode("utf-8"))
+    except (ValueError, RecursionError):  # as in read_object; UnicodeDecodeError is a ValueError
+        return None
+    if not isinstance(header, dict) or any(key not in header for key in fields):
+        return None
+    state_end = data.find(layout.mass, first, last)
+    if state_end < 0:
+        return None
+    arity = data.count(layout.symbol, first, state_end) + 1  # the first row's; every row is held to it
+    pieces, start = [], first
+    while True:
+        end = data.find(layout.row, min(start + _CHUNK_BYTES, last), last)
+        end = last if end < 0 else end
+        piece = _pmf_rows(data[start:end], layout, arity)
+        if piece is None:
+            return None
+        pieces.append(piece)
+        if end == last:
+            break
+        start = end + len(layout.row)
+    states, masses = map(np.concatenate, zip(*pieces))
+    return header, states, masses
+
+
+def _pmf_rows(text: bytes, layout: _Layout, arity: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The states and masses of rows joined by ``layout.row``, or None if a byte is out of place."""
+    between = layout.key + layout.symbol * (arity - 1) + layout.mass + layout.row
+    skeleton = text.translate(None, NUMBER_BYTES) + layout.row
+    rows, extra = divmod(len(skeleton), len(between))
+    if extra or not rows or skeleton != between * rows:
+        return None
+    starts, ends = _runs(text)
+    width = arity + 2  # runs per row: the key run, the symbols and the mass
+    if len(starts) != rows * width:
+        return None
+    gaps = np.append(starts[1:], len(text) + len(layout.row)) - ends
+    lengths = [len(layout.key), *[len(layout.symbol)] * (arity - 1), len(layout.mass), len(layout.row)]
+    if (gaps.reshape(rows, width) != lengths).any():
+        return None
+    starts, ends = starts.reshape(rows, width), ends.reshape(rows, width)
+    buf = np.frombuffer(text, np.uint8)
+    key_run = np.frombuffer(layout.key_run, np.uint8)
+    keys = buf.take(starts[:, :1] + np.arange(len(key_run)), mode="clip")
+    if (ends[:, 0] - starts[:, 0] != len(key_run)).any() or (keys != key_run).any():
+        return None
+    first, digits = starts[:, 1:-1], ends[:, 1:-1] - starts[:, 1:-1]
+    if digits.max() > 18 or ((buf[first] == ord("0")) & (digits > 1)).any():
+        return None
+    states = np.zeros((rows, arity), np.int64)
+    for place in range(digits.max()):
+        inside = place < digits
+        digit = buf.take(first + place, mode="clip") - np.uint8(ord("0"))  # above 9 if no digit
+        if (inside & (digit > 9)).any():
+            return None
+        states = np.where(inside, states * 10 + digit, states)
+    # Each mass run and the byte after it, made a comma; the text gets the
+    # row separator's first byte as a sentinel after its last run.
+    marks = np.zeros(len(text) + 2, np.bool_)
+    marks[starts[:, -1]] = marks[ends[:, -1] + 1] = True
+    kept = np.logical_xor.accumulate(marks[:-1])
+    joined = np.frombuffer(text + layout.row[:1], np.uint8)[kept].tobytes().replace(layout.row[:1], b",")
+    try:
+        masses = json.loads(b"[" + joined[:-1] + b"]")
+        return states, np.fromiter(masses, np.float64, rows)
+    except (ValueError, OverflowError):  # not JSON numbers; an int beyond float range
+        return None
