@@ -30,12 +30,13 @@ per outcome; alphabet sizes are inferred as (max symbol + 1).
 Both loaders have one reference route: a file's parallel lists of states
 and masses reach the columns through ``JointDistribution._from_rows``, with
 no dict of outcomes.  A JSON file in the layout of one of the two writers
-(``save_joint``'s, or ``json.dumps(doc) + "\\n"``'s) is read straight into
-typed columns by :func:`pidlattice.fileio.pmf_columns` instead; any other
-file, or a table that route refuses, is read again by the reference route,
-which raises every error.  :func:`load_joint` pauses the cyclic garbage
-collector while it reads either format and builds the columns, and then
-restores the collector's prior state: the parsed rows hold no cycles.  A
+(``save_joint``'s, or ``json.dumps(doc) + "\\n"``'s), with every mass in a
+shape ``float.__repr__`` writes, is read straight into typed columns by
+:func:`pidlattice.fileio.pmf_columns` instead; any other file, or a table
+that route refuses, is read again by the reference route, which raises
+every error.  :func:`load_joint` pauses the cyclic garbage collector while
+it reads either format and builds the columns, and then restores the
+collector's prior state: the parsed rows hold no cycles.  A
 malformed entry or row is a ``ParseError``, and comes before any
 ``ValidationError`` of the table it would make.
 
@@ -407,10 +408,14 @@ def load_joint(path, fmt: str = "json") -> JointDistribution:
 
     A JSON file in the layout ``save_joint`` writes (``fileio.render``), or
     in ``json.dumps(doc) + "\\n"``'s, has its rows read straight into
-    columns by :func:`pidlattice.fileio.pmf_columns`.  Any other layout,
-    and any file that reader does not take or whose table is refused,
-    takes the document route: ``read_object`` and the entry walk of
-    ``_joint_from_json``, which give the same table and raise every error.
+    columns by :func:`pidlattice.fileio.pmf_columns`, each mass converted
+    by the numpy kernel :func:`pidlattice.fileio.decimals` when it has a
+    shape ``float.__repr__`` writes (or is a JSON int) with at most 19
+    significant digits and a normal or zero value.  Any other layout or
+    mass, and any file that reader does not take or whose table is
+    refused, takes the document route: ``read_object`` and the entry walk
+    of ``_joint_from_json``, which give the same table and raise every
+    error.
     """
     choice(fmt, ("json", "tsv"), "distribution format", ParseError)
     # The collector would walk the parsed rows again and again while they

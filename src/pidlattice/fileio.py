@@ -15,20 +15,21 @@ every number through :func:`number`.
 
 Two numpy kernels write JSON text without a Python object per value:
 :func:`shortest_digits` finds the shortest round-trip decimal digits of a
-float64 column, and :func:`json_rows` writes a table of int symbols and
-float masses as the rows of a JSON list, byte for byte as ``json.dumps``
-writes them, at every table size.  ``JointDistribution.digest`` hashes
-those rows.
+float64 column (Schubfach), and :func:`json_rows` writes a table of int
+symbols and float masses as the rows of a JSON list, byte for byte as
+``json.dumps`` writes them, at every table size.
+``JointDistribution.digest`` hashes those rows.
 
 One reader goes the other way: :func:`pmf_columns` reads a distribution
 file's ``pmf`` rows into an int64 state matrix and a float64 mass vector
 without a Python object per row, for a file in one of the two layouts the
 package's writers give it: :func:`render`'s, which ``save_joint`` writes,
 and ``json.dumps(doc) + "\\n"``'s.  It takes a file only when it can pin
-every byte of the rows to that layout, and converts only the masses with
-``json``'s own scanner.  Every other file, and every file whose table the
-loader refuses, is read again by :func:`read_object`, which stays the
-reference and the one source of error messages.
+every byte of the rows to that layout and every mass to a shape that
+``float.__repr__`` writes, which :func:`decimals` converts (Eisel–Lemire,
+the reading twin of Schubfach).  Every other file, and every file whose
+table the loader refuses, is read again by :func:`read_object`, which
+stays the reference and the one source of error messages.
 """
 
 from __future__ import annotations
@@ -205,11 +206,15 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     # s lies in [2**52, 10 * 2**53), so the candidates have 16 or 17 digits.
     count = 16 + (digits >= _POW10[16])
     point = k + count
-    for step in (16, 8, 4, 2, 1):  # strip up to 31 trailing zeros in five steps
-        quotient = digits // _POW10[step]
-        bare = quotient * _POW10[step] == digits
-        digits = np.where(bare, quotient, digits)
-        count -= bare * step
+    tens = np.flatnonzero(digits % 10 == 0)
+    if tens.size:  # strip up to 31 trailing zeros in five steps, where there is one
+        stripped, cut = digits[tens], count[tens]
+        for step in (16, 8, 4, 2, 1):
+            quotient = stripped // _POW10[step]
+            bare = quotient * _POW10[step] == stripped
+            stripped = np.where(bare, quotient, stripped)
+            cut -= bare * step
+        digits[tens], count[tens] = stripped, cut
     return digits, count, point
 
 
@@ -247,6 +252,9 @@ def _put_digits(out: np.ndarray, values: np.ndarray, shown: np.ndarray) -> None:
     ``out``'s last axis holds the words, the others match ``values``.
     Each word is one lookup in the digit table; the rest of ``out`` is 0 bytes.
     """
+    if out.shape[-1] == 1:  # values below 10**4: one lookup each
+        out[..., 0] = _word_tables()[0].take(values + 10_000 * shown)
+        return
     places = np.arange(4 * out.shape[-1] - 4, -1, -4)  # digits right of each word
     groups = values[..., None] // _POW10[np.minimum(places, 18)] % 10_000  # the values are below 10**18
     out[...] = _word_tables()[0].take(groups + 10_000 * np.clip(shown[..., None] - places, 0, 4))
@@ -316,8 +324,7 @@ def _rows(states: np.ndarray, masses: np.ndarray) -> bytes:
     _put_digits(out[:, point + 1 : fraction_end], fraction, after)
     if exponent_end > fraction_end:
         out[:, fraction_end:exponent_end] = _word_tables()[1].take(exponent, axis=0)
-    text = out.view(np.uint8).ravel()
-    return np.compress(text != 0, text).tobytes()
+    return out.tobytes().translate(None, b"\0")
 
 
 # ------------------------------------------------------------ pmf columns
@@ -385,9 +392,9 @@ def pmf_columns(path, fields: Iterable[str]) -> tuple[dict, np.ndarray, np.ndarr
     pinned byte for byte: its bytes other than NUMBER_BYTES are those of the
     layout and each run of NUMBER_BYTES sits at its layout place, the key
     run is the layout's, each symbol is a JSON int of at most 18 digits, and
-    the masses, joined, are a JSON list of numbers within float range.
-    Anything else gives None, as does a file that is not regular or cannot
-    be read, and :func:`read_object` then reads the file.
+    :func:`decimals` takes each mass.  Anything else gives None, as does a
+    file that is not regular or cannot be read, and :func:`read_object`
+    then reads the file.
     """
     try:
         if not os.path.isfile(_checked_path(path)):  # a pipe or FIFO: only read_object may open it
@@ -460,14 +467,210 @@ def _pmf_rows(text: bytes, layout: _Layout, arity: int) -> tuple[np.ndarray, np.
         if (inside & (digit > 9)).any():
             return None
         states = np.where(inside, states * 10 + digit, states)
-    # Each mass run and the byte after it, made a comma; the text gets the
-    # row separator's first byte as a sentinel after its last run.
-    marks = np.zeros(len(text) + 2, np.bool_)
-    marks[starts[:, -1]] = marks[ends[:, -1] + 1] = True
-    kept = np.logical_xor.accumulate(marks[:-1])
-    joined = np.frombuffer(text + layout.row[:1], np.uint8)[kept].tobytes().replace(layout.row[:1], b",")
-    try:
-        masses = json.loads(b"[" + joined[:-1] + b"]")
-        return states, np.fromiter(masses, np.float64, rows)
-    except (ValueError, OverflowError):  # not JSON numbers; an int beyond float range
-        return None
+    masses, taken = decimals(text, starts[:, -1], ends[:, -1])
+    return (states, masses) if taken.all() else None
+
+
+# ---------------------------------------------------------- decimal masses
+
+_SLOT = 24  # the bytes of a mass's digits, read as three 8-byte words
+_Q_MIN, _Q_MAX = -342, 308  # beyond 10**q for these q, 19 digits make a 0 or an infinite double
+_POW10_U64 = np.array([10**k for k in range(20)], np.uint64)
+# _PREFIX[i, j]: the bytes of word i that are among the slot's first j bytes, as a mask
+_PREFIX = np.array([[(1 << 8 * min(max(j - 8 * i, 0), 8)) - 1 for j in range(_SLOT + 1)] for i in range(3)],
+                   np.uint64)
+# Word i holding a 1 in byte k and 0 in the others, times _PLACES[i], has 8 * i + k + 1 in its top byte.
+_PLACES = [np.uint64(sum(8 * i + k + 1 << 8 * (7 - k) for k in range(8))) for i in range(3)]
+
+
+def _bytes(byte: int) -> np.uint64:
+    """A word of eight ``byte`` bytes."""
+    return np.uint64(byte * 0x0101_0101_0101_0101)
+
+
+_ZEROS = _bytes(ord("0"))
+
+
+@functools.cache
+def _powers_of_five() -> tuple[np.ndarray, np.ndarray]:
+    """5**q for q = _Q_MIN.._Q_MAX as 128-bit multipliers, built from Python ints on first use.
+
+    Row ``q - _Q_MIN`` holds 5**q times the power of two that brings it
+    into [2**127, 2**128), cut to 128 bits, as its high and low 64 bits.
+    For q < 0 that is 2**b // 5**-q + 1, and for q < -27 it is taken from
+    twice the bits and then cut, as in fast_float's table.
+    """
+    rows = []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        if q >= 0:
+            c = 5**q << 128 >> (5**q).bit_length()
+        else:
+            z = (5**-q).bit_length()
+            c = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // 5**-q + 1
+            c >>= max(c.bit_length() - 128, 0)
+        rows.append(c)
+    high = np.array([c >> 64 for c in rows], np.uint64)
+    low = np.array([c & ((1 << 64) - 1) for c in rows], np.uint64)
+    return high, low
+
+
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """The value of each word of eight ASCII digits, the first at its lowest byte (SWAR)."""
+    x = words - _ZEROS
+    x = x * np.uint64(10) + (x >> np.uint64(8))  # each two-digit number in the low byte of its pair
+    pairs = np.uint64(0x0000_00FF_0000_00FF)
+    first, second = np.uint64(100 + (1_000_000 << 32)), np.uint64(1 + (10_000 << 32))
+    return ((x & pairs) * first + (x >> np.uint64(16) & pairs) * second) >> np.uint64(32)
+
+
+def _all_digits(words: np.ndarray) -> np.ndarray:
+    """Whether every byte of each word is an ASCII digit."""
+    high = _bytes(0xF0)
+    return (words & high | (words + _bytes(0x06) & high) >> np.uint64(4)) == _bytes(0x33)
+
+
+def _equal_bytes(words: np.ndarray, byte: int) -> np.ndarray:
+    """1 in each byte of ``words`` that equals ``byte``, 0 in the others."""
+    x = words ^ _bytes(byte)
+    low7 = _bytes(0x7F)
+    return ~((x & low7) + low7 | x) >> np.uint64(7) & _bytes(1)
+
+
+def decimals(text: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The doubles that the runs ``text[starts:ends]`` write, and which of them are taken.
+
+    A run is taken when it has one of the shapes ``float.__repr__`` writes
+    for a finite non-negative double, or is a JSON int, with at most 19
+    significant digits and a normal or zero value: ``0``, ``123``, ``0.0``,
+    ``1.0``, ``12.5``, ``0.000123`` (below 1, at most three zeros after the
+    point), ``1e-05``, ``1.5e-05``, ``2.5e+16`` (an exponent of two or
+    three digits, below -4 or above 15).  A point has digits on both sides
+    and no trailing 0 after it but in ``d.0``.  A taken run's value is
+    ``float(run)`` to the bit; the value of a run not taken is undefined.
+
+    The mantissa's bytes are read as three 8-byte words that end where it
+    ends, the point taken out and the digits summed by SWAR arithmetic.
+    The double comes from the integer w of at most 19 digits and the power
+    of ten q by Eisel–Lemire (D. Lemire, "Number Parsing at a Gigabyte per
+    Second", SPE 2021).
+    """
+    padded = bytes(_SLOT) + text  # a slot may begin before the first run
+    words = np.ndarray((len(padded) - 7,), np.uint64, padded, strides=(1,))  # the 8 bytes from each offset
+    starts, ends = starts + _SLOT, ends + _SLOT
+    suffix, exponent, scientific = _exponents(words[ends - 8], ends - starts)
+    mantissa = ends - starts - suffix  # its bytes
+    w, has_point, after, last, digits = _mantissas(words, starts + mantissa, mantissa)
+    # The shape.
+    lead = np.frombuffer(padded, np.uint8).take(starts) != ord("0")
+    whole = mantissa - after - has_point  # digits before the point
+    exact = has_point & (whole >= 1) & (after >= 1)
+    fixed = exact & (whole <= 16) & (lead | (whole == 1)) & ((after == 1) | (last != ord("0")))
+    fixed &= lead | (w == 0) | (w >= _POW10_U64.take(np.clip(after - 4, 0, 19)))  # 0.0001 and up
+    integer = ~has_point & (lead | (mantissa == 1))
+    scientific &= lead & np.where(has_point, exact & (whole == 1) & (last != ord("0")), mantissa == 1)
+    taken = digits & np.where(suffix > 0, scientific, fixed | integer)
+    values, normal = _eisel_lemire(w, exponent - after)
+    return values, taken & ((w == 0) | normal)
+
+
+def _exponents(tail: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exponent closing each run, from the word of the run's last 8 bytes.
+
+    An exponent is "e", a sign and two or three digits.  Returns its bytes
+    (0 where there is none), its value (0 where there is none), and whether
+    it is one ``float.__repr__`` writes: below -4 or above 15, a third
+    digit not 0.
+    """
+    # back[k]: the byte k + 1 places from the run's end
+    back = [tail >> np.uint64(64 - 8 * k) & np.uint64(0xFF) for k in range(1, 6)]
+    two = (length >= 5) & (back[3] == ord("e"))
+    three = ~two & (length >= 6) & (back[4] == ord("e"))
+    sign = np.where(two, back[2], back[3])
+    ones, tens, hundreds = (byte - np.uint64(ord("0")) for byte in back[:3])  # above 9 if not a digit
+    hundreds = np.where(three, hundreds, np.uint64(0))
+    magnitude = (hundreds * np.uint64(100) + tens * np.uint64(10) + ones).astype(np.int64)
+    written = (ones <= 9) & (tens <= 9) & (~three | (hundreds - np.uint64(1) <= 8))
+    written &= (sign == ord("-")) & (magnitude > 4) | (sign == ord("+")) & (magnitude > 15)
+    exponent = np.where(two | three, np.where(sign == ord("-"), -magnitude, magnitude), 0)
+    return np.where(two, 4, np.where(three, 5, 0)), exponent, written
+
+
+def _mantissas(words: np.ndarray, ends: np.ndarray, size: np.ndarray) -> tuple:
+    """The mantissas of ``size`` bytes that end at offsets ``ends`` of ``words``.
+
+    Each mantissa is right-aligned in a slot of three words, the bytes
+    before it made "0" and its point taken out: the bytes up to the point
+    move one place on.  Returns its digits as an integer w, whether it has
+    a point, the digits after the point (0 without one), its last byte,
+    and whether it fits the slot, holds only digits besides one point and
+    has at most 19 significant digits.
+    """
+    at, fit = ends - _SLOT, _SLOT - np.minimum(size, _SLOT)
+    x = []
+    for i in range(3):
+        before = _PREFIX[i].take(fit)
+        x.append(words[at + 8 * i] & ~before | _ZEROS & before)
+    last = x[2] >> np.uint64(56)
+    # A second point is left in place, and fails the digit test.
+    point = [_equal_bytes(word, ord(".")) for word in x]
+    # the point's place in the slot + 1, or 0
+    through = sum(p * place >> np.uint64(56) for p, place in zip(point, _PLACES)).astype(np.int64)
+    carry = np.uint64(ord("0"))
+    for i in range(3):
+        upto = _PREFIX[i].take(through, mode="clip")
+        x[i], carry = x[i] & ~upto | (x[i] << np.uint64(8) | carry) & upto, x[i] >> np.uint64(56)
+    has_point = through != 0
+    after = np.where(has_point, _SLOT - through, 0)
+    groups = [_eight_digits(word) for word in x]
+    w = groups[0] * _POW10_U64[16] + groups[1] * _POW10_U64[8] + groups[2]
+    digits = (size <= _SLOT) & (groups[0] < 1000) & _all_digits(x[0]) & _all_digits(x[1]) & _all_digits(x[2])
+    return w, has_point, after, last, digits
+
+
+def _times_power_of_five(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64 bits of w times 5**q, from the table.
+
+    As fast_float's ``compute_product_approximation``: the product with the
+    table's low word is added only where the high 64 bits cannot settle the
+    rounding, that is where their 9 bits below the double's 55 are all ones.
+    """
+    high_table, low_table = _powers_of_five()
+    row = np.clip(q, _Q_MIN, _Q_MAX) - _Q_MIN
+    hi, lo = high_table.take(row), low_table.take(row)
+    halves = _halves(w)
+    high, low = _high_product(halves, _halves(hi)), w * hi
+    extra = (high & np.uint64(0x1FF)) == np.uint64(0x1FF)
+    second = _high_product(halves, _halves(lo))
+    summed = low + second
+    return high + (extra & (summed < second)), np.where(extra, summed, low)
+
+
+def _eisel_lemire(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The doubles nearest w * 10**q for uint64 w below 10**19, and which are normal.
+
+    As fast_float's ``compute_float``, with subnormal and infinite results
+    flagged instead of formed: w, shifted to 64 bits, times 5**q to 128
+    bits, an exact half rounded to even.  Below 10**19 that product needs
+    no slow path (N. Mushtak and D. Lemire, "Fast Number Parsing Without
+    Fallback", SPE 2023).
+    """
+    zero = w == 0
+    w = np.where(zero, np.uint64(1), w)
+    bits = np.frexp(w.astype(np.float64))[1]  # w's bit length, or one more where the cast rounds up
+    bits -= (w >> (bits - 1).astype(np.uint64)) == 0
+    lz = 64 - bits
+    high, low = _times_power_of_five(w << lz.astype(np.uint64), q)
+    upper = high >> np.uint64(63)
+    shift = upper + np.uint64(9)
+    mantissa = high >> shift
+    power2 = ((217_706 * q) >> 16) + 63 + upper.astype(np.int64) - lz + 1023
+    # An exact half between two doubles rounds to even.
+    half = (low <= np.uint64(1)) & (q >= -4) & (q <= 23) & (mantissa & np.uint64(3) == np.uint64(1))
+    mantissa -= half & ((mantissa << shift) == high)
+    mantissa = mantissa + (mantissa & np.uint64(1)) >> np.uint64(1)
+    carry = (mantissa >> np.uint64(53)).astype(np.int64)  # rounded up to 2**53: the next binade
+    normal = (q >= _Q_MIN) & (q <= _Q_MAX) & (power2 >= 1) & (power2 + carry <= 2046)
+    power2 = np.where(normal, power2 + carry, 0).astype(np.uint64)
+    mantissa &= np.uint64((1 << 52) - 1)  # 2**53 and the implicit bit alike
+    doubles = np.where(zero, np.uint64(0), power2 << np.uint64(52) | mantissa)
+    return doubles.view(np.float64), normal

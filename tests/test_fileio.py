@@ -192,6 +192,14 @@ def test_rows_match_json_dumps_at_every_table_size():
         assert b"".join(fileio.json_rows(states, masses)) == expected.encode(), rows
 
 
+def test_one_word_fields_match_json_dumps():
+    # every symbol, whole part and fraction fits one word; "1e-05" has no digit after its point
+    states = np.array([[0, 9999], [12, 3], [7, 45]])
+    for masses in ([1e-05, 0.5, 0.25], [2e-300, 1.5, 0.0625], [0.125, 3e+20, 1e-05]):
+        expected = json.dumps(list(zip(states.tolist(), masses)))[1:-1]
+        assert b"".join(fileio.json_rows(states, np.array(masses))) == expected.encode()
+
+
 def _repr_digits(value: float) -> tuple[int, int, int]:
     """(digits, count, point) of ``repr(value)``: value = 0.<digits> * 10**point."""
     _, digits, exponent = decimal.Decimal(repr(float(value))).normalize().as_tuple()

@@ -234,6 +234,58 @@ def test_a_duplicate_state_is_the_entry_walks_parse_error(tmp_path, writer):
     assert type(caught.value) is ParseError and str(caught.value) == "duplicate state [0, 0]"
 
 
+# ----------------------------------------------------------- mass shapes
+
+TAKEN_MASSES = {"1": [1, 0.0], "1.0": [1.0, 0.0], "0.0001": [0.0001, 0.9999], "1e-05": [1e-05, 0.99999]}
+REFUSED_MASSES = {  # text: (the masses written, the first mass as written, which text replaces)
+    "0.50": ([0.5, 0.5], "0.5"),
+    "5E-1": ([0.5, 0.5], "0.5"),
+    "5e-01": ([0.5, 0.5], "0.5"),
+    "1e+0": ([1.0, 0.0], "1.0"),
+    "-0.0": ([1.0, 0.0], "0.0"),
+    "05": ([0.5, 0.5], "0.5"),
+}
+
+
+def two_rows(masses: list) -> dict:
+    entries = [{"state": [0, symbol], "p": p} for symbol, p in enumerate(masses)]
+    return {"n_sources": 1, "source_alphabets": [1], "target_alphabet": 2, "pmf": entries}
+
+
+def assert_route(tmp_path, monkeypatch, data: bytes, columns: bool):
+    """The same outcome as the document route's, with the document route entered only if not ``columns``."""
+    path = tmp_path / "d.json"
+    path.write_bytes(data)
+    entered = []
+
+    def spy(*args):
+        entered.append(args[0])
+        return fileio.read_object(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(distributions, "read_object", spy)
+        loaded = outcome(lambda: load_joint(path))
+    assert loaded == outcome(lambda: reference_json_file(path))
+    assert entered == ([] if columns else [path])
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+@pytest.mark.parametrize("mass", TAKEN_MASSES)
+def test_a_mass_in_a_repr_shape_is_read_as_a_column(tmp_path, monkeypatch, writer, mass):
+    text = WRITERS[writer](two_rows(TAKEN_MASSES[mass]))
+    assert f": {mass}," in text or f": {mass}\n" in text or f": {mass}}}" in text
+    assert_route(tmp_path, monkeypatch, text.encode(), columns=True)
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+@pytest.mark.parametrize("mass", REFUSED_MASSES)
+def test_a_mass_in_another_shape_takes_the_document_route(tmp_path, monkeypatch, writer, mass):
+    masses, written_as = REFUSED_MASSES[mass]
+    text = WRITERS[writer](two_rows(masses))
+    assert written_as in text
+    assert_route(tmp_path, monkeypatch, text.replace(written_as, mass, 1).encode(), columns=False)
+
+
 # ------------------------------------------------------------ round trips
 
 SHAPES = {
@@ -302,10 +354,19 @@ def test_the_writers_files_are_read_as_columns(tmp_path, monkeypatch):
     save_joint(dist, tmp_path / "saved.json")
     monkeypatch.setattr(distributions, "read_object", refuse)
     monkeypatch.setattr(distributions, "_columns", refuse)
+    parsed, loads = [], json.loads
+
+    def spy(text, *args, **kwargs):
+        parsed.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", spy)
     for name in ("bench.json", "saved.json"):
         loaded = load_joint(tmp_path / name)
         assert loaded.digest() == dist.digest()
         assert list(loaded.pmf.items()) == list(dist.pmf.items())
+        # json parses the header alone; the kernel reads the masses
+        assert len(parsed) == 1 and loads(parsed.pop())["pmf"] == []
 
 
 README_EXAMPLE = """{
