@@ -12,11 +12,14 @@ is built on the first lookup or iteration.  ``digest`` hashes the JSON
 text of the sorted columns, which the row writer of :mod:`pidlattice.fileio`
 writes without a Python object per outcome.  Entropies and mutual
 informations, in bits, come from each outcome's cell index and mass in
-that order.  Marginals are formed by sorting and grouping those arrays, so
-memory grows with the number of outcomes, not with the number of cells in
-the outcome table (up to ``MAX_CELLS``).  Probability masses at or below
-1e-15 are treated as exact zeros so that noisy inputs cannot contribute
-0*log(0) artifacts.
+that order.  In a table with every cell kept those arrays are the full
+grid in row-major order, and each marginal is summed axis by axis with no
+sort.  Any other table forms its marginals by sorting and grouping the
+arrays, so memory grows with the number of outcomes, not with the number
+of cells in the outcome table (up to ``MAX_CELLS``).  Both routes add the
+same masses in the same order, so they give the same bits.
+Probability masses at or below 1e-15 are treated as exact zeros so that
+noisy inputs cannot contribute 0*log(0) artifacts.
 
 File formats
 ------------
@@ -180,8 +183,8 @@ class JointDistribution:
         naming a bad one; columns given directly are named from themselves.
         """
         states, masses, nonneg, kept, total = columns
-        fine = ((states >= 0) & (states < np.array(sizes))).all(axis=1) & nonneg
-        if not fine.all():
+        # Whole-array tests; the rows are walked only to name a bad outcome.
+        if not ((states >= 0).all() and (states < np.array(sizes)).all() and nonneg.all()):
             raise _first_bad(sizes, *(rows or (states.tolist(), masses.tolist())))
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise ValidationError(f"masses sum to {total!r}, not 1")
@@ -240,32 +243,86 @@ class JointDistribution:
         """Entropy of every marginal, keyed by (source bits, with target).
 
         Built on the first request, after a loader's parsed document is gone,
-        from the :meth:`_coordinates` arrays.  A marginal over some sources
-        and the target is held the same way: its cells' row-major indices in
-        the full table, with the digits of the summed-out sources set to 0,
-        and their masses.  Each marginal sums one source out of a parent; a
-        depth-first walk reaches each of them once and holds only the arrays
-        of the marginals on its path, so memory grows with the support,
-        never with the cell count.  Dropping the target's digit, the last
-        one, gives the marginal over the sources alone.
+        from the :meth:`_coordinates` arrays.  A complete table, one whose
+        every cell is kept, takes :func:`_complete_entropies`, which sums
+        marginals by axis; any other takes :func:`_sorted_entropies`, whose
+        memory grows with the support, never with the cell count.  Both add
+        the same masses in the same order, so they give the same bits.
         """
         sizes = (*self.source_alphabets, self.target_alphabet)
-        strides = _strides(sizes)
-        entropies = {}
-        # Each entry: a marginal's source bits, the source it sums out of its
-        # parent (n for the full table, which has none) and the parent's arrays.
-        # Only sources below that one are summed out next, so every marginal
-        # has a single parent on the walk.
-        pending = [(source_mask(self.n), self.n, *self._coordinates())]
-        while pending:
-            bits, dropped, cells, probs = pending.pop()
-            if dropped < self.n:
-                digit = (cells // strides[dropped]) % sizes[dropped]
-                cells, probs = _group_sums(cells - digit * strides[dropped], probs)
-            entropies[(bits, True)] = _shannon(probs)
-            entropies[(bits, False)] = _shannon(_group_sums(cells // self.target_alphabet, probs)[1])
-            pending += [(bits & ~(1 << i), i, cells, probs) for i in range(dropped) if (bits >> i) & 1]
-        return entropies
+        route = _complete_entropies if len(self._cells) == math.prod(sizes) else _sorted_entropies
+        return route(self.n, sizes, *self._coordinates())
+
+
+def _sorted_entropies(n: int, sizes: tuple[int, ...], cells: np.ndarray, probs: np.ndarray) -> dict:
+    """Every marginal's entropy from the outcomes' ascending cell indices and their masses.
+
+    A marginal is held the same way: its cells' row-major indices in the
+    full table, with the digits of the summed-out sources set to 0 (the
+    target's is dropped), and their masses, grouped by a stable sort of
+    those indices.  Only the marginals
+    on the walk's path are held, so memory grows with the support, never
+    with the cell count.
+    """
+    strides = _strides(sizes)
+
+    def sum_out(marginal, axis):
+        cells, probs = marginal
+        if axis == n:  # the target's digit is the last: drop it
+            return _group_sums(cells // sizes[n], probs)
+        return _group_sums(cells - (cells // strides[axis]) % sizes[axis] * strides[axis], probs)
+
+    return _entropy_walk(n, (cells, probs), sum_out, operator.itemgetter(1))
+
+
+def _complete_entropies(n: int, sizes: tuple[int, ...], cells: np.ndarray, probs: np.ndarray) -> dict:
+    """:func:`_sorted_entropies` of a table whose cells are all present: ``cells`` is 0, 1, 2, ...
+
+    The masses are the table in row-major order, and each marginal is a
+    table too, summed by :func:`_axis_sums` with no sort.  A stable sort of
+    a marginal's cells leaves each group's masses in row-major order of the
+    summed axis, which is the order in which :func:`_axis_sums` adds them,
+    so both routes give the same bits.
+    """
+    return _entropy_walk(n, probs.reshape(sizes), _axis_sums, np.ravel)
+
+
+def _entropy_walk(n: int, table, sum_out, masses) -> dict[tuple[int, bool], float]:
+    """Entropy of every marginal of ``table``, keyed by (source bits, with target).
+
+    ``sum_out(marginal, axis)`` sums one axis out of a marginal (axis n is
+    the target's) and ``masses(marginal)`` gives its masses.  Each marginal
+    sums one source out of a parent; a depth-first walk reaches each of
+    them once and holds only the marginals on its path.  Summing the target
+    out gives the marginal over the sources alone.
+    """
+    entropies = {}
+    # Each entry: a marginal's source bits, the source it sums out of its
+    # parent (n for the full table, which has none) and the parent.
+    # Only sources below that one are summed out next, so every marginal
+    # has a single parent on the walk.
+    pending = [(source_mask(n), n, table)]
+    while pending:
+        bits, dropped, table = pending.pop()
+        if dropped < n:
+            table = sum_out(table, dropped)
+        entropies[(bits, True)] = _shannon(masses(table))
+        entropies[(bits, False)] = _shannon(masses(sum_out(table, n)))
+        pending += [(bits & ~(1 << i), i, table) for i in range(dropped) if (bits >> i) & 1]
+    return entropies
+
+
+def _axis_sums(table: np.ndarray, axis: int) -> np.ndarray:
+    """``table`` summed over ``axis``, which is kept at size 1.
+
+    The axis is moved last and made contiguous, so ``np.add.reduceat`` at
+    regular starts adds each sum's masses in order, as after a sort.
+    ``np.add.reduce`` over the axis would add them in another order and
+    change the last bits.
+    """
+    moved = np.ascontiguousarray(np.moveaxis(table, axis, -1))
+    sums = np.add.reduceat(moved.reshape(-1), np.arange(0, moved.size, moved.shape[-1]))
+    return np.expand_dims(sums.reshape(moved.shape[:-1]), axis)
 
 
 def _columns(sizes: tuple[int, ...], keys: list, values: list) -> _Columns:

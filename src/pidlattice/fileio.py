@@ -242,22 +242,25 @@ def _word(text: bytes) -> np.uint32:
 
 
 def _digit_count(values: np.ndarray) -> np.ndarray:
-    """The number of decimal digits of each int64 value, 1 for 0."""
-    return np.searchsorted(_POW10[1:], values, side="right") + 1
+    """The number of decimal digits of each int64 value (0 or more), 1 for 0, by one pass per digit."""
+    count = np.ones(values.shape, np.int64)
+    for k in range(1, len(str(int(values.max())))):
+        count += values >= 10**k
+    return count
 
 
 def _put_digits(out: np.ndarray, values: np.ndarray, shown: np.ndarray) -> None:
     """Write each value's last ``shown`` digits, zero-padded, right-aligned into the words of ``out``.
 
-    ``out``'s last axis holds the words, the others match ``values``.
-    Each word is one lookup in the digit table; the rest of ``out`` is 0 bytes.
+    ``out``'s last axis holds the words, the others match ``values``, whose
+    digits fit those words.  Each word is one lookup in the digit table, of
+    four digits cut by one division by a scalar power of ten (which numpy
+    makes a multiply and a shift).  The rest of ``out`` is 0 bytes.
     """
-    if out.shape[-1] == 1:  # values below 10**4: one lookup each
-        out[..., 0] = _word_tables()[0].take(values + 10_000 * shown)
-        return
-    places = np.arange(4 * out.shape[-1] - 4, -1, -4)  # digits right of each word
-    groups = values[..., None] // _POW10[np.minimum(places, 18)] % 10_000  # the values are below 10**18
-    out[...] = _word_tables()[0].take(groups + 10_000 * np.clip(shown[..., None] - places, 0, 4))
+    for i, place in enumerate(range(4 * out.shape[-1] - 4, -1, -4)):  # digits right of each word
+        group = values // 10**place if place else values
+        group = group % 10_000 if i else group  # the first word's are below 10**4
+        out[..., i] = _word_tables()[0].take(group + 10_000 * np.clip(shown - place, 0, 4))
 
 
 def _mass_parts(masses: np.ndarray) -> tuple:

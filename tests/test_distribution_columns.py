@@ -267,6 +267,37 @@ def test_refusals_keep_their_messages(name):
     assert str(caught.value) == message
 
 
+# (row, column, value) put in the last of 65,536 rows: a symbol, or the mass in column 4
+LAST_ROW_REFUSALS = {
+    "negative-symbol": (0, -1, "symbol -1 out of range in outcome (-1, 15, 15, 15)"),
+    "symbol-at-its-size": (3, 16, "symbol 16 out of range in outcome (15, 15, 15, 16)"),
+    "negative-mass": (4, -(2.0**-16), "negative or NaN mass -1.52587890625e-05 at outcome (15, 15, 15, 15)"),
+    "nan-mass": (4, math.nan, "negative or NaN mass nan at outcome (15, 15, 15, 15)"),
+}
+
+
+@pytest.mark.parametrize("name", LAST_ROW_REFUSALS)
+@pytest.mark.parametrize("given", ["mapping", "columns"])
+def test_a_bad_last_row_of_a_wide_table_is_named(name, given):
+    # the bulk checks run over the whole table; only the naming walks it row by row
+    column, value, message = LAST_ROW_REFUSALS[name]
+    source = random_joint(3, 6, (16, 16, 16), 16)
+    states, masses = source.pmf.states.copy(), np.full(len(source.pmf), 2.0**-16)
+    assert len(masses) == 65_536 and states[-1].tolist() == [15, 15, 15, 15]
+    if column < 4:
+        states[-1, column] = value
+    else:
+        masses[-1] = value
+    if given == "mapping":
+        pmf = dict(zip(map(tuple, states.tolist()), masses.tolist()))
+        assert outcome(lambda: reference_pmf((16, 16, 16, 16), pmf)) == ("ValidationError", message)
+    else:
+        pmf = distributions._PmfView(states, masses)
+    with pytest.raises(ValidationError) as caught:
+        JointDistribution((16, 16, 16), 16, pmf)
+    assert str(caught.value) == message
+
+
 def test_masses_are_summed_in_insertion_order():
     # 2000 masses whose pairwise sum (np.sum) and one-by-one sum differ in the last bits
     rng = np.random.default_rng(8)

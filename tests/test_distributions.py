@@ -1,5 +1,6 @@
 """Joint distributions: information quantities, file formats, validation."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -23,7 +24,8 @@ from pidlattice import (
     random_joint,
     save_joint,
 )
-from pidlattice.distributions import MASS_EPS
+from pidlattice import distributions
+from pidlattice.distributions import MASS_EPS, _complete_entropies, _sorted_entropies
 from pidlattice.oracle import oracle_conditional_mi, oracle_mi
 
 
@@ -144,6 +146,77 @@ def test_information_memory_grows_with_support_not_cells():
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
+
+
+# -------------------------------------------------------- marginal routes
+
+def _hex_entropies(route, dist: JointDistribution) -> dict:
+    sizes = (*dist.source_alphabets, dist.target_alphabet)
+    return {key: value.hex() for key, value in route(dist.n, sizes, *dist._coordinates()).items()}
+
+
+def _same_bits_by_both_routes(dist: JointDistribution) -> None:
+    cells, _ = dist._coordinates()
+    assert len(cells) == math.prod((*dist.source_alphabets, dist.target_alphabet))  # complete
+    by_axis = _hex_entropies(_complete_entropies, dist)
+    assert len(by_axis) == 2 << dist.n
+    assert by_axis == _hex_entropies(_sorted_entropies, dist)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_marginal_routes_agree_bit_for_bit_on_every_small_shape(n):
+    for shape in itertools.product((1, 2, 3), repeat=n + 1):
+        _same_bits_by_both_routes(random_joint(n, sum(shape), shape[:-1], shape[-1]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "two-or-three"])
+def test_marginal_routes_agree_bit_for_bit_on_seeded_tables(n, seed, binary):
+    alphabets = (2,) * n if binary else None  # None draws each size from {2, 3}
+    _same_bits_by_both_routes(random_joint(n, seed, alphabets, 2 if binary else None))
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 16, 16), (9, 2, 33, 5, 11)], ids=str)
+def test_marginal_routes_agree_bit_for_bit_on_wide_tables(shape):
+    _same_bits_by_both_routes(random_joint(len(shape) - 1, 7, shape[:-1], shape[-1]))
+
+
+def _routes_taken(monkeypatch, dist: JointDistribution) -> list[str]:
+    calls = []
+
+    def spy(name):
+        real = getattr(distributions, name)
+
+        def route(*args):
+            calls.append(name)
+            return real(*args)
+
+        return route
+
+    with monkeypatch.context() as patch:
+        for name in ("_complete_entropies", "_sorted_entropies"):
+            patch.setattr(distributions, name, spy(name))
+        mi_table(dist)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "first_mass",
+    [None, MASS_EPS, MASS_EPS / 2, 0.0],
+    ids=["one-cell-missing", "one-mass-at-eps", "one-mass-below-eps", "one-zero-mass"],
+)
+def test_only_a_table_with_every_cell_kept_sums_by_axis(monkeypatch, first_mass):
+    source = random_joint(3, 4, (3, 2, 4), 3)
+    assert _routes_taken(monkeypatch, source) == ["_complete_entropies"]
+    pmf = dict(source.pmf)
+    first, second = list(pmf)[:2]
+    pmf[second] += pmf.pop(first)
+    if first_mass is not None:  # kept in the mapping, dropped from the table
+        pmf[first], pmf[second] = first_mass, pmf[second] - first_mass
+    dist = JointDistribution((3, 2, 4), 3, pmf)
+    assert _routes_taken(monkeypatch, dist) == ["_sorted_entropies"]
+    assert all(abs(mutual_information(dist, a) - oracle_mi(pmf, 3, a)) < 1e-10 for a in range(8))
 
 
 @pytest.mark.parametrize("seed", range(10))

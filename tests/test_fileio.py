@@ -206,6 +206,43 @@ def _repr_digits(value: float) -> tuple[int, int, int]:
     return int("".join(map(str, digits))), len(digits), len(digits) + exponent
 
 
+def _json_rows_match_json_dumps(states: np.ndarray, masses: np.ndarray) -> None:
+    """Every prefix of the table, so that each row in turn sets its fields' widths."""
+    for rows in range(1, len(masses) + 1):
+        expected = json.dumps(list(zip(states[:rows].tolist(), masses[:rows].tolist())))[1:-1]
+        assert b"".join(fileio.json_rows(states[:rows], masses[:rows])) == expected.encode(), rows
+
+
+def test_symbols_at_every_power_of_ten_match_json_dumps():
+    # 0, 9, 10, 99, 100, ..., 10**18 - 1, 10**18 and the largest int64: 1 to 19 digits
+    edges = [0, *(x for k in range(1, 19) for x in (10**k - 1, 10**k)), 2**63 - 1]
+    states = np.array([edges, edges[::-1], [7] * len(edges)], np.int64).T
+    _json_rows_match_json_dumps(states, np.full(len(edges), 0.5**6))
+
+
+def _with_digits(count: int, point: int, rng) -> float:
+    """A double whose repr has ``count`` significant digits: 0.<digits> * 10**point."""
+    while True:
+        digits = int(rng.integers(10 ** (count - 1), 10**count)) // 10 * 10 + int(rng.integers(1, 10))
+        value = float(f"0.{digits}e{point}")
+        if _repr_digits(value)[1:] == (count, point):  # 16 and 17 digits need not read back
+            return value
+
+
+@pytest.mark.parametrize(
+    "point",
+    [-300, -4, -3, 0, *range(1, 17), 17, 300],
+    ids=lambda point: f"point={point}",
+)
+def test_every_digit_count_of_a_mass_matches_json_dumps(point):
+    # 1 to 17 significant digits, so 1 to 20 after the point in 0.000ddd; whole parts of 1 to
+    # 16 digits; exponent form from e-301 to e+299
+    rng = np.random.default_rng(point + 400)
+    masses = np.array([_with_digits(count, point, rng) for count in range(1, 18)])
+    assert all(("e" in repr(m)) == (not -4 < point <= 16) for m in masses.tolist())
+    _json_rows_match_json_dumps(np.arange(17).reshape(-1, 1), masses)
+
+
 def test_shortest_digits_are_the_digits_of_repr():
     edges = _mass_edges()
     got = np.column_stack(fileio.shortest_digits(edges)).tolist()
