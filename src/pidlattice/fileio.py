@@ -18,7 +18,9 @@ Two numpy kernels write JSON text without a Python object per value:
 float64 column (Schubfach), and :func:`json_rows` writes a table of int
 symbols and float masses as the rows of a JSON list, byte for byte as
 ``json.dumps`` writes them, at every table size.
-``JointDistribution.digest`` hashes those rows.
+``JointDistribution.digest`` hashes those rows.  One table serves both
+number kernels: Schubfach's powers of ten are read off the powers of five
+that Eisel–Lemire (below) multiplies by, built by the first use of either.
 
 One reader goes the other way: :func:`pmf_columns` reads a distribution
 file's ``pmf`` rows into an int64 state matrix and a float64 mass vector
@@ -107,6 +109,8 @@ _M32 = np.uint64(0xFFFFFFFF)
 _M63 = np.uint64((1 << 63) - 1)
 _K_MIN = -324  # the scales 10**k that Schubfach needs for the positive normal doubles
 _K_MAX = 292
+_Q_MIN, _Q_MAX = -342, 308  # beyond 10**q for these q, 19 digits make a 0 or an infinite double
+_FIXED = range(-4, 16)  # the exponents e of d.dd * 10**e that repr writes in fixed-point form
 _EXPONENTS = range(-308, 309)  # the exponents of their repr in exponent form
 # json_rows writes this many rows at a time, which bounds its temporaries at a few MB.
 _CHUNK_ROWS = 8192
@@ -118,23 +122,42 @@ def _flog2_pow10(e):
 
 
 @functools.cache
+def _powers_of_five() -> tuple[np.ndarray, np.ndarray]:
+    """5**q for q = _Q_MIN..-_K_MIN as 128-bit multipliers, built from Python ints on first use.
+
+    Row ``q - _Q_MIN`` holds 5**q times the power of two that brings it
+    into [2**127, 2**128), cut to 128 bits, as its high and low 64 bits.
+    For q < 0 that is 2**b // 5**-q + 1, and for q < -27 it is taken from
+    twice the bits and then cut, as in fast_float's table, extended to
+    Schubfach's scales.
+    """
+    rows = []
+    for q in range(_Q_MIN, -_K_MIN + 1):
+        if q >= 0:
+            c = 5**q << 128 >> (5**q).bit_length()
+        else:
+            z = (5**-q).bit_length()
+            c = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // 5**-q + 1
+            c >>= max(c.bit_length() - 128, 0)
+        rows.append(c)
+    rows = np.array(rows, object)
+    return (rows >> 64).astype(np.uint64), (rows & ((1 << 64) - 1)).astype(np.uint64)
+
+
+@functools.cache
 def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
-    """The powers of ten as 126-bit multipliers, built from Python ints on first use.
+    """The powers of ten as 126-bit multipliers, read off :func:`_powers_of_five` on first use.
 
     Row ``k - _K_MIN`` holds g = floor(b) + 1 for 10**-k = b * 2**r with
-    2**125 <= b < 2**126, split into its high and low 63 bits.
+    2**125 <= b < 2**126, split into its high and low 63 bits.  b has the
+    bits of 5**-k, so g = ((c - d) >> 2) + 1 for the row c of q = -k, where
+    d = 1 on the rows that fast_float rounds up (-27 <= q < 0), else 0.
     """
-    g = []
-    for k in range(_K_MIN, _K_MAX + 1):
-        r = _flog2_pow10(-k) - 125
-        if k <= 0:
-            b = 10**-k >> r if r >= 0 else 10**-k << -r
-        else:
-            b = (1 << -r) // 10**k
-        g.append(b + 1)
-    high = np.array([x >> 63 for x in g], dtype=np.uint64)
-    low = np.array([x & ((1 << 63) - 1) for x in g], dtype=np.uint64)
-    return high, low
+    q = np.arange(-_K_MIN, -_K_MAX - 1, -1)  # q = -k
+    high, low = (table.take(q - _Q_MIN).astype(object) for table in _powers_of_five())  # Python ints
+    c, d = high << 64 | low, (-27 <= q) & (q < 0)
+    g = ((c - d) >> 2) + 1
+    return (g >> 63).astype(np.uint64), (g & ((1 << 63) - 1)).astype(np.uint64)
 
 
 def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,12 +292,11 @@ def _mass_parts(masses: np.ndarray) -> tuple:
     The whole number before the point; the digits after it and their
     count, 0 for a single digit in exponent form; and each exponent's row
     in the exponent table, the blank row where there is none.  Exponent
-    form is used when the point would sit 4 or more places left of the
-    first digit or more than 16 right of it (``1.5e-05``, ``1e+22``);
-    otherwise the text is ``0.000ddd``, ``ddd.ddd`` or ``ddd.0``.
+    form is used where ``point - 1`` is outside _FIXED (``1.5e-05``,
+    ``1e+22``); otherwise the text is ``0.000ddd``, ``ddd.ddd`` or ``ddd.0``.
     """
     digits, count, point = shortest_digits(masses)
-    scientific = (point <= -4) | (point > 16)
+    scientific = (point - 1 < _FIXED.start) | (point - 1 >= _FIXED.stop)
     after = np.where(scientific, count - 1, count - point)
     whole, fraction = np.divmod(digits, _POW10[np.clip(after, 0, 18)])
     whole *= _POW10[np.clip(-after, 0, 18)]
@@ -406,9 +428,8 @@ def pmf_columns(path, fields: Iterable[str]) -> tuple[dict, np.ndarray, np.ndarr
             data = fh.read()
     except (OSError, ValidationError):  # read_object raises them
         return None
-    for layout in _layouts():
-        at = data.find(layout.opening)
-        if at >= 0 and data.endswith(layout.closing):
+    for layout in _layouts():  # the closing first: one look at the end rules a layout out
+        if data.endswith(layout.closing) and (at := data.find(layout.opening)) >= 0:
             break
     else:
         return None
@@ -477,7 +498,6 @@ def _pmf_rows(text: bytes, layout: _Layout, arity: int) -> tuple[np.ndarray, np.
 # ---------------------------------------------------------- decimal masses
 
 _SLOT = 24  # the bytes of a mass's digits, read as three 8-byte words
-_Q_MIN, _Q_MAX = -342, 308  # beyond 10**q for these q, 19 digits make a 0 or an infinite double
 _POW10_U64 = np.array([10**k for k in range(20)], np.uint64)
 # _PREFIX[i, j]: the bytes of word i that are among the slot's first j bytes, as a mask
 _PREFIX = np.array([[(1 << 8 * min(max(j - 8 * i, 0), 8)) - 1 for j in range(_SLOT + 1)] for i in range(3)],
@@ -492,29 +512,6 @@ def _bytes(byte: int) -> np.uint64:
 
 
 _ZEROS = _bytes(ord("0"))
-
-
-@functools.cache
-def _powers_of_five() -> tuple[np.ndarray, np.ndarray]:
-    """5**q for q = _Q_MIN.._Q_MAX as 128-bit multipliers, built from Python ints on first use.
-
-    Row ``q - _Q_MIN`` holds 5**q times the power of two that brings it
-    into [2**127, 2**128), cut to 128 bits, as its high and low 64 bits.
-    For q < 0 that is 2**b // 5**-q + 1, and for q < -27 it is taken from
-    twice the bits and then cut, as in fast_float's table.
-    """
-    rows = []
-    for q in range(_Q_MIN, _Q_MAX + 1):
-        if q >= 0:
-            c = 5**q << 128 >> (5**q).bit_length()
-        else:
-            z = (5**-q).bit_length()
-            c = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // 5**-q + 1
-            c >>= max(c.bit_length() - 128, 0)
-        rows.append(c)
-    high = np.array([c >> 64 for c in rows], np.uint64)
-    low = np.array([c & ((1 << 64) - 1) for c in rows], np.uint64)
-    return high, low
 
 
 def _eight_digits(words: np.ndarray) -> np.ndarray:
@@ -547,7 +544,7 @@ def decimals(text: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndar
     significant digits and a normal or zero value: ``0``, ``123``, ``0.0``,
     ``1.0``, ``12.5``, ``0.000123`` (below 1, at most three zeros after the
     point), ``1e-05``, ``1.5e-05``, ``2.5e+16`` (an exponent of two or
-    three digits, below -4 or above 15).  A point has digits on both sides
+    three digits, outside _FIXED).  A point has digits on both sides
     and no trailing 0 after it but in ``d.0``.  A taken run's value is
     ``float(run)`` to the bit; the value of a run not taken is undefined.
 
@@ -567,8 +564,8 @@ def decimals(text: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndar
     lead = np.frombuffer(padded, np.uint8).take(starts) != ord("0")
     whole = mantissa - after - has_point  # digits before the point
     exact = has_point & (whole >= 1) & (after >= 1)
-    fixed = exact & (whole <= 16) & (lead | (whole == 1)) & ((after == 1) | (last != ord("0")))
-    fixed &= lead | (w == 0) | (w >= _POW10_U64.take(np.clip(after - 4, 0, 19)))  # 0.0001 and up
+    fixed = exact & (whole <= _FIXED.stop) & (lead | (whole == 1)) & ((after == 1) | (last != ord("0")))
+    fixed &= lead | (w == 0) | (w >= _POW10_U64.take(np.clip(after + _FIXED.start, 0, 19)))
     integer = ~has_point & (lead | (mantissa == 1))
     scientific &= lead & np.where(has_point, exact & (whole == 1) & (last != ord("0")), mantissa == 1)
     taken = digits & np.where(suffix > 0, scientific, fixed | integer)
@@ -581,8 +578,7 @@ def _exponents(tail: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.nda
 
     An exponent is "e", a sign and two or three digits.  Returns its bytes
     (0 where there is none), its value (0 where there is none), and whether
-    it is one ``float.__repr__`` writes: below -4 or above 15, a third
-    digit not 0.
+    it is one ``float.__repr__`` writes: outside _FIXED, a third digit not 0.
     """
     # back[k]: the byte k + 1 places from the run's end
     back = [tail >> np.uint64(64 - 8 * k) & np.uint64(0xFF) for k in range(1, 6)]
@@ -593,7 +589,7 @@ def _exponents(tail: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.nda
     hundreds = np.where(three, hundreds, np.uint64(0))
     magnitude = (hundreds * np.uint64(100) + tens * np.uint64(10) + ones).astype(np.int64)
     written = (ones <= 9) & (tens <= 9) & (~three | (hundreds - np.uint64(1) <= 8))
-    written &= (sign == ord("-")) & (magnitude > 4) | (sign == ord("+")) & (magnitude > 15)
+    written &= (sign == ord("-")) & (-magnitude < _FIXED.start) | (sign == ord("+")) & (magnitude >= _FIXED.stop)
     exponent = np.where(two | three, np.where(sign == ord("-"), -magnitude, magnitude), 0)
     return np.where(two, 4, np.where(three, 5, 0)), exponent, written
 
@@ -666,7 +662,7 @@ def _eisel_lemire(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     upper = high >> np.uint64(63)
     shift = upper + np.uint64(9)
     mantissa = high >> shift
-    power2 = ((217_706 * q) >> 16) + 63 + upper.astype(np.int64) - lz + 1023
+    power2 = _flog2_pow10(q) + 63 + upper.astype(np.int64) - lz + 1023
     # An exact half between two doubles rounds to even.
     half = (low <= np.uint64(1)) & (q >= -4) & (q <= 23) & (mantissa & np.uint64(3) == np.uint64(1))
     mantissa -= half & ((mantissa << shift) == high)

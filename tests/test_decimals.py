@@ -8,6 +8,7 @@ The sweeps are seeded.
 """
 
 import decimal
+import json
 import math
 import os
 import subprocess
@@ -185,3 +186,64 @@ def test_no_power_table_is_built_at_import():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0"]
+
+
+def former_powers_of_ten() -> list[int]:
+    """Schubfach's multipliers from 10**-k in Python ints, the reference for the rows read off 5**q.
+
+    g = floor(b) + 1 for 10**-k = b * 2**r with 2**125 <= b < 2**126.
+    """
+    g = []
+    for k in range(fileio._K_MIN, fileio._K_MAX + 1):
+        r = fileio._flog2_pow10(-k) - 125
+        if k <= 0:
+            b = 10**-k >> r if r >= 0 else 10**-k << -r
+        else:
+            b = (1 << -r) // 10**k
+        g.append(b + 1)
+    return g
+
+
+def test_the_powers_of_ten_equal_the_former_builders_rows():
+    high, low = fileio._powers_of_ten()
+    assert len(high) == len(low) == 617
+    assert [int(h) << 63 | int(l) for h, l in zip(high.tolist(), low.tolist())] == former_powers_of_ten()
+
+
+def test_the_rows_beyond_fast_floats_table_are_five_to_the_q_cut_to_128_bits():
+    high, low = fileio._powers_of_five()
+    assert len(high) == len(low) == 342 + 325
+    for q in range(309, 325):
+        assert int(high[q + 342]) << 64 | int(low[q + 342]) == 5**q >> (5**q).bit_length() - 128
+
+
+def test_flog2_pow10_is_the_floor_of_q_log2_10():
+    """floor(q * log2(10)) from the bit length of 10**|q|, which is no power of two for q != 0."""
+    q = np.arange(-342, 325)
+    bits = [(10 ** abs(e)).bit_length() for e in q.tolist()]
+    exact = [b - 1 if e >= 0 else -b for e, b in zip(q.tolist(), bits)]
+    assert [fileio._flog2_pow10(e) for e in q.tolist()] == exact
+    assert fileio._flog2_pow10(q).tolist() == exact
+
+
+# The ends of repr's fixed-point range, each with a 17-digit text beside it.  Above 2**52 no
+# fixed-point text has 17 digits, so 2**52 - 0.5 stands beside the top end.
+FIXED_POINT_ENDS = {
+    "1e-05": "1.0000000000000003e-05",
+    "0.0001": "0.00010000000000000002",
+    "9999999999999998.0": "4503599627370495.5",
+    "1e+16": "1.0000000000000002e+16",
+}
+
+
+@pytest.mark.parametrize("end", FIXED_POINT_ENDS)
+def test_the_ends_of_the_fixed_point_range_are_written_and_read_as_repr(end):
+    texts = [end, FIXED_POINT_ENDS[end]]
+    masses = np.array([float(text) for text in texts])
+    assert list(map(repr, masses.tolist())) == texts
+    states = np.zeros((len(texts), 1), np.int64)
+    expected = json.dumps(list(zip(states.tolist(), masses.tolist())))[1:-1]
+    assert b"".join(fileio.json_rows(states, masses)).decode() == expected
+    values, taken = convert(texts)
+    assert taken.all()
+    assert_exact_where_taken(texts, values, taken)
