@@ -38,7 +38,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .distributions import JointDistribution, conditional_mi, mutual_information
+from .distributions import JointDistribution, conditional_mi, mi_table
 from .errors import CompletenessError, DomainError, ValidationError, choice, expect, shown
 from .fileio import number, read_object, render, write_text
 from .lattices import (
@@ -533,7 +533,7 @@ def reference_measure(dist: JointDistribution, concept: BaseConcept) -> "Measure
         )
     n = dist.n
     index = lattice_index(n)
-    infos = np.array([mutual_information(dist, bits) for bits in range(1 << n)])
+    infos = np.array(list(mi_table(dist).values()))
     total = infos[-1]
     # Member rows are padded with slot 1 << n, which holds the identity of
     # min or max.  The empty antichain, outside every base domain, reads it.

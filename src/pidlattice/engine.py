@@ -50,6 +50,7 @@ from .concepts import (
     MeasureAssignment,
     concept_facts,
     concept_table,
+    domain_labels,
     domain_positions,
     index_vector,
     index_view,
@@ -73,7 +74,8 @@ from .lattices import (
     Antichain,
     LatticeIndex,
     ParthoodDistribution,
-    collection_label,
+    canonical_collections,
+    labeling_refusal,
     lattice_index,
     parse_collection_label,
 )
@@ -151,10 +153,8 @@ def verify_consistency(result: PidResult, dist: JointDistribution | None = None)
     marks = lattice_index(result.n).marks
     errors = {}
     worst_label, worst = "", 0.0
-    for bits in range(1 << result.n):
-        got = float(values[marks[bits]].sum())
-        err = abs(got - expected[bits])
-        label = collection_label(bits)
+    for bits, label in enumerate(domain_labels(MI_KEYS, result.n)):
+        err = abs(float(values[marks[bits]].sum()) - expected[bits])
         errors[label] = err
         if err >= worst or math.isnan(err):  # a NaN error is the worst
             worst_label, worst = label, err
@@ -456,10 +456,8 @@ def export_result(result: PidResult) -> dict:
     if not (np.isfinite(mi).all() and np.isfinite(values).all()):
         raise ValidationError("a non-finite atom or MI value cannot be exported")
     mi, values = mi.tolist(), values.tolist()
-    mi_obj = {
-        collection_label(bits): mi[bits]
-        for bits in sorted(range(1 << result.n), key=lambda b: (b.bit_count(), b))
-    }
+    names = domain_labels(MI_KEYS, result.n)
+    mi_obj = {names[bits]: mi[bits] for bits in canonical_collections(result.n)}
     index = lattice_index(result.n)
     order = np.argsort(index.export_rank).tolist()
     labels = index.labels
@@ -514,10 +512,7 @@ def load_result(path) -> PidResult:
         label = row["alpha"]
         j = int(index.access_atom[index.label_position(label)])
         if j < 0:
-            raise DomainError(
-                f"antichain {label!r} does not label a parthood distribution "
-                "by minimal 1-collections"
-            )
+            raise labeling_refusal(label, access=True)
         expect_tilde = index.labels[index.blockage_antichain[j]]
         if row.get("alpha_tilde") != expect_tilde:
             raise ParseError(

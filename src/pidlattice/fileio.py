@@ -104,7 +104,7 @@ def write_text(path, text: str) -> None:
 
 # ------------------------------------------------------------- JSON numbers
 
-_POW10 = 10 ** np.arange(19, dtype=np.int64)  # 10**0 .. 10**18
+_POW10 = np.array([10**k for k in range(20)], np.uint64)  # 10**0 .. 10**19, uint64: 10**19 overflows int64
 _M32 = np.uint64(0xFFFFFFFF)
 _M63 = np.uint64((1 << 63) - 1)
 _K_MIN = -324  # the scales 10**k that Schubfach needs for the positive normal doubles
@@ -227,14 +227,14 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     up = np.where(s_in != next_in, next_in, (vb > middle) | ((vb == middle) & (s & np.uint64(1) == 1)))
     digits = np.where(below_in != above_in, s10 + above_in * np.uint64(10), s + up).astype(np.int64)
     # s lies in [2**52, 10 * 2**53), so the candidates have 16 or 17 digits.
-    count = 16 + (digits >= _POW10[16])
+    count = 16 + (digits >= int(_POW10[16]))
     point = k + count
     tens = np.flatnonzero(digits % 10 == 0)
     if tens.size:  # strip up to 31 trailing zeros in five steps, where there is one
         stripped, cut = digits[tens], count[tens]
         for step in (16, 8, 4, 2, 1):
-            quotient = stripped // _POW10[step]
-            bare = quotient * _POW10[step] == stripped
+            quotient = stripped // int(_POW10[step])
+            bare = quotient * int(_POW10[step]) == stripped
             stripped = np.where(bare, quotient, stripped)
             cut -= bare * step
         digits[tens], count[tens] = stripped, cut
@@ -298,8 +298,8 @@ def _mass_parts(masses: np.ndarray) -> tuple:
     digits, count, point = shortest_digits(masses)
     scientific = (point - 1 < _FIXED.start) | (point - 1 >= _FIXED.stop)
     after = np.where(scientific, count - 1, count - point)
-    whole, fraction = np.divmod(digits, _POW10[np.clip(after, 0, 18)])
-    whole *= _POW10[np.clip(-after, 0, 18)]
+    whole, fraction = np.divmod(digits, _POW10[np.clip(after, 0, 18)].view(np.int64))
+    whole *= _POW10[np.clip(-after, 0, 18)].view(np.int64)
     after = np.where(scientific, after, np.maximum(after, 1))
     return whole, fraction, after, np.where(scientific, point - 1 - _EXPONENTS.start, len(_EXPONENTS))
 
@@ -498,7 +498,6 @@ def _pmf_rows(text: bytes, layout: _Layout, arity: int) -> tuple[np.ndarray, np.
 # ---------------------------------------------------------- decimal masses
 
 _SLOT = 24  # the bytes of a mass's digits, read as three 8-byte words
-_POW10_U64 = np.array([10**k for k in range(20)], np.uint64)
 # _PREFIX[i, j]: the bytes of word i that are among the slot's first j bytes, as a mask
 _PREFIX = np.array([[(1 << 8 * min(max(j - 8 * i, 0), 8)) - 1 for j in range(_SLOT + 1)] for i in range(3)],
                    np.uint64)
@@ -565,7 +564,7 @@ def decimals(text: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndar
     whole = mantissa - after - has_point  # digits before the point
     exact = has_point & (whole >= 1) & (after >= 1)
     fixed = exact & (whole <= _FIXED.stop) & (lead | (whole == 1)) & ((after == 1) | (last != ord("0")))
-    fixed &= lead | (w == 0) | (w >= _POW10_U64.take(np.clip(after + _FIXED.start, 0, 19)))
+    fixed &= lead | (w == 0) | (w >= _POW10.take(np.clip(after + _FIXED.start, 0, 19)))
     integer = ~has_point & (lead | (mantissa == 1))
     scientific &= lead & np.where(has_point, exact & (whole == 1) & (last != ord("0")), mantissa == 1)
     taken = digits & np.where(suffix > 0, scientific, fixed | integer)
@@ -621,7 +620,7 @@ def _mantissas(words: np.ndarray, ends: np.ndarray, size: np.ndarray) -> tuple:
     has_point = through != 0
     after = np.where(has_point, _SLOT - through, 0)
     groups = [_eight_digits(word) for word in x]
-    w = groups[0] * _POW10_U64[16] + groups[1] * _POW10_U64[8] + groups[2]
+    w = groups[0] * _POW10[16] + groups[1] * _POW10[8] + groups[2]
     digits = (size <= _SLOT) & (groups[0] < 1000) & _all_digits(x[0]) & _all_digits(x[1]) & _all_digits(x[2])
     return w, has_point, after, last, digits
 

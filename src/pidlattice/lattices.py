@@ -105,6 +105,12 @@ def table_mask(n: int) -> int:
     return (1 << (1 << n)) - 1
 
 
+@checked_cache(check_source_count)
+def canonical_collections(n: int) -> tuple[int, ...]:
+    """The 2**n collection bitmasks in canonical order: by cardinality, then by value."""
+    return tuple(sorted(range(1 << n), key=lambda s: (s.bit_count(), s)))
+
+
 def collection_label(bits: int) -> str:
     """Canonical label of one collection, e.g. ``{1,3}``; the empty collection is ``{}``."""
     if type(bits) is not int or bits < 0:  # exact type test: this runs 2**n times per check
@@ -369,13 +375,16 @@ def in_blockage_domain(alpha: Antichain) -> bool:
     return not alpha.is_empty and not alpha.is_full_collection_chain
 
 
+def labeling_refusal(label: str, access: bool) -> DomainError:
+    """The refusal of an antichain outside the access labeling, or the blockage one if not ``access``."""
+    extrema = "minimal 1-collections" if access else "maximal 0-collections"
+    return DomainError(f"antichain {label!r} does not label a parthood distribution by {extrema}")
+
+
 def parthood_from_antichain(alpha: Antichain) -> ParthoodDistribution:
     """Distribution marking exactly the collections containing a member of alpha."""
     if not in_access_domain(alpha):
-        raise DomainError(
-            f"antichain {alpha.label()!r} does not label a parthood distribution "
-            "by minimal 1-collections"
-        )
+        raise labeling_refusal(alpha.label(), access=True)
     return ParthoodDistribution(alpha.n, _order_table("redundancy", alpha))
 
 
@@ -389,10 +398,7 @@ def antichain_from_parthood(f: ParthoodDistribution) -> Antichain:
 def parthood_from_synergy_antichain(alpha: Antichain) -> ParthoodDistribution:
     """Distribution clearing exactly the collections contained in a member of alpha."""
     if not in_blockage_domain(alpha):
-        raise DomainError(
-            f"antichain {alpha.label()!r} does not label a parthood distribution "
-            "by maximal 0-collections"
-        )
+        raise labeling_refusal(alpha.label(), access=False)
     return ParthoodDistribution(alpha.n, _order_table("synergy", alpha))
 
 
@@ -575,11 +581,11 @@ def lattice_index(n: int) -> LatticeIndex:
         minimal &= ~((up & np.uint64(lacking)) << np.uint64(step))
     # Rank the members in canonical collection order.  Sorting the rank rows
     # lexicographically, empty slots first, puts a prefix before its extensions.
-    canonical = sorted(range(pad), key=lambda s: (s.bit_count(), s))
+    canonical = canonical_collections(n)
     has = (minimal[:, None] >> np.array(canonical, dtype=np.uint64)) & np.uint64(1) == 1
     ranks = np.sort(np.where(has, np.arange(pad), pad), axis=1)[:, : has.sum(axis=1).max()]
     order = np.lexsort(np.where(ranks == pad, -1, ranks).T[::-1])
-    members = np.array(canonical + [pad], dtype=np.int8)[ranks[order]]
+    members = np.array([*canonical, pad], dtype=np.int8)[ranks[order]]
     up, down = up[order], minimal[order]
     for step, lacking in _monotone_violation_masks(n):  # down-closure: drop one source at a time
         down |= (down & ~np.uint64(lacking)) >> np.uint64(step)
@@ -651,7 +657,7 @@ def _antichains_from_rows(n: int, members: np.ndarray) -> tuple[Antichain, ...]:
     """
     pad = 1 << n
     rank = np.full(pad + 1, pad)
-    rank[sorted(range(pad), key=lambda s: (s.bit_count(), s))] = np.arange(pad)
+    rank[list(canonical_collections(n))] = np.arange(pad)
     known = (members >= 0) & (members <= pad)
     real = known & (members != pad)
     ranks = rank[np.where(known, members, pad)]  # a pad ranks above every collection
@@ -747,30 +753,22 @@ def order_leq(kind: OrderKind, alpha: Antichain, beta: Antichain) -> bool:
 def _invert_cumulative(tables: Sequence[int], values: Sequence[float], supersets: bool) -> list[float]:
     """Solve V(x) = sum of pi(y) over tables y containing (or contained in) x.
 
-    Recursive descent in a linear extension: each node's atom is its value
-    minus the atoms already solved strictly inside its cumulative set.
+    A table contains another iff its complement lies inside the other's
+    complement, so superset sums are subset sums over the complemented
+    tables, and one scan of keys serves both.  Recursive descent in a
+    linear extension, by (popcount of the key, table): each node's atom is
+    its value minus the atoms already solved whose keys lie inside its own.
     """
-    order = sorted(
-        range(len(tables)),
-        key=lambda i: (-tables[i].bit_count() if supersets else tables[i].bit_count(), tables[i]),
-    )
-    sorted_tables = np.array([tables[i] for i in order], dtype=np.uint64)
-    width = max((t.bit_length() for t in tables), default=1)
-    full = (1 << width) - 1
-    not_tables = sorted_tables ^ np.uint64(full)
+    full = (1 << max((t.bit_length() for t in tables), default=1)) - 1
+    keys = [full ^ t if supersets else t for t in tables]
+    order = sorted(range(len(tables)), key=lambda i: (keys[i].bit_count(), tables[i]))
+    sorted_keys = np.array([keys[i] for i in order], dtype=np.uint64)
     sorted_values = np.array([float(values[i]) for i in order], dtype=np.float64)
     pi = np.zeros(len(tables), dtype=np.float64)
     for k in range(len(tables)):
-        t = int(sorted_tables[k])
-        if supersets:
-            inside = (np.uint64(t) & not_tables[:k]) == 0
-        else:
-            inside = (sorted_tables[:k] & np.uint64(full & ~t)) == 0
+        inside = (sorted_keys[:k] & ~sorted_keys[k]) == 0
         pi[k] = sorted_values[k] - float(pi[:k][inside].sum())
-    out = [0.0] * len(tables)
-    for rank, i in enumerate(order):
-        out[i] = float(pi[rank])
-    return out
+    return pi[np.argsort(order)].tolist()
 
 
 @dataclass(frozen=True)

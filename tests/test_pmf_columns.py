@@ -434,3 +434,31 @@ def test_a_named_pipe_is_opened_once(tmp_path):
         loaded.set()
     (tmp_path / "readme.json").write_text(README_EXAMPLE)
     assert got == outcome(lambda: load_joint(tmp_path / "readme.json"))
+
+
+# ------------------------------------------------------------- run count
+
+KEYED_RUNS = {  # a number byte inside a key: the bytes besides runs stay the layout's, one run more
+    "later-row": ('"state"', '"s1tate"', None),
+    # a digit inside "state" breaks the row separator the cut is found at, so it goes in the "p" key
+    "first-row-after-a-cut": ('"p"', '"p1"', 1),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+@pytest.mark.parametrize("place", KEYED_RUNS)
+def test_a_row_with_one_run_too_many_is_refused_as_the_document_route_refuses_it(
+    tmp_path, monkeypatch, writer, place
+):
+    old, new, chunk = KEYED_RUNS[place]
+    if chunk:
+        monkeypatch.setattr(fileio, "_CHUNK_BYTES", chunk)
+    text = WRITERS[writer](canonical_doc())
+    at = [at for at in range(len(text)) if text.startswith(old, at)][8]
+    path = tmp_path / "d.json"
+    path.write_text(text[:at] + new + text[at + len(old) :])
+    assert fileio.pmf_columns(path, distributions._FIELDS) is None
+    with pytest.raises(ParseError) as caught:
+        load_joint(path)
+    assert (type(caught.value), str(caught.value)) == outcome(lambda: reference_json_file(path))
+    assert str(caught.value).startswith("bad pmf entry")
