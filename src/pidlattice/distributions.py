@@ -18,8 +18,8 @@ sort.  Any other table forms its marginals by sorting and grouping the
 arrays, so memory grows with the number of outcomes, not with the number
 of cells in the outcome table (up to ``MAX_CELLS``).  Both routes add the
 same masses in the same order, so they give the same bits.
-Probability masses at or below 1e-15 are treated as exact zeros so that
-noisy inputs cannot contribute 0*log(0) artifacts.
+A mass at or below ``MASS_EPS`` (1e-15) is an exact zero, dropped once by ``_keep``
+when a distribution is built: entropies, digests and written files see kept masses only.
 
 File formats
 ------------
@@ -426,8 +426,7 @@ def _group_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _shannon(probs: np.ndarray) -> float:
-    """Entropy in bits of a marginal's masses; those at or below MASS_EPS count as zeros."""
-    probs = probs[probs > MASS_EPS]
+    """Entropy in bits of a marginal's masses: sums of kept ones, so each is above MASS_EPS."""
     return -float((probs * np.log2(probs)).sum())
 
 

@@ -329,7 +329,7 @@ def inclusion_exclusion_check(result: PidResult, alpha: Antichain) -> InclusionE
     acc = 0.0
     for pick in range(1, 1 << len(members)):
         subset = [members[i] for i in range(len(members)) if (pick >> i) & 1]
-        sign = -1.0 if subset and len(subset) % 2 == 0 else 1.0
+        sign = -1.0 if len(subset) % 2 == 0 else 1.0
         acc += sign * summate(BaseConcept.REDUNDANCY, Antichain(result.n, tuple(subset)), result)
     tol = ENGINE_TOL * (1 << len(members))
     err = abs(union_value - acc)

@@ -107,6 +107,12 @@ def test_a_shape_repr_does_not_write_is_refused(text):
     assert values[0] == values[2] == 0.25
 
 
+@pytest.mark.parametrize("text", ["1e022", "1e.22", "1ee22", "1eE22", "1e0308", "1e.308"])
+def test_an_exponent_sign_other_than_plus_or_minus_is_refused(text):
+    """Beyond the fixed-point range, where the range test alone would take the run as ``1e+22``."""
+    test_a_shape_repr_does_not_write_is_refused(text)
+
+
 def test_an_exponent_is_read_inside_its_run_only():
     values, taken = convert(["2e", "12", "3e-", "45", "0.5"])
     assert taken.tolist() == [False, True, False, True, True]

@@ -462,3 +462,26 @@ def test_a_row_with_one_run_too_many_is_refused_as_the_document_route_refuses_it
         load_joint(path)
     assert (type(caught.value), str(caught.value)) == outcome(lambda: reference_json_file(path))
     assert str(caught.value).startswith("bad pmf entry")
+
+
+# ------------------------------------------------------------ key-run length
+
+@pytest.mark.parametrize("writer", WRITERS)
+@pytest.mark.parametrize("row", [0, 8])
+@pytest.mark.parametrize("chunk", [None, 1], ids=["one-piece", "a-row-a-piece"])
+@pytest.mark.parametrize("key", ['"state1"', '"statee"'], ids=["digit-after", "e-after"])
+def test_a_key_run_longer_than_the_layouts_is_refused_as_the_document_route_refuses_it(
+    tmp_path, monkeypatch, writer, row, chunk, key
+):
+    """A number byte after the key run's ``e`` keeps the skeleton, the run count and every gap."""
+    if chunk:
+        monkeypatch.setattr(fileio, "_CHUNK_BYTES", chunk)
+    text = WRITERS[writer](canonical_doc())
+    at = [at for at in range(len(text)) if text.startswith('"state"', at)][row]
+    path = tmp_path / "d.json"
+    path.write_text(text[:at] + key + text[at + len('"state"') :])
+    assert fileio.pmf_columns(path, distributions._FIELDS) is None
+    with pytest.raises(ParseError) as caught:
+        load_joint(path)
+    assert (type(caught.value), str(caught.value)) == outcome(lambda: reference_json_file(path))
+    assert str(caught.value).startswith("bad pmf entry")
