@@ -220,9 +220,14 @@ def atom_selector(concept: BaseConcept, alpha: Antichain) -> Callable[[ParthoodD
     """
     cells = concept_facts(concept).cells
     expect(alpha, Antichain, "alpha")
+    _check_in_domain(concept, alpha)
+    return lambda f: all(condition_holds(cid, alpha, f) for cid in cells)
+
+
+def _check_in_domain(concept: BaseConcept, alpha: Antichain) -> None:
+    """DomainError for an antichain outside :func:`domain_for_concept`'s set for the concept."""
     if alpha not in domain_members(concept, alpha.n):
         raise DomainError(f"antichain {alpha.label()!r} outside the {concept.tag} domain")
-    return lambda f: all(condition_holds(cid, alpha, f) for cid in cells)
 
 
 def selection_mask(concept: BaseConcept, alpha: Antichain, tables: np.ndarray) -> np.ndarray:
@@ -401,20 +406,19 @@ def index_vector(
                 raise ValidationError(message) from None
         at.append(place)
         values.append(value)
-    return _placed_vector(concept, n, len(places), at, values, extra, complete)
+    return _placed_vector(concept, n, what, len(places), at, values, extra, complete)
 
 
 def _placed_vector(
-    concept: BaseConcept | None, n: int, size: int, at: list, values: list, extra: list, complete: bool
+    concept: BaseConcept | None, n: int, what: str, size: int, at: list, values: list, extra: list, complete: bool
 ) -> np.ndarray:
     """The checks :func:`index_vector` makes once every key is placed, and its vector.
 
     ``values[k]`` goes to place ``at[k]`` of ``size``; ``extra`` labels the
     keys outside the view's, which are refused first, then any missing
     place with ``complete``, then the first non-finite value outside an MI
-    table.
+    table.  ``what`` is the noun the view's values go by in a refusal.
     """
-    what = "atom" if concept is None else "MI" if concept is MI_KEYS else concept.tag
     if extra:
         raise CompletenessError(f"{what} values outside the domain: {', '.join(extra[:5])}")
     vector = np.zeros(size)
@@ -510,8 +514,7 @@ def summate(
     alpha = canonicalize_collections(concept, collections, n)
     if alpha.n != n:
         raise DomainError("antichain and atoms disagree on source count")
-    if alpha not in domain_members(concept, n):
-        raise DomainError(f"antichain {alpha.label()!r} outside the {concept.tag} domain")
+    _check_in_domain(concept, alpha)
     values = index_vector(None, n, mapping, complete=False)
     return float(values[selection_mask(concept, alpha, lattice_index(n).atom_tables)].sum())
 
@@ -593,7 +596,7 @@ def load_measure(path, n: int) -> MeasureAssignment:
         else:
             at.append(i)
             values.append(value)
-    vector = _placed_vector(concept, n, len(positions), at, values, extra, complete=True)
+    vector = _placed_vector(concept, n, concept.tag, len(positions), at, values, extra, complete=True)
     return MeasureAssignment(concept, n, _IndexView(concept, n, vector))
 
 

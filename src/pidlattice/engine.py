@@ -323,6 +323,7 @@ def inclusion_exclusion_check(result: PidResult, alpha: Antichain) -> InclusionE
     """Union information vs the alternating redundancy sum over subsets of alpha.
 
     :func:`~pidlattice.concepts.summate` refuses an alpha outside the union domain."""
+    expect(result, PidResult, "result")
     expect(alpha, Antichain, "alpha")
     union_value = summate(BaseConcept.UNION, alpha, result)
     members = alpha.collections
@@ -355,27 +356,23 @@ def proper_synergy_values(result: PidResult, alpha: Antichain) -> float:
     expect(alpha, Antichain, "alpha")
     if alpha.n != result.n:
         raise DomainError("antichain and result disagree on source count")
-    union = 0
-    for m in alpha.masks:
-        union |= m
+    union = functools.reduce(int.__or__, alpha.masks, 0)
     if union == 0:
         raise DomainError(
             "proper synergy at an empty union is identically zero by the parthood "
             "axioms; supply a non-empty union"
         )
     values = index_vector(None, result.n, result.atoms, complete=False)
-    reached = _first_reached_at(union, lattice_index(result.n).atom_tables)
     acc = 0.0
-    for v in values[reached].tolist():  # not numpy's pairwise sum
+    for v in values[_first_reached_at(union, lattice_index(result.n))].tolist():  # not numpy's pairwise sum
         acc += v
     return acc
 
 
-def _first_reached_at(union: int, tables: np.ndarray) -> np.ndarray:
-    """Proper-synergy selector: which truth tables mark the union and no proper subset of it."""
+def _first_reached_at(union: int, index: LatticeIndex) -> np.ndarray:
+    """Proper-synergy selector: which atoms mark the union and no proper subset of it."""
     strict_down = sum(1 << s for s in range(union) if s & ~union == 0)
-    reached = (tables >> np.uint64(union)) & np.uint64(1) == 1
-    return reached & (tables & np.uint64(strict_down) == 0)
+    return index.marks[union] & (index.atom_tables & np.uint64(strict_down) == 0)
 
 
 @dataclass(frozen=True)
@@ -428,12 +425,10 @@ def proper_synergy_rank_analysis(n: int) -> RankAnalysis:
     proper-synergy row per non-empty union.  Ranks are computed exactly in
     integer arithmetic.
     """
-    tables = lattice_index(n).atom_tables
-    unknowns = len(tables)
-    consistency_rows = lattice_index(n).marks[1:].astype(int).tolist()
-    synergy_rows = [
-        _first_reached_at(union, tables).astype(int).tolist() for union in range(1, 1 << n)
-    ]
+    index = lattice_index(n)
+    unknowns = len(index.atom_tables)
+    consistency_rows = index.marks[1:].astype(int).tolist()
+    synergy_rows = [_first_reached_at(union, index).astype(int).tolist() for union in range(1, 1 << n)]
     consistency_rank = _exact_rank(consistency_rows)
     combined_rank = _exact_rank(consistency_rows + synergy_rows)
     return RankAnalysis(

@@ -744,7 +744,8 @@ def order_leq(kind: OrderKind, alpha: Antichain, beta: Antichain) -> bool:
     """
     choice(kind, get_args(OrderKind), "order kind")
     member = in_access_domain if kind == "redundancy" else in_blockage_domain
-    for x in (alpha, beta):
+    for name, x in (("alpha", alpha), ("beta", beta)):
+        expect(x, Antichain, name)
         if not member(x):
             raise DomainError(f"antichain {x.label()!r} outside the {kind} order's domain")
     return antichain_leq(kind, alpha, beta)

@@ -753,3 +753,11 @@ def test_file_metadata_round_trips_and_code_built_metadata_stays_free(tmp_path, 
         assert load_result(path).meta == result.meta
     free = PidMeta(concept="synthetic", measure="anything", digest="none")
     assert free.concept == "synthetic"
+
+
+@pytest.mark.parametrize("result", [dict, list], ids=["atom-dict", "atom-items"])
+def test_inclusion_exclusion_refuses_a_result_that_is_not_one(xor_dist, result):
+    atoms = result(decompose(xor_dist, BaseConcept.REDUNDANCY).atoms.items())
+    with pytest.raises(ValidationError) as caught:
+        inclusion_exclusion_check(atoms, Antichain.of(2, [0b01, 0b10]))
+    assert str(caught.value) == f"result must be a PidResult, got {type(atoms).__name__}"

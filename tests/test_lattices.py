@@ -13,6 +13,7 @@ from pidlattice import (
     BaseConcept,
     CapacityError,
     CompletenessError,
+    ConceptLattice,
     DomainError,
     ParseError,
     ParthoodDistribution,
@@ -621,3 +622,35 @@ def test_order_leq_names_an_unknown_order_kind_before_its_domain(kind):
     beta = Antichain.of(2, [0b11])  # {1,2}: in the redundancy order's domain, not the synergy order's
     with pytest.raises(DomainError, match="unknown order kind"):
         order_leq(kind, beta, beta)
+
+
+def refused(call) -> tuple:
+    with pytest.raises((ValidationError, DomainError)) as caught:
+        call()
+    return type(caught.value), str(caught.value)
+
+
+@pytest.mark.parametrize("kind", ["redundancy", "synergy"])
+def test_order_leq_names_the_operand_it_refuses(kind):
+    inside = Antichain.of(2, [0b01])
+    outside = Antichain.of(2, [0] if kind == "redundancy" else [0b11])
+    label = outside.label()
+    domain = (DomainError, f"antichain {label!r} outside the {kind} order's domain")
+    assert refused(lambda: order_leq(kind, inside, "x")) == (ValidationError, "beta must be an Antichain, got str")
+    assert refused(lambda: order_leq(kind, "x", inside)) == (ValidationError, "alpha must be an Antichain, got str")
+    # alpha is checked whole before beta: its type, then its domain
+    assert refused(lambda: order_leq(kind, "x", 1)) == (ValidationError, "alpha must be an Antichain, got str")
+    assert refused(lambda: order_leq(kind, outside, "x")) == domain
+    assert refused(lambda: order_leq(kind, inside, outside)) == domain
+    assert refused(lambda: order_leq(kind, inside, Antichain.of(3, [1]))) == (
+        DomainError, "antichains over different source counts"
+    )
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_a_lattice_built_directly_above_max_sources_renders(n):
+    low, high = Antichain.of(n, [1]), Antichain.of(n, [3])
+    tables = tuple(sum(1 << s for s in range(1 << n) if s & m == m) for m in (1, 3))  # their up-closures
+    lattice = ConceptLattice((low, high), "redundancy", "up", "full-lattice", tables, ((1,), ()))
+    want = 'digraph lattice {\n  rankdir=BT;\n  "{1}";\n  "{1,2}";\n  "{1}" -> "{1,2}";\n}\n'
+    assert lattice_to_dot(lattice) == want

@@ -436,6 +436,24 @@ def test_a_named_pipe_is_opened_once(tmp_path):
     assert got == outcome(lambda: load_joint(tmp_path / "readme.json"))
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_the_column_reader_opens_no_file_that_is_not_regular(tmp_path, monkeypatch):
+    """No writer and no timer: an open of a FIFO or a directory fails the test at once."""
+    fifo, folder = tmp_path / "d.json", tmp_path / "folder.json"
+    os.mkfifo(fifo)
+    folder.mkdir()
+    opened = []
+
+    def spy(path, *args, **kwargs):
+        opened.append(path)
+        raise AssertionError(f"pmf_columns opened {path}")
+
+    monkeypatch.setattr(fileio, "open", spy, raising=False)
+    for path in (fifo, folder):
+        assert fileio.pmf_columns(path, distributions._FIELDS) is None
+    assert opened == []
+
+
 # ------------------------------------------------------------- run count
 
 KEYED_RUNS = {  # a number byte inside a key: the bytes besides runs stay the layout's, one run more

@@ -7,8 +7,11 @@ canonical collection order is ``lattices.canonical_collections``, the MI
 table is ``distributions.mi_table``, an MI key is labelled by
 ``concepts.domain_labels``, the refusal of an antichain outside a
 labeling is ``lattices.labeling_refusal`` and ``fileio._POW10`` is the
-one table of powers of ten: the source checks below find no second
-statement of any of them.
+one table of powers of ten.  The refusal of an antichain outside a
+concept's domain is ``concepts._check_in_domain``, which atoms mark a
+collection is ``LatticeIndex.marks``, and the noun a view's values go by
+is computed by ``concepts.index_vector`` alone.  The source checks below
+find no second statement of any of them.
 """
 
 import ast
@@ -32,6 +35,7 @@ from pidlattice import (
     random_joint,
 )
 from pidlattice.concepts import concept_facts
+from pidlattice.engine import _first_reached_at
 from pidlattice.lattices import _invert_cumulative, canonical_collections, lattice_index
 from test_module_boundaries import PACKAGE, PRODUCTION, imported_names
 
@@ -142,6 +146,22 @@ def test_each_caller_refuses_with_its_labelings_text(tmp_path, xor_dist):
     assert raised(lambda: load_result(path)) == refusal("{}", access)
 
 
+def shifted_selector(union: int, tables: np.ndarray) -> np.ndarray:
+    """The former proper-synergy selector, which shifted every atom table by the union."""
+    strict_down = sum(1 << s for s in range(union) if s & ~union == 0)
+    reached = (tables >> np.uint64(union)) & np.uint64(1) == 1
+    return reached & (tables & np.uint64(strict_down) == 0)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_marks_select_the_atoms_the_shifted_tables_selected(n):
+    index = lattice_index(n)
+    for union in range(1 << n):
+        got = _first_reached_at(union, index)
+        assert got.dtype == np.bool_
+        assert np.array_equal(got, shifted_selector(union, index.atom_tables)), union
+
+
 # ---------------------------------------------------------- source checks
 
 def trees() -> dict[str, ast.Module]:
@@ -223,3 +243,37 @@ def test_the_reference_measure_reads_the_mi_table():
     tree = ast.parse((PACKAGE / "concepts.py").read_text(encoding="utf-8"))
     assert calls_of(tree, "mutual_information") == []
     assert calls_of(tree, "mi_table")
+
+
+def shifts_of_tables(tree: ast.AST) -> list[int]:
+    """The line of each ``x >> k`` whose left side reads a truth table."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.RShift) and "table" in ast.unparse(node.left)
+    ]
+
+
+def test_the_shift_check_sees_what_it_looks_for():
+    text = "a = (tables >> np.uint64(u)) & 1\nb = (index.atom_tables >> s) & 1\nc = bits >> i\nd = table << 1"
+    assert shifts_of_tables(ast.parse(text)) == [1, 2]
+
+
+def test_only_the_lattice_module_reads_a_mark_off_a_truth_table():
+    found = {name: lines for name, tree in trees().items() if (lines := shifts_of_tables(tree))}
+    assert set(found) == {"lattices.py"}, found
+
+
+def statements_of(text: str) -> dict[str, int]:
+    """How many times each production module holds ``text``, for the modules that hold it."""
+    found = {path.name: path.read_text(encoding="utf-8").count(text) for path in PRODUCTION}
+    return {name: count for name, count in found.items() if count}
+
+
+def test_the_concept_domain_refusal_is_stated_once():
+    assert statements_of("outside the {concept.tag} domain") == {"concepts.py": 1}
+
+
+def test_the_noun_of_a_views_values_is_stated_once():
+    noun = '"atom" if concept is None else "MI" if concept is MI_KEYS else concept.tag'
+    assert statements_of(noun) == {"concepts.py": 1}
