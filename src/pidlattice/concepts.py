@@ -52,7 +52,7 @@ from .lattices import (
     checked_cache,
     checked_iter,
     collection_bits,
-    collection_label,
+    collection_labels,
     enumerate_antichains,
     enumerate_parthood_distributions,
     lattice_index,
@@ -242,6 +242,8 @@ def selection_mask(concept: BaseConcept, alpha: Antichain, tables: np.ndarray) -
         raise ValidationError(f"tables must be integer truth tables, got dtype {tables.dtype}")
     if (tables < 0).any():
         raise ValidationError("tables must be non-negative, got a negative entry")
+    if (tables > table_mask(alpha.n)).any():
+        raise ValidationError(f"tables must be truth tables over {alpha.n} sources, got one out of range")
     return np.logical_and.reduce([_cell_holds(cid, alpha, tables) for cid in cells])
 
 
@@ -440,10 +442,10 @@ def _key_label(key) -> str:
 
 def domain_labels(concept: BaseConcept | None, n: int) -> list[str]:
     """Canonical labels of a view's keys in key order; atoms are labelled by
-    their access antichains, MI collections by :func:`collection_label`."""
+    their access antichains, MI collections by :func:`collection_labels`."""
     check_source_count(n)
     if concept is MI_KEYS:
-        return [collection_label(bits) for bits in range(1 << n)]
+        return list(collection_labels(n))
     index = lattice_index(n)
     at = index.access_antichain if concept is None else domain_positions(concept, n)
     return [index.labels[i] for i in at.tolist()]

@@ -119,6 +119,12 @@ def collection_label(bits: int) -> str:
     return "{" + ",".join(members) + "}"
 
 
+@checked_cache(_check_n)
+def collection_labels(n: int) -> tuple[str, ...]:
+    """The :func:`collection_label` of every collection over n sources, indexed by bitmask."""
+    return tuple(map(collection_label, range(1 << n)))
+
+
 def parse_collection_label(text: str, n: int) -> int:
     expect(text, str, "collection label")
     _check_n(n)
@@ -199,6 +205,11 @@ def collection_bits(n: int, collection) -> int:
 EMPTY_CHAIN_LABEL = "∅-chain"
 
 
+def antichain_label(names: Sequence[str], members: Iterable[int]) -> str:
+    """The label of an antichain: its members' ``names`` joined in order, or ``∅-chain`` for none."""
+    return "".join([names[s] for s in members]) or EMPTY_CHAIN_LABEL
+
+
 @dataclass(frozen=True)
 class Antichain:
     """A set of pairwise incomparable collections, in canonical order.
@@ -266,9 +277,7 @@ class Antichain:
         return len(self.collections) == 1 and self.collections[0].bits == source_mask(self.n)
 
     def label(self) -> str:
-        if self.is_empty:
-            return EMPTY_CHAIN_LABEL
-        return "".join(collection_label(m) for m in self.masks)
+        return antichain_label(collection_labels(self.n), self.masks)
 
     def __str__(self) -> str:
         return self.label()
@@ -287,9 +296,7 @@ def parse_antichain_label(text: str, n: int) -> Antichain:
     while rest:
         if not rest.startswith("{"):
             raise ParseError(f"bad antichain label {text!r}")
-        end = rest.find("}")
-        if end < 0:
-            raise ParseError(f"bad antichain label {text!r}")
+        end = rest.find("}")  # found: each piece taken holds one "}", and the counts are equal
         masks.append(parse_collection_label(rest[: end + 1], n))
         rest = rest[end + 1 :]
     try:
@@ -589,8 +596,8 @@ def lattice_index(n: int) -> LatticeIndex:
     up, down = up[order], minimal[order]
     for step, lacking in _monotone_violation_masks(n):  # down-closure: drop one source at a time
         down |= (down & ~np.uint64(lacking)) >> np.uint64(step)
-    names = [collection_label(s) for s in range(pad)] + [""]
-    labels = tuple(["".join([names[s] for s in row]) or EMPTY_CHAIN_LABEL for row in members.tolist()])
+    names = [*collection_labels(n), ""]  # "" fills the empty member slots
+    labels = tuple([antichain_label(names, row) for row in members.tolist()])
 
     # Up-sets and down-sets each label the antichains one to one, so a
     # partner map is a lookup of the complementary closure.
@@ -821,6 +828,9 @@ class ConceptLattice:
         return self.leq_by_index(i, j)
 
     def leq_by_index(self, i: int, j: int) -> bool:
+        for k in (i, j):  # exact type test: rejects bool, and a negative index would read from the end
+            if type(k) is not int or not 0 <= k < len(self.nodes):
+                raise DomainError(f"{shown(k)} is not a node index of this lattice, 0..{len(self.nodes) - 1}")
         below, above = (i, j) if self.direction == "up" else (j, i)
         return self.tables[above] & ~self.tables[below] == 0
 

@@ -16,6 +16,7 @@ from pidlattice import (
     DomainError,
     MeasureAssignment,
     ParseError,
+    ParthoodDistribution,
     PidError,
     SourceSet,
     ValidationError,
@@ -48,7 +49,7 @@ from pidlattice import (
     summate,
 )
 from pidlattice.concepts import concept_facts, domain_labels, domain_members
-from pidlattice.lattices import source_mask
+from pidlattice.lattices import source_mask, table_mask
 from pidlattice.oracle import oracle_selector
 
 ALL_CONCEPTS = list(BaseConcept)
@@ -806,3 +807,28 @@ def test_grid_condition_predicates_agree_with_condition_holds(n):
         for alpha in enumerate_antichains(n):
             holds = grid_condition(cid, alpha)
             assert [holds(f) for f in atoms] == [condition_holds(cid, alpha, f) for f in atoms]
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.int64], ids=["uint64", "int64"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_selection_mask_refuses_a_table_above_the_n_source_range(n, dtype):
+    """Only the low 2**n bits hold a mark, so a table with a higher bit is no truth table over n sources."""
+    alpha, top = Antichain.of(n, [1]), table_mask(n)
+    assert selection_mask(BaseConcept.REDUNDANCY, alpha, np.array([0, top], dtype=dtype)).tolist() == [False, True]
+    refusal = f"tables must be truth tables over {n} sources, got one out of range"
+    for table in (top + 1, 0b1010 | 1 << 40):
+        with pytest.raises(ValidationError, match=refusal):
+            selection_mask(BaseConcept.REDUNDANCY, alpha, np.array([0, table], dtype=dtype))
+    # the dtype and the sign are checked first, as before
+    with pytest.raises(ValidationError, match="non-negative"):
+        selection_mask(BaseConcept.REDUNDANCY, alpha, np.array([top + 1, -1], dtype=np.int64))
+    with pytest.raises(ValidationError, match="dtype float64"):
+        selection_mask(BaseConcept.REDUNDANCY, alpha, np.array([float(top + 1)]))
+
+
+def test_selection_mask_refuses_the_table_a_parthood_distribution_refuses():
+    table = 0b1010 | 1 << 40
+    with pytest.raises(ValidationError, match="truth table out of range"):
+        ParthoodDistribution(2, table)
+    with pytest.raises(ValidationError, match="out of range"):
+        selection_mask(BaseConcept.REDUNDANCY, Antichain.of(2, [1]), np.array([table], dtype=np.uint64))

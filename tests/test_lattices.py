@@ -41,6 +41,7 @@ from pidlattice import (
     parthood_leq,
     synergy_antichain_from_parthood,
 )
+from pidlattice.errors import shown
 from pidlattice.lattices import (
     check_source_count,
     source_mask,
@@ -654,3 +655,20 @@ def test_a_lattice_built_directly_above_max_sources_renders(n):
     lattice = ConceptLattice((low, high), "redundancy", "up", "full-lattice", tables, ((1,), ()))
     want = 'digraph lattice {\n  rankdir=BT;\n  "{1}";\n  "{1,2}";\n  "{1}" -> "{1,2}";\n}\n'
     assert lattice_to_dot(lattice) == want
+
+
+NOT_NODE_INDICES = {"negative": -1, "past-the-end": 4, "bool": True, "str": "a", "float": 0.0, "None": None}
+
+
+@pytest.mark.parametrize("side", ["i", "j"])
+@pytest.mark.parametrize("index", NOT_NODE_INDICES)
+def test_leq_by_index_takes_only_node_indices(index, side):
+    lattice = concept_lattice(BaseConcept.REDUNDANCY, 2)
+    assert len(lattice.nodes) == 4
+    value = NOT_NODE_INDICES[index]
+    with pytest.raises(DomainError) as caught:
+        lattice.leq_by_index(*((value, 0) if side == "i" else (0, value)))
+    assert str(caught.value) == f"{shown(value)} is not a node index of this lattice, 0..3"
+    assert [lattice.leq_by_index(i, j) for i in range(4) for j in range(4)] == [
+        lattice.leq(a, b) for a in lattice.nodes for b in lattice.nodes
+    ]

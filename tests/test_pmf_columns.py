@@ -503,3 +503,23 @@ def test_a_key_run_longer_than_the_layouts_is_refused_as_the_document_route_refu
         load_joint(path)
     assert (type(caught.value), str(caught.value)) == outcome(lambda: reference_json_file(path))
     assert str(caught.value).startswith("bad pmf entry")
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_rows_without_a_mass_leave_the_reader_before_its_first_row(tmp_path, monkeypatch, writer):
+    """No mass follows a state, so the reader finds no row to read and the entry walk refuses the row."""
+    doc = {"n_sources": 1, "source_alphabets": [1], "target_alphabet": 1, "pmf": [{"state": [0, 0], "p": 1}]}
+    path = tmp_path / "d.json"
+    path.write_text(WRITERS[writer](doc))
+    assert fileio.pmf_columns(path, distributions._FIELDS) is not None  # the file's layout is a writer's
+    del doc["pmf"][0]["p"]
+    path.write_text(WRITERS[writer](doc))
+    def no_rows(*args):
+        raise AssertionError("a row was read")
+
+    monkeypatch.setattr(fileio, "_pmf_rows", no_rows)
+    assert fileio.pmf_columns(path, distributions._FIELDS) is None
+    with pytest.raises(ParseError) as caught:
+        load_joint(path)
+    assert str(caught.value) == "bad pmf entry {'state': [0, 0]}"
+    assert outcome(lambda: load_joint(path)) == outcome(lambda: reference_json_file(path))

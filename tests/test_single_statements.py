@@ -10,12 +10,15 @@ labeling is ``lattices.labeling_refusal`` and ``fileio._POW10`` is the
 one table of powers of ten.  The refusal of an antichain outside a
 concept's domain is ``concepts._check_in_domain``, which atoms mark a
 collection is ``LatticeIndex.marks``, and the noun a view's values go by
-is computed by ``concepts.index_vector`` alone.  The source checks below
-find no second statement of any of them.
+is computed by ``concepts.index_vector`` alone.  The table of collection
+labels is ``lattices.collection_labels``, and the rule that joins them into
+an antichain label, ``∅-chain`` for none, is ``lattices.antichain_label``.
+The source checks below find no second statement of any of them.
 """
 
 import ast
 import json
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -277,3 +280,62 @@ def test_the_concept_domain_refusal_is_stated_once():
 def test_the_noun_of_a_views_values_is_stated_once():
     noun = '"atom" if concept is None else "MI" if concept is MI_KEYS else concept.tag'
     assert statements_of(noun) == {"concepts.py": 1}
+
+
+def functions_where(tree: ast.AST, holds: Callable[[ast.AST], bool]) -> list[str]:
+    """The name of each function, method included, that holds a node for which ``holds`` is true."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and any(holds(inner) for inner in ast.walk(node))
+    ]
+
+
+def maps_a_collection_label(node: ast.AST) -> bool:
+    """A comprehension whose element calls ``collection_label``, or ``map(collection_label, ...)``."""
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+        return "collection_label" in calls_named(node.elt)
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "map"
+        and getattr(next(iter(node.args), None), "id", None) == "collection_label"
+    )
+
+
+def calls_named(node: ast.AST) -> set[str]:
+    return {getattr(call.func, "id", None) for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+
+def joins_to_the_empty_chain(node: ast.AST) -> bool:
+    """A function body that both calls ``.join`` and names ``EMPTY_CHAIN_LABEL``: a label rule."""
+    names = {inner.id for inner in ast.walk(node) if isinstance(inner, ast.Name)}
+    return "EMPTY_CHAIN_LABEL" in names and any(
+        isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "join" for call in ast.walk(node)
+    )
+
+
+def test_the_label_checks_see_what_they_look_for():
+    text = (
+        "def a(n):\n    return [collection_label(s) for s in range(n)]\n"
+        "def b(n):\n    return tuple(map(collection_label, range(n)))\n"
+        "def c(s):\n    return collection_label(s)\n"
+        "class K:\n    def label(self):\n        if not self.masks:\n            return EMPTY_CHAIN_LABEL\n"
+        "        return ''.join(collection_label(m) for m in self.masks)\n"
+    )
+    tree = ast.parse(text)
+    assert functions_where(tree, maps_a_collection_label) == ["a", "b", "label"]
+    label = next(node for node in ast.walk(tree) if getattr(node, "name", None) == "label")
+    assert joins_to_the_empty_chain(label) and not joins_to_the_empty_chain(tree.body[0])
+
+
+def functions_in_each_module(holds: Callable[[ast.AST], bool]) -> dict[str, list[str]]:
+    return {name: found for name, tree in trees().items() if (found := functions_where(tree, holds))}
+
+
+def test_the_collection_labels_are_mapped_once():
+    assert functions_in_each_module(maps_a_collection_label) == {"lattices.py": ["collection_labels"]}
+    assert "pidlattice.lattices.collection_label" not in imported_names(PACKAGE / "concepts.py")
+
+
+def test_the_empty_chain_ends_a_join_once():
+    assert functions_in_each_module(joins_to_the_empty_chain) == {"lattices.py": ["antichain_label"]}
