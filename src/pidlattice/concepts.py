@@ -538,12 +538,12 @@ def reference_measure(dist: JointDistribution, concept: BaseConcept) -> "Measure
         )
     n = dist.n
     index = lattice_index(n)
-    infos = np.array(list(mi_table(dist).values()))
+    infos = index_vector(MI_KEYS, n, mi_table(dist))
     total = infos[-1]
-    # Member rows are padded with slot 1 << n, which holds the identity of
-    # min or max.  The empty antichain, outside every base domain, reads it.
-    smallest = np.append(infos, np.inf)[index.members].min(axis=1)
-    largest = np.append(infos, -np.inf)[index.members].max(axis=1)
+    # An empty member slot holds the identity of min or max; the empty
+    # antichain, outside every base domain, has nothing else.
+    smallest = index.member_values(infos, np.inf).min(axis=1)
+    largest = index.member_values(infos, -np.inf).max(axis=1)
     known = {BaseConcept.REDUNDANCY: smallest, BaseConcept.UNION: largest}
     values = concept_table(concept, index, total, known.get)
     return MeasureAssignment(concept, n, values_on_domain(concept, n, values))
@@ -585,7 +585,7 @@ def load_measure(path, n: int) -> MeasureAssignment:
     doc = read_object(path, "measure file", ("concept",))
     concept = BaseConcept.from_tag(doc["concept"])
     index, positions = lattice_index(n), domain_positions(concept, n)
-    place = np.full(len(index.members), -1)  # antichain position -> domain place, or -1
+    place = np.full(len(index.labels), -1)  # antichain position -> domain place, or -1
     place[positions] = np.arange(len(positions))
     at, values, extra = [], [], []
     for key, v in doc.items():

@@ -89,6 +89,10 @@ class PidMeta:
     measure: str
     digest: str
 
+    def __post_init__(self):  # a result file holds them as JSON strings; their content is free
+        for field in ("concept", "measure", "digest"):
+            expect(getattr(self, field), str, field)
+
 
 @dataclass(frozen=True)
 class PidResult:
@@ -115,6 +119,7 @@ class PidResult:
         mi: Mapping[int, float],
     ) -> "PidResult":
         """Construct after checking the atoms reproduce every MI value."""
+        expect(meta, PidMeta, "meta")
         atoms, mi = index_vector(None, n, atoms), index_vector(MI_KEYS, n, mi)  # atoms check n
         result = cls(n, index_view(None, n, atoms), meta, index_view(MI_KEYS, n, mi))
         report = verify_consistency(result)
@@ -205,15 +210,15 @@ def solve_concept(
     # the total at the one antichain the target domain adds: {} when union
     # becomes weak synergy, the full collection when vulnerable becomes
     # redundancy.
-    at = np.zeros(len(index.members))
+    at = np.zeros(len(index.labels))
     at[positions] = vector
     if facts.nested:
         # The single-collection identities: on the access domain a single
         # collection's value is its information, on the blockage domain the rest.
         want = infos if facts.access else infos[-1] - infos
         domain = domain_positions(concept, n)
-        singles = domain[(index.members[domain] != 1 << n).sum(axis=1) == 1]
-        got, expected = at[singles], want[index.members[singles, 0]]
+        singles = domain[index.single[domain] >= 0]
+        got, expected = at[singles], want[index.single[singles]]
         bad = np.flatnonzero(np.abs(got - expected) > ENGINE_TOL)
         if bad.size:
             k = bad[0]
@@ -287,7 +292,7 @@ def _forward(n: int, atoms: Mapping[ParthoodDistribution, float]):
         if facts.mode != "sufficient":
             return None
         labels, zeta, _ = _base_transform(index, facts.relation)
-        table = np.zeros(len(index.members))
+        table = np.zeros(len(index.labels))
         table[labels] = zeta(values) if facts.nested else values
         return table
 
@@ -371,8 +376,9 @@ def proper_synergy_values(result: PidResult, alpha: Antichain) -> float:
 
 def _first_reached_at(union: int, index: LatticeIndex) -> np.ndarray:
     """Proper-synergy selector: which atoms mark the union and no proper subset of it."""
-    strict_down = sum(1 << s for s in range(union) if s & ~union == 0)
-    return index.marks[union] & (index.atom_tables & np.uint64(strict_down) == 0)
+    # An atom marking a proper subset marks, being an up-set, one lacking a single source.
+    largest = [union & ~(1 << k) for k in range(union.bit_length()) if union >> k & 1]
+    return index.marks[union] & ~index.marks[largest].any(axis=0)
 
 
 @dataclass(frozen=True)
@@ -446,6 +452,7 @@ def export_result(result: PidResult) -> dict:
     access label; the MI table rides along so files can be re-verified.
     A NaN or infinite value is refused, as JSON has no such number."""
     expect(result, PidResult, "result")
+    expect(result.meta, PidMeta, "meta")
     mi = index_vector(MI_KEYS, result.n, result.mi)
     values = index_vector(None, result.n, result.atoms)
     if not (np.isfinite(mi).all() and np.isfinite(values).all()):

@@ -21,8 +21,8 @@ antichain off an up-set as its minimal collections.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
-import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Literal, Mapping, Sequence, get_args
@@ -459,8 +459,9 @@ class LatticeIndex:
 
     Antichain i holds the minimal collections of the up-set ``up[i]`` (a
     uint64 truth table), whose downward closure is ``down[i]``.  Row
-    ``members[i]`` lists them in canonical order, padded with ``1 << n``,
-    and ``labels[i]`` names them, the rows in the order of
+    ``members[i]`` lists them in canonical order, padded with ``1 << n``
+    (read through :meth:`member_values`), ``single[i]`` is the sole member
+    or -1, and ``labels[i]`` names them, the rows in the order of
     :func:`enumerate_antichains`.  Decompositions read these arrays only, so
     the objects ``antichains[i]``, with ``position[alpha]`` giving i back,
     are built on first use, and not one constructor call each: one numpy
@@ -495,6 +496,7 @@ class LatticeIndex:
     up: np.ndarray
     down: np.ndarray
     members: np.ndarray
+    single: np.ndarray
     partner: Mapping[Callable[[Antichain], Antichain], np.ndarray]
     access_atom: np.ndarray
     blockage_atom: np.ndarray
@@ -509,6 +511,10 @@ class LatticeIndex:
     def antichains(self) -> tuple[Antichain, ...]:
         """The antichain of each member row; built on first use."""
         return _antichains_from_rows(self.n, self.members)
+
+    def member_values(self, values: np.ndarray, fill: float) -> np.ndarray:
+        """Row i: antichain i's members' ``values``, one per collection bitmask, ``fill`` after them."""
+        return np.append(values, fill).take(self.members)  # take: faster than [] on int8 indices
 
     @functools.cached_property
     def marks(self) -> np.ndarray:
@@ -636,6 +642,7 @@ def lattice_index(n: int) -> LatticeIndex:
         up=up,
         down=down,
         members=members,
+        single=np.where((members[:, 0] != pad) & (members[:, 1:2] == pad).all(axis=1), members[:, 0], -1),
         partner=MappingProxyType(partner),
         access_atom=access_atom,
         blockage_atom=access_atom[partner[minimal_non_subsets]],
@@ -951,8 +958,12 @@ def moebius_invert(
     if extra > 0:
         raise CompletenessError(f"values carry {extra} entries outside the lattice")
     vals = [values[a] for a in lattice.nodes]
-    for a, v in zip(lattice.nodes, vals):  # abs(v) <= max refuses NaN, infinity and big ints
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not abs(v) <= sys.float_info.max:
+    for a, v in zip(lattice.nodes, vals):  # on float(v): a float32 casts the float64 maximum to inf
+        try:
+            finite = not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(float(v))
+        except OverflowError:  # an int or Fraction beyond float range
+            finite = False
+        if not finite:
             raise ValidationError(f"value at {a.label()} is not a finite number: {shown(v)}")
     # Natural table order: larger table = lower node; a "down" lattice flips it.
     supersets = (direction == "down-sum") == (lattice.direction == "up")

@@ -336,6 +336,27 @@ UNREADABLE_CASES = [
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--input", "{nul}", "--concept", "redundancy"],
+        ["decompose", "--input", "{nul}", "--format", "tsv", "--concept", "redundancy"],
+        ["decompose", "--input", XOR_JSON, "--concept", "redundancy", "--measure", "{nul}"],
+        ["check", "--input", "{nul}"],
+        ["rank", "--n", "2", "--out", "{nul}"],
+        ["decompose", "--input", XOR_JSON, "--concept", "redundancy", "--out", "{nul}"],
+    ],
+    ids=["input", "input-tsv", "measure", "check-input", "rank-out", "decompose-out"],
+)
+def test_a_path_holding_a_nul_exits_1(tmp_path, capsys, argv):
+    nul = f"{tmp_path}/held\0tail"
+    assert main([arg.format(nul=nul) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: path {nul!r} holds a NUL character\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "kind,data", [c[1:] for c in UNREADABLE_CASES], ids=[c[0] for c in UNREADABLE_CASES]
 )
 def test_unreadable_file_exits_1(tmp_path, capsys, kind, data):

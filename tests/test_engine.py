@@ -755,6 +755,33 @@ def test_file_metadata_round_trips_and_code_built_metadata_stays_free(tmp_path, 
     assert free.concept == "synthetic"
 
 
+NOT_STRINGS = [BaseConcept.UNION, np.float32(1), b"union", None]
+
+
+@pytest.mark.parametrize("field", ["concept", "measure", "digest"])
+@pytest.mark.parametrize("value", NOT_STRINGS, ids=["enum", "float32", "bytes", "None"])
+def test_metadata_fields_must_be_strings(field, value):
+    # save_result leaked json's TypeError for the first three, and wrote null for None
+    fields = {"concept": "synthetic", "measure": "synthetic", "digest": "0" * 64, field: value}
+    with pytest.raises(ValidationError) as caught:
+        PidMeta(**fields)
+    assert str(caught.value) == f"{field} must be a str, got {type(value).__name__}"
+
+
+@pytest.mark.parametrize("meta", [None, {"concept": "redundancy"}], ids=["None", "dict"])
+def test_a_result_takes_only_pid_metadata(tmp_path, xor_dist, meta):
+    result = decompose(xor_dist, BaseConcept.REDUNDANCY)
+    message = f"^meta must be a PidMeta, got {type(meta).__name__}$"
+    with pytest.raises(ValidationError, match=message):
+        PidResult.build(2, result.atoms, meta, result.mi)
+    direct = PidResult(2, result.atoms, meta, result.mi)  # export_result read its fields
+    with pytest.raises(ValidationError, match=message):
+        export_result(direct)
+    with pytest.raises(ValidationError, match=message):
+        save_result(direct, tmp_path / "result.json")
+    assert not (tmp_path / "result.json").exists()
+
+
 @pytest.mark.parametrize("result", [dict, list], ids=["atom-dict", "atom-items"])
 def test_inclusion_exclusion_refuses_a_result_that_is_not_one(xor_dist, result):
     atoms = result(decompose(xor_dist, BaseConcept.REDUNDANCY).atoms.items())

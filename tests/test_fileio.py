@@ -11,6 +11,8 @@ import decimal
 import functools
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +110,20 @@ def test_a_file_descriptor_is_refused_and_left_open(tmp_path, call):
         os.close(fd)
     with pytest.raises(ValidationError, match="got bytes"):
         call(os.fsencode(tmp_path / "held"))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [*LOADERS.values(), *(functools.partial(save, helpers.xor_distribution()) for save in SAVERS.values())],
+    ids=[*(f"load-{kind}" for kind in LOADERS), *(f"save-{kind}" for kind in SAVERS)],
+)
+@pytest.mark.parametrize("kind", [str, Path], ids=["str", "PathLike"])
+def test_a_path_holding_a_nul_is_refused_before_any_file_is_touched(tmp_path, call, kind):
+    # open() raised a bare ValueError for it
+    path = kind(f"{tmp_path}/held\0tail")
+    with pytest.raises(ValidationError, match=f"^path {re.escape(repr(path))} holds a NUL character$"):
+        call(path)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------- JSON numbers

@@ -1,6 +1,8 @@
 """Antichain enumeration, labelings, orders, lattices, Moebius inversion."""
 
 import re
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -576,6 +578,40 @@ def test_moebius_refuses_values_that_are_not_finite_numbers(value):
     values[lat.nodes[1]] = value
     with pytest.raises(ValidationError, match=rf"value at {re.escape(lat.nodes[1].label())} is not"):
         moebius_invert(lat, values, "down-sum")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+def test_moebius_refuses_a_narrow_float_that_is_not_finite(dtype, text):
+    # checked in its own precision, a narrow infinity stood below the float64 maximum cast to inf
+    lat = concept_lattice(BaseConcept.REDUNDANCY, 2)
+    values = {a: 1.0 for a in lat.nodes}
+    values[lat.nodes[1]] = dtype(text)
+    message = f"value at {lat.nodes[1].label()} is not a finite number: {dtype(text)!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        moebius_invert(lat, values, "down-sum")
+
+
+@pytest.mark.parametrize("value", [Fraction(10**400), Fraction(-(10**400), 3)], ids=["above", "below"])
+def test_moebius_refuses_a_fraction_beyond_float_range(value):
+    lat = concept_lattice(BaseConcept.REDUNDANCY, 2)
+    values = {a: 1.0 for a in lat.nodes}
+    values[lat.nodes[1]] = value
+    message = f"value at {lat.nodes[1].label()} is not a finite number: {value!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        moebius_invert(lat, values, "down-sum")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+@pytest.mark.parametrize("direction", ["down-sum", "up-sum"])
+def test_moebius_takes_a_finite_narrow_float_as_its_float64_value(dtype, direction):
+    lat = concept_lattice(BaseConcept.REDUNDANCY, 3)
+    rng = np.random.default_rng(7)
+    narrow = {a: dtype(v) for a, v in zip(lat.nodes, rng.uniform(-4, 4, len(lat.nodes)))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a float32 compared with the float64 maximum overflowed
+        got = moebius_invert(lat, narrow, direction)
+    assert got == moebius_invert(lat, {a: float(v) for a, v in narrow.items()}, direction)
 
 
 # --------------------------------------------------------------------- dot

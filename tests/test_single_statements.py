@@ -13,6 +13,11 @@ collection is ``LatticeIndex.marks``, and the noun a view's values go by
 is computed by ``concepts.index_vector`` alone.  The table of collection
 labels is ``lattices.collection_labels``, and the rule that joins them into
 an antichain label, ``∅-chain`` for none, is ``lattices.antichain_label``.
+The padded member rows of the lattice index are read in ``lattices.py``
+alone, through ``LatticeIndex.single`` and ``LatticeIndex.member_values``;
+proper synergy reads ``LatticeIndex.marks`` at the union's largest proper
+subsets, not a truth table of all of them; and the reference measure takes
+its MI vector from ``concepts.index_vector``, not from the MI table's order.
 The source checks below find no second statement of any of them.
 """
 
@@ -163,6 +168,44 @@ def test_the_marks_select_the_atoms_the_shifted_tables_selected(n):
         got = _first_reached_at(union, index)
         assert got.dtype == np.bool_
         assert np.array_equal(got, shifted_selector(union, index.atom_tables)), union
+
+
+def truth_table_selector(union: int, index) -> np.ndarray:
+    """The former proper-synergy selector, which masked the atoms by a truth table of the union's proper subsets."""
+    strict_down = sum(1 << s for s in range(union) if s & ~union == 0)
+    return index.marks[union] & (index.atom_tables & np.uint64(strict_down) == 0)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_largest_proper_subsets_select_what_the_truth_table_selected(n):
+    index = lattice_index(n)
+    for union in range(1, 1 << n):
+        got = _first_reached_at(union, index)
+        assert got.dtype == np.bool_
+        assert np.array_equal(got, truth_table_selector(union, index)), union
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_single_is_the_sole_member_the_padded_rows_gave(n):
+    index = lattice_index(n)
+    rows = np.arange(len(index.labels))
+    singles = rows[(index.members[rows] != 1 << n).sum(axis=1) == 1]  # the former solve_concept
+    assert np.array_equal(np.flatnonzero(index.single >= 0), singles)
+    assert np.array_equal(index.single[singles], index.members[singles, 0])
+    sole = [alpha.masks[0] if len(alpha.masks) == 1 else -1 for alpha in index.antichains]
+    assert index.single.tolist() == sole
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("fill", [np.inf, -np.inf, 0.0], ids=["inf", "-inf", "zero"])
+def test_member_values_are_the_padded_rows_read_through_an_appended_fill(n, fill):
+    index = lattice_index(n)
+    values = np.random.default_rng(n).uniform(-1, 1, 1 << n)
+    got = index.member_values(values, fill)
+    assert np.array_equal(got, np.append(values, fill)[index.members])  # the former reference_measure
+    for row, alpha in zip(got.tolist(), index.antichains):
+        k = len(alpha.masks)
+        assert row[:k] == values[list(alpha.masks)].tolist() and row[k:] == [fill] * (len(row) - k)
 
 
 # ---------------------------------------------------------- source checks
@@ -339,3 +382,44 @@ def test_the_collection_labels_are_mapped_once():
 
 def test_the_empty_chain_ends_a_join_once():
     assert functions_in_each_module(joins_to_the_empty_chain) == {"lattices.py": ["antichain_label"]}
+
+
+def attribute_reads(tree: ast.AST, attr: str) -> list[int]:
+    """The line of each ``x.attr``."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == attr]
+
+
+def called(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def calls_outside(tree: ast.AST, name: str, host: str) -> list[int]:
+    """The line of each call of ``name`` that is not an argument of a call of ``host``."""
+    arguments = {id(arg) for node in ast.walk(tree) if called(node, host) for arg in node.args}
+    return [node.lineno for node in ast.walk(tree) if called(node, name) and id(node) not in arguments]
+
+
+def test_the_layout_checks_see_what_they_look_for():
+    text = (
+        "a = index.members[i]\nb = members\nc = index_vector(K, n, mi_table(d))\n"
+        "d = np.array(list(mi_table(d).values()))\ne = np.uint64(1)\nf = index_vector(K, n, g(mi_table(d)))"
+    )
+    tree = ast.parse(text)
+    assert attribute_reads(tree, "members") == [1]
+    assert attribute_reads(tree, "uint64") == [5]
+    assert sorted(calls_outside(tree, "mi_table", "index_vector")) == [4, 6]
+
+
+def test_only_the_lattice_module_reads_the_member_rows():
+    found = {name: lines for name, tree in trees().items() if (lines := attribute_reads(tree, "members"))}
+    assert set(found) == {"lattices.py"}, found
+
+
+def test_the_engine_builds_no_truth_table():
+    assert attribute_reads(trees()["engine.py"], "uint64") == []
+
+
+def test_the_reference_measure_takes_its_mi_vector_from_index_vector():
+    tree = trees()["concepts.py"]
+    assert calls_of(tree, "mi_table")
+    assert calls_outside(tree, "mi_table", "index_vector") == []
