@@ -23,7 +23,8 @@ Categories:
   reference measure, ``solve_concept`` of seeded random measures, and the
   ten forward tables (``measure_table_from_atoms``) of both atom sets.
 - moebius: ``moebius_invert`` on every full concept lattice for n <= 4,
-  in both directions.
+  and on a two-node lattice built directly at n = 6, 7 and 8, where no
+  concept lattice exists, in both directions.
 - reports: ``verify_consistency``, ``summate`` at every domain antichain
   and ``inclusion_exclusion_check`` at every union-domain antichain, for
   n <= 3.
@@ -255,7 +256,7 @@ def atoms_and_reports(atoms: dict, reports: dict, synergy: dict) -> None:
 
 
 def moebius(out: dict) -> None:
-    from pidlattice import BaseConcept, concept_lattice, moebius_invert
+    from pidlattice import Antichain, BaseConcept, ConceptLattice, concept_lattice, moebius_invert
 
     for n, concept in itertools.product(range(1, 5), BaseConcept):
         try:
@@ -268,6 +269,13 @@ def moebius(out: dict) -> None:
         values = dict(zip(lattice.nodes, seeded_values(10 * n + size, size)))
         for direction in ("down-sum", "up-sum"):
             out[f"n={n} {concept.tag} {direction}"] = outcome(lambda: moebius_invert(lattice, values, direction))
+    for n in (6, 7, 8):
+        low, high = Antichain.of(n, [1]), Antichain.of(n, [3])
+        tables = tuple(sum(1 << s for s in range(1 << n) if s & m == m) for m in (1, 3))  # their up-closures
+        lattice = ConceptLattice((low, high), "redundancy", "up", "full-lattice", tables, ((1,), ()))
+        values = dict(zip(lattice.nodes, seeded_values(10 * n + 2, 2)))
+        for direction in ("down-sum", "up-sum"):
+            out[f"n={n} two-node {direction}"] = outcome(lambda: moebius_invert(lattice, values, direction))
 
 
 def numbers(out: dict) -> None:

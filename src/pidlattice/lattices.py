@@ -392,7 +392,7 @@ def parthood_from_antichain(alpha: Antichain) -> ParthoodDistribution:
     """Distribution marking exactly the collections containing a member of alpha."""
     if not in_access_domain(alpha):
         raise labeling_refusal(alpha.label(), access=True)
-    return ParthoodDistribution(alpha.n, _order_table("redundancy", alpha))
+    return ParthoodDistribution(alpha.n, _order_tables("redundancy", (alpha,))[0])
 
 
 def antichain_from_parthood(f: ParthoodDistribution) -> Antichain:
@@ -406,7 +406,7 @@ def parthood_from_synergy_antichain(alpha: Antichain) -> ParthoodDistribution:
     """Distribution clearing exactly the collections contained in a member of alpha."""
     if not in_blockage_domain(alpha):
         raise labeling_refusal(alpha.label(), access=False)
-    return ParthoodDistribution(alpha.n, _order_table("synergy", alpha))
+    return ParthoodDistribution(alpha.n, _order_tables("synergy", (alpha,))[0])
 
 
 def synergy_antichain_from_parthood(f: ParthoodDistribution) -> Antichain:
@@ -726,17 +726,14 @@ def _parthood_from_tables(n: int, tables: np.ndarray) -> tuple[ParthoodDistribut
     return tuple(out)
 
 
-def _order_table(kind: OrderKind, alpha: Antichain) -> int:
-    """Truth table whose subset order realizes the kind's order on antichains.
-
-    It is the up-closure for redundancy and the complement of the
-    down-closure for synergy.
-    """
-    index = lattice_index(alpha.n)
-    at = index.position[alpha]
+def _order_tables(kind: OrderKind, nodes: Sequence[Antichain]) -> list[int]:
+    """The truth tables whose subset order realizes the kind's order on the nodes, in one gather:
+    the up-closures for redundancy, the complements of the down-closures for synergy."""
+    index = lattice_index(nodes[0].n)
+    at = [index.position[a] for a in nodes]
     if kind == "redundancy":
-        return int(index.up[at])
-    return table_mask(alpha.n) ^ int(index.down[at])
+        return index.up[at].tolist()
+    return (np.uint64(table_mask(index.n)) ^ index.down[at]).tolist()
 
 
 def antichain_leq(kind: OrderKind, alpha: Antichain, beta: Antichain) -> bool:
@@ -746,7 +743,8 @@ def antichain_leq(kind: OrderKind, alpha: Antichain, beta: Antichain) -> bool:
     expect(beta, Antichain, "beta")
     if alpha.n != beta.n:
         raise DomainError("antichains over different source counts")
-    return _order_table(kind, beta) & ~_order_table(kind, alpha) == 0
+    low, high = _order_tables(kind, (alpha, beta))
+    return high & ~low == 0
 
 
 def order_leq(kind: OrderKind, alpha: Antichain, beta: Antichain) -> bool:
@@ -765,19 +763,27 @@ def order_leq(kind: OrderKind, alpha: Antichain, beta: Antichain) -> bool:
     return antichain_leq(kind, alpha, beta)
 
 
+def _linear_extension(tables: Sequence[int], supersets: bool) -> tuple[list[int], np.ndarray]:
+    """Node indices in a linear extension, by (popcount of the key, table), and their keys in that order.
+
+    A key is the table, or with ``supersets`` its complement against the widest table, packed
+    as uint64 where every key fits and as a Python int otherwise."""
+    full = (1 << max((t.bit_length() for t in tables), default=1)) - 1
+    keys = [full ^ t if supersets else t for t in tables]
+    order = sorted(range(len(tables)), key=lambda i: (keys[i].bit_count(), tables[i]))
+    return order, np.array([keys[i] for i in order], dtype=np.uint64 if full.bit_length() <= 64 else object)
+
+
 def _invert_cumulative(tables: Sequence[int], values: Sequence[float], supersets: bool) -> list[float]:
     """Solve V(x) = sum of pi(y) over tables y containing (or contained in) x.
 
     A table contains another iff its complement lies inside the other's
     complement, so superset sums are subset sums over the complemented
-    tables, and one scan of keys serves both.  Recursive descent in a
-    linear extension, by (popcount of the key, table): each node's atom is
-    its value minus the atoms already solved whose keys lie inside its own.
+    tables, and one scan of keys serves both.  Recursive descent in the
+    :func:`_linear_extension`: each node's atom is its value minus the
+    atoms already solved whose keys lie inside its own.
     """
-    full = (1 << max((t.bit_length() for t in tables), default=1)) - 1
-    keys = [full ^ t if supersets else t for t in tables]
-    order = sorted(range(len(tables)), key=lambda i: (keys[i].bit_count(), tables[i]))
-    sorted_keys = np.array([keys[i] for i in order], dtype=np.uint64)
+    order, sorted_keys = _linear_extension(tables, supersets)
     sorted_values = np.array([float(values[i]) for i in order], dtype=np.float64)
     pi = np.zeros(len(tables), dtype=np.float64)
     for k in range(len(tables)):
@@ -816,6 +822,12 @@ class ConceptLattice:
         mask, count = table_mask(n), len(self.nodes)
         if any(type(t) is not int or not 0 <= t <= mask for t in self.tables):
             raise ValidationError(f"lattice tables must be ints in 0..{mask}")
+        first: dict[int, int] = {}
+        for i, t in enumerate(self.tables):  # the tables are the order: two nodes cannot share one
+            j = first.setdefault(t, i)
+            if j != i:
+                a, b = self.nodes[j].label(), self.nodes[i].label()
+                raise ValidationError(f"lattice nodes {a!r} and {b!r} share a table")
         for ups in self.covers:  # exact type tests: a lattice at n = 5 has thousands of covers
             if type(ups) is not tuple or any(type(j) is not int or not 0 <= j < count for j in ups):
                 raise ValidationError(f"lattice covers must be tuples of node indices in 0..{count - 1}")
@@ -881,26 +893,23 @@ def build_lattice(
 
     ``direction="down"`` reverses the order (used for the concepts whose
     values accumulate downward).  Covers are the transitive reduction, found
-    in one pass over a linear extension: sorted by the popcount of their
-    order tables, every node comes before the nodes above it.  Each node's
+    in one pass over a linear extension: every node comes before the
+    nodes above it, whose keys hold its own key.  Each node's
     up-set is one bitset over the sorted nodes.  The lowest node left in a
     node's strict up-set is a cover; dropping the cover's up-set and
     repeating yields the rest, one big-int operation per cover.
     """
     node_list = tuple(checked_iter(nodes, "lattice nodes"))
-    n = _check_lattice(node_list, kind, direction)
+    _check_lattice(node_list, kind, direction)
 
-    tables = tuple(_order_table(kind, a) for a in node_list)
-    # Going up shrinks the tables, or for "down" their complements.
-    flip = table_mask(n) if direction == "down" else 0
-    keys = [t ^ flip for t in tables]
-    order = sorted(range(len(keys)), key=lambda i: -keys[i].bit_count())
-    arr = np.array([keys[i] for i in order], dtype=np.uint64)
-    # upper[k]: bit m set iff sorted node m is sorted node k or lies above it;
-    # distinct nodes have distinct keys, so all of those sort from k on.
+    tables = tuple(_order_tables(kind, node_list))
+    # Going up shrinks the tables, so an "up" lattice's keys are their complements.
+    order, keys = _linear_extension(tables, supersets=direction == "up")
+    outside = ~keys
+    # upper[k]: bit m set iff sorted node m is sorted node k or lies above it; all sort from k on
     upper = []
-    for k, i in enumerate(order):
-        rel = (arr[k:] & np.uint64(table_mask(n) ^ keys[i])) == 0
+    for k in range(len(order)):
+        rel = (outside[k:] & keys[k]) == 0
         upper.append(int.from_bytes(np.packbits(rel, bitorder="little").tobytes(), "little") << k)
 
     covers: list[tuple[int, ...]] = [()] * len(tables)
@@ -941,8 +950,9 @@ def moebius_invert(
     """Recover atoms from cumulative values over a full lattice.
 
     ``down-sum`` means each node's value is the sum of atoms at nodes at or
-    below it; ``up-sum`` the sum at or above.  Semi-lattices are refused:
-    without both extrema the cumulative map need not determine the atoms.
+    below it; ``up-sum`` the sum at or above.  Semi-lattices are refused by
+    this package's convention, though the cumulative map of any finite order
+    fixes the atoms: its zeta matrix is unitriangular in a linear extension.
     """
     expect(lattice, ConceptLattice, "lattice")
     expect(values, Mapping, "values")
